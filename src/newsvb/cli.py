@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .experiment import (
     write_results,
 )
 from .model import (
+    ConstantRisk,
     NewsvendorModel,
     Observations,
     fisher_information,
@@ -179,7 +181,10 @@ def _resolve_seed(args, file_cfg: dict, default: int) -> int:
         return env
     for key in ("seed", "master_seed"):
         if key in file_cfg:
-            return int(file_cfg[key])
+            value = file_cfg[key]
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"config key {key} must be an integer, got {value!r}")
+            return value
     return default
 
 
@@ -251,16 +256,15 @@ def cmd_fit(args) -> int:
     file_cfg = _load_config_file(args.config, _FIT_DECIDE_KEYS)
     model, data, _ = _resolve_model_and_data(args, file_cfg)
     settings = FitSettings()
-    risk_fn = None
+    risk = None
     if args.constant_risk is not None:
-        constant = float(args.constant_risk)
-        if constant <= 0:
+        if not args.constant_risk > 0:
             raise ValueError("--constant-risk must be positive")
-        risk_fn = lambda a, theta: np.full_like(theta, constant)
+        risk = ConstantRisk(args.constant_risk)
     grid = build_posterior(data, model)
     if args.calibrate is not None:
-        q, diag = fit_lcvb(args.calibrate, data, model, grid, settings, risk_fn=risk_fn)
-        objective = calibrated_objective(args.calibrate, q, data, model, grid, risk_fn=risk_fn)
+        q, diag = fit_lcvb(args.calibrate, data, model, grid, settings, risk=risk)
+        objective = calibrated_objective(args.calibrate, q, data, model, grid, risk=risk)
         print(f"rule                loss-calibrated fit at a={args.calibrate:.6g}")
     else:
         q, diag = fit_nvb(data, model, settings)
@@ -283,7 +287,7 @@ def cmd_fit(args) -> int:
         print(f"  log_risk_term     {objective.log_risk_term:.10g}")
     print(
         f"fit: iterations={diag.iterations} grad_norm={diag.final_gradient_norm:.3e} "
-        f"converged={diag.converged} restarts={diag.restarts_used}"
+        f"converged={diag.converged}"
     )
     return EXIT_OK
 
@@ -321,21 +325,7 @@ def cmd_decide(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    allowed = {
-        "theta0",
-        "b",
-        "alpha",
-        "beta",
-        "h_values",
-        "n_schedule",
-        "replications",
-        "quantile_level",
-        "master_seed",
-        "rules",
-        "action_interval",
-        "posterior_nodes",
-    }
-    file_cfg = _load_config_file(args.config, allowed)
+    file_cfg = _load_config_file(args.config, {f.name for f in fields(ExperimentConfig)})
     if args.paper_defaults:
         merged = reference_config().to_dict()
         merged.update(file_cfg)

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import (
     NewsvendorModel,
+    NewsvendorRisk,
     Observations,
+    Risk,
     risk,
     true_optimal_action,
     validate_action,
@@ -33,7 +35,6 @@ from .vb import (
     FitDiagnostics,
     FitSettings,
     LogNormalVariational,
-    RiskFn,
     calibrated_objective,
     fit_lcvb,
     fit_nvb,
@@ -62,7 +63,6 @@ class Rule(enum.Enum):
     NVB = "NVB"
     LCVB = "LCVB"
     BAYES = "BAYES"
-    ORACLE_TRUE = "ORACLE_TRUE"
 
 
 @dataclass(frozen=True)
@@ -74,60 +74,37 @@ class DecisionOutcome:
     probe_count: int = 0
 
 
-def expected_risk_under_q(
-    a: float,
-    q: LogNormalVariational,
-    model: NewsvendorModel,
-    risk_fn: Optional[RiskFn] = None,
-    node_count: int = 64,
-) -> float:
-    """Predicted expected cost H_q(a) = E_q[G(a, theta)].
+def expected_risk_under_q(a, q: LogNormalVariational, model: NewsvendorModel, node_count: int = 64):
+    """Predicted expected cost H_q(a) = E_q[G(a, theta)] by Gauss-Hermite.
 
-    For the built-in newsvendor risk the two moment terms are exact
-    log-normal moments and only the exponential tail needs quadrature.
+    ``a`` may be one action or an array of actions; the result has its shape.
     """
     validate_action(a, model)
+    a = np.asarray(a, dtype=float)
     z, w = gauss_hermite_standard(node_count)
-    log_theta = q.mu + q.sigma * z
-    if risk_fn is not None:
-        values = np.asarray(risk_fn(a, np.exp(log_theta)), dtype=float)
-        return float(w @ values)
-    tail = np.exp(math.log(model.b + model.h) - a * np.exp(log_theta) - log_theta)
-    return model.h * a - model.h * q.mean_inverse_theta() + float(w @ tail)
-
-
-def _expected_risk_grid(actions: np.ndarray, q, model, node_count: int = 64) -> np.ndarray:
-    """Vectorized H_q over an action grid (built-in risk only)."""
-    z, w = gauss_hermite_standard(node_count)
-    log_theta = q.mu + q.sigma * z
-    theta = np.exp(log_theta)
-    tails = np.exp(
-        math.log(model.b + model.h) - np.outer(actions, theta) - log_theta[None, :]
-    )
-    return model.h * actions - model.h * q.mean_inverse_theta() + tails @ w
+    theta = np.exp(q.mu + q.sigma * z)
+    values = NewsvendorRisk(model.h, model.b).value(a[..., None], theta)
+    out = np.einsum("...i,i->...", values, w)  # same sum per action at any a.shape
+    return out if a.ndim else float(out)
 
 
 def decide_with_variational(
     q: LogNormalVariational,
     model: NewsvendorModel,
     diagnostics: FitDiagnostics | None = None,
-    risk_fn: Optional[RiskFn] = None,
 ) -> DecisionOutcome:
     """Minimize H_q over the action interval for an already fitted q."""
     lo, hi = model.action_interval
 
     def objective(a):
-        return expected_risk_under_q(a, q, model, risk_fn)
+        return expected_risk_under_q(a, q, model)
 
-    grid_objective = None
-    if risk_fn is None:
-        grid_objective = lambda actions: _expected_risk_grid(actions, q, model)
-    action, _, probes = minimize_on_grid_then_golden(
-        objective, lo, hi, ACTION_GRID_POINTS, ACTION_TOLERANCE, f_grid=grid_objective
+    action, value, probes = minimize_on_grid_then_golden(
+        objective, lo, hi, ACTION_GRID_POINTS, ACTION_TOLERANCE
     )
     return DecisionOutcome(
         action=action,
-        objective_value=expected_risk_under_q(action, q, model, risk_fn),
+        objective_value=value,
         rule=Rule.NVB,
         inner_fit=diagnostics,
         probe_count=probes,
@@ -138,7 +115,6 @@ def nvb_decide(
     data: Observations,
     model: NewsvendorModel,
     settings: FitSettings | None = None,
-    risk_fn: Optional[RiskFn] = None,
 ) -> DecisionOutcome:
     """Two-stage rule: fit q once, then minimize the predicted expected cost.
 
@@ -146,7 +122,7 @@ def nvb_decide(
     diagnostics rather than raised; the best iterate still decides.
     """
     q, diagnostics = fit_nvb(data, model, settings)
-    return decide_with_variational(q, model, diagnostics, risk_fn)
+    return decide_with_variational(q, model, diagnostics)
 
 
 def lcvb_decide(
@@ -154,17 +130,17 @@ def lcvb_decide(
     model: NewsvendorModel,
     grid: "PosteriorGrid",
     settings: FitSettings | None = None,
-    risk_fn: Optional[RiskFn] = None,
+    risk: Risk | None = None,
     nvb_start: LogNormalVariational | None = None,
 ) -> DecisionOutcome:
     """Nested min-max rule over (action, variational member).
 
     The outer minimization scans a coarse action grid and refines the best
-    cell by golden section; every inner maximization is warm-started from
-    the nearest previously solved action (the first from the plain
-    variational fit), so restarts are disabled inside the loop. Inner
-    failures invalidate single probes; the rule aborts only when every
-    probe fails.
+    cell by golden section; every inner maximization is one ascent
+    warm-started from the nearest previously solved action (the first
+    from the plain variational fit). Inner failures invalidate single
+    probes; the rule aborts only when every probe fails. ``risk=None``
+    uses the model's newsvendor risk.
     """
     settings = settings or FitSettings()
     lo, hi = model.action_interval
@@ -172,7 +148,6 @@ def lcvb_decide(
         q_warm, _ = fit_nvb(data, model, settings)
     else:
         q_warm = nvb_start
-    inner_settings = replace(settings, restarts=0)
 
     solved: list[tuple[float, LogNormalVariational, float, FitDiagnostics]] = []
     failures = 0
@@ -185,11 +160,9 @@ def lcvb_decide(
         else:
             start = q_warm
         try:
-            q_a, diag = fit_lcvb(
-                a, data, model, grid, inner_settings, risk_fn=risk_fn, initial=start
-            )
+            q_a, diag = fit_lcvb(a, data, model, grid, settings, risk=risk, initial=start)
             objective = calibrated_objective(
-                a, q_a, data, model, grid, risk_fn=risk_fn, node_count=settings.node_count
+                a, q_a, data, model, grid, risk=risk, node_count=settings.node_count
             )
         except NumericalError:
             failures += 1

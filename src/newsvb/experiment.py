@@ -15,7 +15,7 @@ import logging
 import math
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -72,8 +72,8 @@ class ExperimentConfig:
     posterior_nodes: int = 256
 
     def __post_init__(self):
-        if not self.h_values or any(h <= 0 for h in self.h_values):
-            raise ValueError("h_values must be non-empty and positive")
+        if not self.h_values or not all(0 < h < math.inf for h in self.h_values):
+            raise ValueError("h_values must be non-empty, positive and finite")
         if not self.n_schedule or any(n < 1 for n in self.n_schedule):
             raise ValueError("n_schedule must be non-empty with n >= 1")
         if any(b >= a for a, b in zip(self.n_schedule[1:], self.n_schedule)):
@@ -86,10 +86,8 @@ class ExperimentConfig:
             raise ValueError("at least one decision rule is required")
         if len(set(self.rules)) != len(self.rules):
             raise ValueError("rules must be distinct")
-        allowed_rules = {Rule.NVB, Rule.LCVB, Rule.BAYES}
-        for rule in self.rules:
-            if rule not in allowed_rules:
-                raise ValueError(f"rule {rule.value} cannot be simulated")
+        if len(self.action_interval) != 2:
+            raise ValueError("action_interval must hold exactly [a_lo, a_hi]")
         # Validate the model once per holding cost; raises on a bad interval.
         for h in self.h_values:
             self.model_for(h)
@@ -122,47 +120,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        allowed = {
-            "theta0",
-            "b",
-            "alpha",
-            "beta",
-            "h_values",
-            "n_schedule",
-            "replications",
-            "quantile_level",
-            "master_seed",
-            "rules",
-            "action_interval",
-            "posterior_nodes",
-        }
-        unknown = set(raw) - allowed
+        """Build a config from JSON-like values, checking every key's type.
+
+        The keys are the fields; the fields without a default are required.
+        """
+        by_name = {f.name: f for f in fields(cls)}
+        unknown = set(raw) - set(by_name)
         if unknown:
             raise ValueError(f"unknown config key: {sorted(unknown)[0]}")
-        missing = {
-            "theta0",
-            "b",
-            "alpha",
-            "beta",
-            "h_values",
-            "n_schedule",
-            "replications",
-            "quantile_level",
-            "master_seed",
-            "rules",
-        } - set(raw)
+        missing = {name for name, f in by_name.items() if f.default is MISSING} - set(raw)
         if missing:
             raise ValueError(f"missing config key: {sorted(missing)[0]}")
-        kwargs = dict(raw)
-        kwargs["h_values"] = tuple(float(h) for h in raw["h_values"])
-        kwargs["n_schedule"] = tuple(int(n) for n in raw["n_schedule"])
-        kwargs["rules"] = tuple(_parse_rule(r) for r in raw["rules"])
-        if "action_interval" in raw:
-            interval = raw["action_interval"]
-            if len(interval) != 2:
-                raise ValueError("action_interval must hold exactly [a_lo, a_hi]")
-            kwargs["action_interval"] = (float(interval[0]), float(interval[1]))
-        return cls(**kwargs)
+        return cls(**{key: _READERS[by_name[key].type](key, value) for key, value in raw.items()})
 
 
 def _parse_rule(name) -> Rule:
@@ -170,6 +139,35 @@ def _parse_rule(name) -> Rule:
         return Rule[str(name).upper()]
     except KeyError:
         raise ValueError(f"unknown rule: {name}") from None
+
+
+def _number(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"config key {key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config key {key} must be an integer, got {value!r}")
+    return value
+
+
+def _items(key: str, value, read) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"config key {key} must be a list, got {value!r}")
+    return tuple(read(key, item) for item in value)
+
+
+# How ``from_dict`` reads a field, keyed by the field's annotation.
+_READERS = {
+    "float": _number,
+    "int": _integer,
+    "tuple[float, ...]": lambda key, value: _items(key, value, _number),
+    "tuple[float, float]": lambda key, value: _items(key, value, _number),
+    "tuple[int, ...]": lambda key, value: _items(key, value, _integer),
+    "tuple[Rule, ...]": lambda key, value: _items(key, value, lambda _, name: _parse_rule(name)),
+}
 
 
 def reference_config(**overrides) -> ExperimentConfig:
@@ -273,10 +271,8 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
                         outcome = lcvb_decide(
                             data, model, grid, settings, nvb_start=q_nvb
                         )
-                    elif rule is Rule.BAYES:
-                        outcome = bayes_decision(grid, model)
                     else:
-                        raise ValueError(f"rule {rule} cannot be simulated")
+                        outcome = bayes_decision(grid, model)
                     gap_action, gap_regret = optimality_gap(outcome, model)
                     records.append(GapRecord(rule, h, n, gap_action, gap_regret))
                 except NumericalError:

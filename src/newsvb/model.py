@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 from scipy.special import gammaln
@@ -25,6 +26,10 @@ from scipy.special import gammaln
 __all__ = [
     "Observations",
     "NewsvendorModel",
+    "Risk",
+    "NewsvendorRisk",
+    "ConstantRisk",
+    "resolve_risk",
     "loss",
     "risk",
     "true_optimal_action",
@@ -80,20 +85,21 @@ class NewsvendorModel:
     action_interval: tuple[float, float] = (0.0, 50.0)
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError("holding cost h must be positive")
-        if not self.b > 0:
-            raise ValueError("backorder cost b must be positive")
-        if not self.alpha > 0:
-            raise ValueError("prior shape alpha must be positive")
-        if not self.beta > 0:
-            raise ValueError("prior rate beta must be positive")
-        lo, hi = self.action_interval
-        if not (0 <= lo < hi):
-            raise ValueError("action interval must satisfy 0 <= a_lo < a_hi")
+        positive = [
+            ("holding cost h", self.h),
+            ("backorder cost b", self.b),
+            ("prior shape alpha", self.alpha),
+            ("prior rate beta", self.beta),
+        ]
         if self.theta0 is not None:
-            if not self.theta0 > 0:
-                raise ValueError("true rate theta0 must be positive")
+            positive.append(("true rate theta0", self.theta0))
+        for label, value in positive:
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{label} must be positive and finite, got {value!r}")
+        lo, hi = self.action_interval
+        if not (0 <= lo < hi < math.inf):
+            raise ValueError(f"action_interval must satisfy 0 <= a_lo < a_hi < inf, got {lo, hi}")
+        if self.theta0 is not None:
             a_star = math.log((self.b + self.h) / self.h) / self.theta0
             if not lo < a_star < hi:
                 raise ValueError(
@@ -117,11 +123,14 @@ def _as_positive_theta(theta):
     return arr
 
 
-def validate_action(a: float, model: NewsvendorModel):
-    """Reject actions outside the model's decision interval."""
+def validate_action(a, model: NewsvendorModel):
+    """Reject actions (one or an array) outside the model's decision interval."""
     lo, hi = model.action_interval
-    if not lo <= a <= hi:
-        raise ValueError(f"action {a:.6g} outside the decision interval [{lo:.6g}, {hi:.6g}]")
+    for extreme in (a.min(), a.max()) if isinstance(a, np.ndarray) else (a,):
+        if not lo <= extreme <= hi:
+            raise ValueError(
+                f"action {extreme:.6g} outside the decision interval [{lo:.6g}, {hi:.6g}]"
+            )
 
 
 def loss(a: float, xi, model: NewsvendorModel):
@@ -138,18 +147,65 @@ def loss(a: float, xi, model: NewsvendorModel):
     return float(out) if np.ndim(xi) == 0 else out
 
 
-def risk(a: float, theta, model: NewsvendorModel):
-    """Expected cost G(a, theta) = h*a - h/theta + (b+h)*exp(-a*theta)/theta.
+class Risk(Protocol):
+    """An expected cost G(a, theta) and its rate slope theta * dG/dtheta.
+
+    Both methods broadcast over arrays of actions ``a`` and rates ``theta``.
+    """
+
+    def value(self, a, theta) -> np.ndarray: ...
+
+    def theta_slope(self, a, theta) -> np.ndarray: ...
+
+
+@dataclass(frozen=True)
+class NewsvendorRisk:
+    """The newsvendor's G(a, theta) = h*a - h/theta + (b+h)*exp(-a*theta)/theta.
 
     The exponential tail is evaluated in log space, which keeps the term
-    well-behaved for extreme a*theta and tiny theta.
+    well-behaved for extreme a*theta and tiny theta. Inputs are not
+    validated; ``risk`` is the checked entry point.
     """
+
+    h: float
+    b: float
+
+    def _tail(self, a, theta):
+        return np.exp((math.log(self.b + self.h) - np.log(theta)) - a * theta)
+
+    def value(self, a, theta):
+        out = self._tail(a, theta)  # a fresh array of the broadcast shape
+        out += self.h * a
+        out -= self.h / theta
+        return out
+
+    def theta_slope(self, a, theta):
+        return self.h / theta - self._tail(a, theta) * (a * theta + 1.0)
+
+
+@dataclass(frozen=True)
+class ConstantRisk:
+    """G(a, theta) = level for every action and rate."""
+
+    level: float
+
+    def value(self, a, theta):
+        return np.full(np.broadcast_shapes(np.shape(a), np.shape(theta)), float(self.level))
+
+    def theta_slope(self, a, theta):
+        return np.zeros(np.broadcast_shapes(np.shape(a), np.shape(theta)))
+
+
+def resolve_risk(risk: Risk | None, model: NewsvendorModel) -> Risk:
+    """``risk``, or the model's own newsvendor risk when it is None."""
+    return NewsvendorRisk(model.h, model.b) if risk is None else risk
+
+
+def risk(a: float, theta, model: NewsvendorModel):
+    """Expected cost G(a, theta) of the model's newsvendor risk, validated."""
     if a < 0:
         raise ValueError("action a must be nonnegative")
-    theta_arr = _as_positive_theta(theta)
-    log_theta = np.log(theta_arr)
-    tail = np.exp(math.log(model.b + model.h) - a * theta_arr - log_theta)
-    out = model.h * a - model.h / theta_arr + tail
+    out = NewsvendorRisk(model.h, model.b).value(a, _as_positive_theta(theta))
     return float(out) if np.ndim(theta) == 0 else out
 
 

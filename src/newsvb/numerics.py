@@ -83,18 +83,15 @@ def golden_section_minimize(f, lo: float, hi: float, tol: float, max_iterations:
     return best_x, best_f, evaluations
 
 
-def minimize_on_grid_then_golden(f, lo, hi, coarse_points, tol, f_grid=None):
+def minimize_on_grid_then_golden(f, lo, hi, coarse_points, tol):
     """Coarse grid scan followed by golden-section refinement.
 
-    ``f_grid``, when given, evaluates f on a whole array of abscissas at
-    once (same formula as ``f``). Ties break toward the smaller abscissa.
+    ``f`` takes one abscissa or an array of them; the scan evaluates the
+    whole grid in one call. Ties break toward the smaller abscissa.
     Returns (x, f(x), evaluations).
     """
     grid = np.linspace(lo, hi, coarse_points)
-    if f_grid is not None:
-        values = np.asarray(f_grid(grid), dtype=float)
-    else:
-        values = np.array([f(x) for x in grid], dtype=float)
+    values = np.asarray(f(grid), dtype=float)
     k = int(np.argmin(values))  # first minimum = smallest abscissa
     best_x, best_f = float(grid[k]), float(values[k])
     evaluations = coarse_points

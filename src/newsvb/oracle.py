@@ -14,24 +14,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .decisions import DecisionOutcome, Rule
+from .decisions import ACTION_GRID_POINTS, ACTION_TOLERANCE, DecisionOutcome, Rule
 from .model import (
     NewsvendorModel,
     Observations,
+    Risk,
     log_posterior_unnormalized,
-    risk,
+    resolve_risk,
+    validate_action,
 )
 from .numerics import (
     NumericalError,
     gauss_legendre,
     minimize_on_grid_then_golden,
 )
-from .vb import RiskFn
 
 __all__ = [
     "PosteriorGrid",
@@ -44,8 +44,6 @@ __all__ = [
 
 BOUNDARY_DENSITY_RATIO = 1e-12
 MAX_WINDOW_EXPANSIONS = 20
-ACTION_GRID_POINTS = 512
-ACTION_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,55 +142,40 @@ def build_posterior(
 
 
 def posterior_expected_risk(
-    a: float,
+    a,
     grid: PosteriorGrid,
     model: NewsvendorModel,
-    risk_fn: Optional[RiskFn] = None,
-) -> float:
-    """Posterior expectation of the risk, E_post[G(a, theta)]."""
-    weights = grid.normalized_weights
-    if risk_fn is None:
-        values = risk(a, grid.nodes, model)
-    else:
-        values = np.asarray(risk_fn(a, grid.nodes), dtype=float)
-    return float(weights @ values)
+    risk: Risk | None = None,
+):
+    """Posterior expectation of the risk, E_post[G(a, theta)].
+
+    ``a`` may be one action or an array of actions; the result has its shape.
+    """
+    validate_action(a, model)
+    a = np.asarray(a, dtype=float)
+    values = resolve_risk(risk, model).value(a[..., None], grid.nodes)
+    out = np.einsum("...i,i->...", values, grid.normalized_weights)
+    return out if a.ndim else float(out)
 
 
-def _posterior_risk_grid(actions: np.ndarray, grid: PosteriorGrid, model: NewsvendorModel):
-    """Vectorized posterior expected risk over an action grid (built-in risk)."""
-    theta = grid.nodes
-    weights = grid.normalized_weights
-    tails = np.exp(
-        math.log(model.b + model.h) - np.outer(actions, theta) - np.log(theta)[None, :]
-    )
-    base = model.h * actions - model.h * float(weights @ (1.0 / theta))
-    return base + tails @ weights
+def bayes_decision(grid: PosteriorGrid, model: NewsvendorModel) -> DecisionOutcome:
+    """Exact Bayes rule: argmin over actions of the model's posterior expected risk.
 
-
-def bayes_decision(
-    grid: PosteriorGrid,
-    model: NewsvendorModel,
-    risk_fn: Optional[RiskFn] = None,
-) -> DecisionOutcome:
-    """Exact Bayes rule: argmin over actions of the posterior expected risk.
-
-    512-point grid scan plus golden-section refinement to 1e-8, ties broken
-    toward the smaller action.
+    512-point grid scan (one vectorized ``posterior_expected_risk`` call)
+    plus golden-section refinement to 1e-8, ties broken toward the smaller
+    action.
     """
     lo, hi = model.action_interval
 
     def objective(a):
-        return posterior_expected_risk(a, grid, model, risk_fn)
+        return posterior_expected_risk(a, grid, model)
 
-    grid_objective = None
-    if risk_fn is None:
-        grid_objective = lambda actions: _posterior_risk_grid(actions, grid, model)
-    action, _, probes = minimize_on_grid_then_golden(
-        objective, lo, hi, ACTION_GRID_POINTS, ACTION_TOLERANCE, f_grid=grid_objective
+    action, value, probes = minimize_on_grid_then_golden(
+        objective, lo, hi, ACTION_GRID_POINTS, ACTION_TOLERANCE
     )
     return DecisionOutcome(
         action=action,
-        objective_value=posterior_expected_risk(action, grid, model, risk_fn),
+        objective_value=value,
         rule=Rule.BAYES,
         inner_fit=None,
         probe_count=probes,
@@ -204,7 +187,7 @@ def calibrated_posterior_density(
     theta: float,
     grid: PosteriorGrid,
     model: NewsvendorModel,
-    risk_fn: Optional[RiskFn] = None,
+    risk: Risk | None = None,
 ) -> float:
     """Risk-tilted posterior density G(a, theta) pi(theta|X) / E_post[G(a, .)].
 
@@ -214,10 +197,7 @@ def calibrated_posterior_density(
     lo, hi = grid.window
     if not lo <= theta <= hi:
         raise ValueError(f"theta={theta:.6g} outside the posterior window [{lo:.6g}, {hi:.6g}]")
+    risk = resolve_risk(risk, model)
     log_post = log_posterior_unnormalized(theta, grid.data, model) - grid.log_evidence
-    if risk_fn is None:
-        g_value = risk(a, theta, model)
-    else:
-        g_value = float(np.asarray(risk_fn(a, np.asarray([theta])), dtype=float)[0])
-    normalizer = posterior_expected_risk(a, grid, model, risk_fn)
-    return g_value * math.exp(log_post) / normalizer
+    normalizer = posterior_expected_risk(a, grid, model, risk)
+    return float(risk.value(a, theta)) * math.exp(log_post) / normalizer

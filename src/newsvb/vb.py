@@ -22,10 +22,16 @@ expectation E_q[log G] is computed with deterministic Gauss-Hermite nodes
 (theta = exp(mu + sigma*z), z ~ N(0,1)), which keeps the nested decision
 loops reproducible.
 
-Fits maximize over (mu, rho = log sigma) by Armijo-backtracked ascent with
-a curvature-derived diagonal step scaling; the likelihood curvature in mu
-grows like n while the rho curvature stays O(1), so unscaled steps would
-stall long before the 1e-8 gradient tolerance.
+Each fit is one Armijo-backtracked ascent over (mu, rho = log sigma) from
+its start, with a curvature-derived diagonal step scaling; the likelihood
+curvature in mu grows like n while the rho curvature stays O(1), so
+unscaled steps would stall long before the 1e-8 gradient tolerance. One
+ascent suffices for the plain fit: the ELBO is strictly concave in
+(mu, sigma^2) (a sum of negated exponentials of linear forms, linear
+terms and 0.5*log(sigma^2)), so its maximizer is unique.
+
+The risk G enters through a ``Risk`` object (``model.Risk``); passing
+``risk=None`` selects the model's own newsvendor risk.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import gammaln
@@ -41,8 +47,9 @@ from scipy.special import gammaln
 from .model import (
     NewsvendorModel,
     Observations,
+    Risk,
     log_posterior_unnormalized,
-    risk,
+    resolve_risk,
     validate_action,
 )
 from .numerics import NumericalError, ascend, gauss_hermite_standard
@@ -68,8 +75,6 @@ logger = logging.getLogger(__name__)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _RISK_FLOOR = 1e-300
-
-RiskFn = Callable[[float, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -118,7 +123,9 @@ class FitDiagnostics:
     iterations: int
     final_gradient_norm: float
     converged: bool
-    restarts_used: int
+    # Always 0: every fit is a single ascent. Kept because the benchmark's
+    # tracer (perfbench/tracing.py) reads it.
+    restarts_used: int = 0
 
 
 @dataclass(frozen=True)
@@ -127,9 +134,6 @@ class FitSettings:
 
     tolerance: float = 1e-8
     max_iterations: int = 10_000
-    restarts: int = 3
-    restart_scale: float = 0.5
-    restart_seed: int = 2017
     node_count: int = 64
 
 
@@ -199,42 +203,22 @@ def elbo_gradient(q: LogNormalVariational, data: Observations, model: Newsvendor
     return grad
 
 
-def _multistart(value_and_grad, x0, settings: FitSettings, preconditioner):
-    best = ascend(
+def _fit(value_and_grad, x0, data: Observations, model: NewsvendorModel, settings: FitSettings):
+    """One preconditioned ascent from ``x0``, as (member, diagnostics)."""
+    result = ascend(
         value_and_grad,
         x0,
         tolerance=settings.tolerance,
         max_iterations=settings.max_iterations,
-        preconditioner=preconditioner,
+        preconditioner=_elbo_preconditioner(data.n, data.sum_s, model.alpha, model.beta),
     )
-    restarts_used = 0
-    if settings.restarts > 0:
-        rng = np.random.default_rng(settings.restart_seed)
-        for _ in range(settings.restarts):
-            perturbed = x0 + settings.restart_scale * rng.standard_normal(2)
-            restarts_used += 1
-            try:
-                result = ascend(
-                    value_and_grad,
-                    perturbed,
-                    tolerance=settings.tolerance,
-                    max_iterations=settings.max_iterations,
-                    preconditioner=preconditioner,
-                )
-            except NumericalError:
-                continue  # objective infinite at the perturbed start
-            if result.value > best.value:
-                best = result
-    return best, restarts_used
-
-
-def _diagnostics(result, restarts_used: int) -> FitDiagnostics:
-    return FitDiagnostics(
+    q = LogNormalVariational(mu=float(result.x[0]), sigma=math.exp(float(result.x[1])))
+    diagnostics = FitDiagnostics(
         iterations=result.iterations,
         final_gradient_norm=result.gradient_norm,
         converged=result.converged,
-        restarts_used=restarts_used,
     )
+    return q, diagnostics
 
 
 def fit_nvb(
@@ -244,10 +228,10 @@ def fit_nvb(
 ) -> tuple[LogNormalVariational, FitDiagnostics]:
     """Fit the plain variational posterior by maximizing the bound.
 
-    Starts at mu = log of the maximum-likelihood rate and sigma = 1/sqrt(n),
-    runs the configured perturbed restarts, and keeps the best value. A run
-    that fails the gradient tolerance is still returned, flagged in the
-    diagnostics.
+    One ascent from mu = log of the maximum-likelihood rate and
+    sigma = 1/sqrt(n); the bound is strictly concave in (mu, sigma^2), so
+    its maximizer is unique. A run that fails the gradient tolerance is
+    still returned, flagged in the diagnostics.
     """
     settings = settings or FitSettings()
     if data.sum_s <= 0:
@@ -257,26 +241,17 @@ def fit_nvb(
     def value_and_grad(x):
         return _elbo_terms(float(x[0]), float(x[1]), data.n, data.sum_s, model.alpha, model.beta)
 
-    preconditioner = _elbo_preconditioner(data.n, data.sum_s, model.alpha, model.beta)
-    best, restarts_used = _multistart(value_and_grad, x0, settings, preconditioner)
-    if not best.converged:
+    q, diagnostics = _fit(value_and_grad, x0, data, model, settings)
+    if not diagnostics.converged:
         logger.warning(
             "variational fit stopped at gradient norm %.3e after %d iterations",
-            best.gradient_norm,
-            best.iterations,
+            diagnostics.final_gradient_norm,
+            diagnostics.iterations,
         )
-    q = LogNormalVariational(mu=float(best.x[0]), sigma=math.exp(float(best.x[1])))
-    return q, _diagnostics(best, restarts_used)
+    return q, diagnostics
 
 
-def _log_risk_term(
-    a: float,
-    mu: float,
-    rho: float,
-    model: NewsvendorModel,
-    risk_fn: Optional[RiskFn],
-    node_count: int,
-):
+def _log_risk_term(a: float, mu: float, rho: float, risk: Risk, node_count: int):
     """E_q[log G(a, theta)] and its (mu, rho) gradient by Gauss-Hermite.
 
     Returns (value, g_mu, g_rho, clamped). Raises when the risk is not
@@ -284,32 +259,23 @@ def _log_risk_term(
     floor are clamped and flagged.
     """
     z, w = gauss_hermite_standard(node_count)
-    sigma = math.exp(rho)
-    log_theta = mu + sigma * z
-    theta = np.exp(log_theta)
-    if risk_fn is None:
-        tail = np.exp(math.log(model.b + model.h) - a * theta - log_theta)
-        values = model.h * a - model.h / theta + tail
-        # d(log G)/dmu = theta * G'(theta) / G
-        theta_dg = model.h / theta - tail * (a * theta + 1.0)
-    else:
-        values = np.asarray(risk_fn(a, theta), dtype=float)
-        eps = 1e-6
-        upper = np.asarray(risk_fn(a, theta * (1.0 + eps)), dtype=float)
-        lower = np.asarray(risk_fn(a, theta * (1.0 - eps)), dtype=float)
-        theta_dg = (upper - lower) / (2.0 * eps)
-    if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
+    scaled_z = math.exp(rho) * z
+    theta = np.exp(mu + scaled_z)
+    values = risk.value(a, theta)
+    lowest = values.min()  # NaN propagates, so NaN fails the test below too
+    if not (lowest > 0.0 and values.max() < math.inf):
         raise NumericalError(
             f"risk must be strictly positive over the quadrature nodes (a={a:.6g})"
         )
-    clamped = bool(np.any(values < _RISK_FLOOR))
+    clamped = bool(lowest < _RISK_FLOOR)
     if clamped:
         logger.warning("risk values clamped at %.1e before taking logs (a=%.6g)", _RISK_FLOOR, a)
         values = np.maximum(values, _RISK_FLOOR)
-    relative = theta_dg / values
+    # d(log G)/dmu = theta * dG/dtheta / G
+    relative = risk.theta_slope(a, theta) / values
     value = float(w @ np.log(values))
     g_mu = float(w @ relative)
-    g_rho = float(w @ (relative * sigma * z))
+    g_rho = float(w @ (relative * scaled_z))
     return value, g_mu, g_rho, clamped
 
 
@@ -319,7 +285,7 @@ def calibrated_objective(
     data: Observations,
     model: NewsvendorModel,
     grid: "PosteriorGrid",
-    risk_fn: Optional[RiskFn] = None,
+    risk: Risk | None = None,
     node_count: int = 64,
 ) -> CalibratedObjective:
     """Evaluate F(a, q) = -KL(q || posterior) + E_q[log G(a, theta)].
@@ -328,7 +294,9 @@ def calibrated_objective(
     exact up to the evidence's own quadrature error.
     """
     validate_action(a, model)
-    log_risk, _, _, clamped = _log_risk_term(a, q.mu, math.log(q.sigma), model, risk_fn, node_count)
+    log_risk, _, _, clamped = _log_risk_term(
+        a, q.mu, math.log(q.sigma), resolve_risk(risk, model), node_count
+    )
     kl_term = grid.log_evidence - elbo(q, data, model)
     if kl_term < -1e-6:
         raise NumericalError(
@@ -350,18 +318,20 @@ def fit_lcvb(
     model: NewsvendorModel,
     grid: "PosteriorGrid",
     settings: FitSettings | None = None,
-    risk_fn: Optional[RiskFn] = None,
+    risk: Risk | None = None,
     initial: LogNormalVariational | None = None,
 ) -> tuple[LogNormalVariational, FitDiagnostics]:
     """Maximize the calibrated objective over q for a fixed action.
 
-    Without an explicit ``initial`` the ascent starts from the plain
-    variational fit; restarts and stopping follow the same contract as
-    ``fit_nvb``. Passing ``initial`` (e.g. the neighbouring solution in an
-    outer action loop) skips the inner NVB fit.
+    One ascent, stopped as in ``fit_nvb``, from ``initial`` or, without
+    it, from the plain variational fit. Passing ``initial`` (e.g. the
+    neighbouring solution in an outer action loop) skips the inner NVB
+    fit. The E_q[log G] term need not be concave, so the result is the
+    maximum the ascent reaches from that start.
     """
     settings = settings or FitSettings()
     validate_action(a, model)
+    risk = resolve_risk(risk, model)
     if initial is None:
         q0, _ = fit_nvb(data, model, settings)
     else:
@@ -376,21 +346,17 @@ def fit_lcvb(
         value, grad = _elbo_terms(mu, rho, data.n, data.sum_s, model.alpha, model.beta)
         if not math.isfinite(value):
             return -math.inf, grad
-        lr_value, lr_mu, lr_rho, _ = _log_risk_term(
-            a, mu, rho, model, risk_fn, settings.node_count
-        )
+        lr_value, lr_mu, lr_rho, _ = _log_risk_term(a, mu, rho, risk, settings.node_count)
         return value + lr_value, grad + np.array([lr_mu, lr_rho])
 
-    preconditioner = _elbo_preconditioner(data.n, data.sum_s, model.alpha, model.beta)
-    best, restarts_used = _multistart(value_and_grad, x0, settings, preconditioner)
-    if not best.converged:
+    q, diagnostics = _fit(value_and_grad, x0, data, model, settings)
+    if not diagnostics.converged:
         logger.warning(
             "calibrated fit at a=%.6g stopped at gradient norm %.3e",
             a,
-            best.gradient_norm,
+            diagnostics.final_gradient_norm,
         )
-    q = LogNormalVariational(mu=float(best.x[0]), sigma=math.exp(float(best.x[1])))
-    return q, _diagnostics(best, restarts_used)
+    return q, diagnostics
 
 
 def kl_decomposition_check(
@@ -399,7 +365,7 @@ def kl_decomposition_check(
     data: Observations,
     model: NewsvendorModel,
     grid: "PosteriorGrid",
-    risk_fn: Optional[RiskFn] = None,
+    risk: Risk | None = None,
     node_count: int = 128,
     reference_node_count: int = 96,
 ) -> float:
@@ -414,29 +380,23 @@ def kl_decomposition_check(
     from the closed-form bound plus an independent ``reference_node_count``
     quadrature. Returns the absolute difference.
     """
+    risk = resolve_risk(risk, model)
     z, w = gauss_hermite_standard(node_count)
     log_theta = q.mu + q.sigma * z
     theta = np.exp(log_theta)
     log_q = -log_theta - math.log(q.sigma) - 0.5 * _LOG_2PI - 0.5 * z * z
     log_joint = log_posterior_unnormalized(theta, data, model)
-    if risk_fn is None:
-        g_nodes = risk(a, theta, model)
-    else:
-        g_nodes = np.asarray(risk_fn(a, theta), dtype=float)
+    g_nodes = risk.value(a, theta)
     if np.any(g_nodes <= 0.0):
         raise NumericalError("risk must be strictly positive over the quadrature nodes")
     # Posterior expectation of the risk over the oracle grid.
     post_weights = np.exp(grid.log_weights - grid.log_evidence)
-    if risk_fn is None:
-        g_grid = risk(a, grid.nodes, model)
-    else:
-        g_grid = np.asarray(risk_fn(a, grid.nodes), dtype=float)
-    log_zg = math.log(float(post_weights @ g_grid))
+    log_zg = math.log(float(post_weights @ risk.value(a, grid.nodes)))
 
     lhs = float(w @ (log_q - np.log(g_nodes) - log_joint)) + grid.log_evidence + log_zg
     kl_q_post = grid.log_evidence - elbo(q, data, model)
     ref_log_risk, _, _, _ = _log_risk_term(
-        a, q.mu, math.log(q.sigma), model, risk_fn, reference_node_count
+        a, q.mu, math.log(q.sigma), risk, reference_node_count
     )
     rhs = kl_q_post - ref_log_risk + log_zg
     return abs(lhs - rhs)

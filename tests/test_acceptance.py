@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from newsvb import (
+    ConstantRisk,
     LogNormalVariational,
     NewsvendorModel,
     bayes_decision,
@@ -158,12 +159,11 @@ class TestCriterion04KlDecomposition:
 class TestCriterion05ConstantRiskCollapse:
     def test_calibrated_fit_matches_plain_fit(self):
         model = NewsvendorModel(h=0.005, b=0.1, theta0=0.68, alpha=1.0, beta=4.1)
-        stub = lambda a, theta: np.full_like(theta, 2.0)
         for seed in range(10):
             data = sample_demand(model.theta0, 60 + 10 * seed, np.random.default_rng(6300 + seed))
             grid = build_posterior(data, model)
             q_plain, _ = fit_nvb(data, model)
-            q_cal, _ = fit_lcvb(1.0 + 0.3 * seed, data, model, grid, risk_fn=stub)
+            q_cal, _ = fit_lcvb(1.0 + 0.3 * seed, data, model, grid, risk=ConstantRisk(2.0))
             assert abs(q_cal.mu - q_plain.mu) < 1e-6
             assert abs(q_cal.sigma - q_plain.sigma) < 1e-6
         report(5, "constant-risk-collapse")

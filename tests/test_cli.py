@@ -1,6 +1,7 @@
 """Command surface: parsing, precedence, exit codes, output files."""
 
 import json
+import math
 import re
 
 import pytest
@@ -206,6 +207,53 @@ class TestExperimentCommand:
         manifest = json.loads((tmp_path / "ref.manifest.json").read_text())
         assert manifest["seed"] == 123
         assert manifest["config"]["theta0"] == 0.68
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("h_values", 0.005),
+            ("h_values", ["0.005"]),
+            ("n_schedule", "10,30"),
+            ("rules", "NVB"),
+            ("action_interval", "0,50"),
+            ("replications", "3"),
+            ("replications", True),
+            ("master_seed", 1.5),
+            ("posterior_nodes", "256"),
+            ("quantile_level", "0.5"),
+            ("h_values", [math.inf]),
+            ("b", math.inf),
+            ("alpha", math.inf),
+            ("beta", math.inf),
+            ("theta0", math.inf),
+            ("action_interval", [0.0, math.inf]),
+        ],
+    )
+    def test_bad_config_value_exits_2_naming_the_key(
+        self, capsys, tmp_path, monkeypatch, key, value
+    ):
+        monkeypatch.delenv("SEED", raising=False)
+        raw = {
+            "theta0": 0.68,
+            "b": 0.1,
+            "alpha": 1.0,
+            "beta": 4.1,
+            "h_values": [0.005],
+            "n_schedule": [10],
+            "replications": 1,
+            "quantile_level": 0.5,
+            "master_seed": 99,
+            "rules": ["NVB"],
+        }
+        raw[key] = value
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "experiment", "--config", str(cfg), "--out", str(tmp_path / "run")
+        )
+        assert code == 2
+        assert re.search(rf"\b{key}\b", err), err
+        assert not (tmp_path / "run.csv").exists()
 
     def test_requires_some_configuration(self, capsys):
         code, _, err = run_cli(capsys, "experiment")

@@ -1,14 +1,17 @@
 """Decision rules: two-stage NVB, nested LCVB, gap metrics, invariances."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from newsvb import (
+    ConstantRisk,
     DecisionOutcome,
     LogNormalVariational,
     NewsvendorModel,
+    NewsvendorRisk,
     Rule,
     build_posterior,
     bayes_decision,
@@ -48,6 +51,14 @@ class TestExpectedRiskUnderQ:
             samples = risk(a, thetas, base_model)
             se = samples.std(ddof=1) / math.sqrt(samples.size)
             assert abs(expected_risk_under_q(a, q, base_model) - samples.mean()) <= 3 * se
+
+    def test_action_array_matches_scalar_calls(self, base_model):
+        q = LogNormalVariational(-0.35, 0.25)
+        actions = np.linspace(0.0, 50.0, 101)
+        values = expected_risk_under_q(actions, q, base_model)
+        assert values.shape == actions.shape
+        for a, value in zip(actions, values):
+            assert value == expected_risk_under_q(float(a), q, base_model)
 
     def test_rejects_action_outside_interval(self, base_model):
         q = LogNormalVariational(0.0, 0.5)
@@ -90,8 +101,7 @@ class TestNvbDecide:
 
 class TestLcvbDecide:
     def test_constant_risk_returns_lower_endpoint(self, data_n50, base_model, grid_n50):
-        stub = lambda a, theta: np.full_like(theta, 1.5)
-        outcome = lcvb_decide(data_n50, base_model, grid_n50, risk_fn=stub)
+        outcome = lcvb_decide(data_n50, base_model, grid_n50, risk=ConstantRisk(1.5))
         assert outcome.rule is Rule.LCVB
         assert outcome.action == base_model.action_lo
 
@@ -113,10 +123,11 @@ class TestLcvbDecide:
             assert outcome.objective_value <= value + 1e-6
 
     def test_argmin_invariant_under_risk_scaling(self, data_n50, base_model, grid_n50):
+        # G is linear in (h, b), so scaling both costs scales G by ``scale``.
         scale = 5.0
-        scaled = lambda a, theta: scale * risk(a, theta, base_model)
+        scaled = replace(base_model, h=scale * base_model.h, b=scale * base_model.b)
         plain = lcvb_decide(data_n50, base_model, grid_n50)
-        rescaled = lcvb_decide(data_n50, base_model, grid_n50, risk_fn=scaled)
+        rescaled = lcvb_decide(data_n50, scaled, grid_n50)
         assert abs(plain.action - rescaled.action) < 1e-6
         # inner values shift by the additive constant log(scale)
         assert rescaled.objective_value - plain.objective_value == pytest.approx(
@@ -126,18 +137,30 @@ class TestLcvbDecide:
     def test_every_probe_failing_is_a_hard_error(self, data_n50, base_model, grid_n50):
         from newsvb.numerics import NumericalError
 
-        hostile = lambda a, theta: np.full_like(theta, -1.0)
+        class Hostile:
+            def value(self, a, theta):
+                return np.full_like(theta, -1.0)
+
+            def theta_slope(self, a, theta):
+                return np.zeros_like(theta)
+
         with pytest.raises(NumericalError):
-            lcvb_decide(data_n50, base_model, grid_n50, risk_fn=hostile)
+            lcvb_decide(data_n50, base_model, grid_n50, risk=Hostile())
 
     def test_partial_probe_failures_are_excluded(self, data_n50, base_model, grid_n50):
         # Probes beyond a=25 violate positivity and must be skipped, not fatal.
-        def patchy(a, theta):
-            if a > 25.0:
-                return np.full_like(theta, -1.0)
-            return risk(a, theta, base_model)
+        class Patchy:
+            builtin = NewsvendorRisk(base_model.h, base_model.b)
 
-        outcome = lcvb_decide(data_n50, base_model, grid_n50, risk_fn=patchy)
+            def value(self, a, theta):
+                if a > 25.0:
+                    return np.full_like(theta, -1.0)
+                return self.builtin.value(a, theta)
+
+            def theta_slope(self, a, theta):
+                return self.builtin.theta_slope(a, theta)
+
+        outcome = lcvb_decide(data_n50, base_model, grid_n50, risk=Patchy())
         assert outcome.action <= 25.0
         reference = lcvb_decide(data_n50, base_model, grid_n50)
         assert abs(outcome.action - reference.action) < 1e-6
@@ -148,7 +171,7 @@ class TestOptimalityGap:
         outcome = DecisionOutcome(
             action=true_optimal_action(base_model),
             objective_value=0.0,
-            rule=Rule.ORACLE_TRUE,
+            rule=Rule.NVB,
         )
         gap_action, gap_regret = optimality_gap(outcome, base_model)
         assert gap_action == 0.0

@@ -52,8 +52,10 @@ class TestConfig:
             tiny_config(replications=0)
         with pytest.raises(ValueError):
             tiny_config(rules=())
-        with pytest.raises(ValueError):
-            tiny_config(rules=(Rule.ORACLE_TRUE,))
+        raw = tiny_config().to_dict()
+        raw["rules"] = ["ORACLE_TRUE"]
+        with pytest.raises(ValueError, match="ORACLE_TRUE"):
+            ExperimentConfig.from_dict(raw)
 
     def test_dict_round_trip(self):
         config = tiny_config()

@@ -7,7 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from newsvb import (
+    ConstantRisk,
     NewsvendorModel,
+    NewsvendorRisk,
     Observations,
     fisher_information,
     log_likelihood,
@@ -133,6 +135,26 @@ class TestRisk:
             risk(1.0, 0.0, model)
         with pytest.raises(ValueError):
             risk(1.0, -2.0, model)
+
+
+    def test_risk_object_broadcasts_and_slope_matches_differences(self):
+        model = make_model(0.05, 0.4)
+        builtin = NewsvendorRisk(model.h, model.b)
+        actions = np.linspace(0.0, 20.0, 7)
+        thetas = np.linspace(0.1, 5.0, 11)
+        values = builtin.value(actions[:, None], thetas[None, :])
+        assert values.shape == (7, 11)
+        assert np.array_equal(values[3], risk(float(actions[3]), thetas, model))
+        eps = 1e-6
+        central = (
+            builtin.value(actions[:, None], thetas * (1 + eps))
+            - builtin.value(actions[:, None], thetas * (1 - eps))
+        ) / (2 * eps)
+        slope = builtin.theta_slope(actions[:, None], thetas[None, :])
+        assert np.allclose(slope, central, rtol=1e-6, atol=1e-9)
+        constant = ConstantRisk(2.5)
+        assert np.array_equal(constant.value(actions[:, None], thetas), np.full((7, 11), 2.5))
+        assert not np.any(constant.theta_slope(1.0, thetas))
 
 
 def risk_curve(actions, theta, model):

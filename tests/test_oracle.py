@@ -1,11 +1,13 @@
 """Quadrature oracle: evidence stability, posterior moments, Bayes rule."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from newsvb import (
+    ConstantRisk,
     NewsvendorModel,
     Observations,
     bayes_decision,
@@ -89,8 +91,8 @@ class TestMle:
 
 class TestPosteriorExpectedRisk:
     def test_constant_risk_returns_constant(self, grid_n50, base_model):
-        stub = lambda a, theta: np.full_like(theta, 7.25)
-        assert posterior_expected_risk(3.0, grid_n50, base_model, risk_fn=stub) == pytest.approx(7.25)
+        value = posterior_expected_risk(3.0, grid_n50, base_model, risk=ConstantRisk(7.25))
+        assert value == pytest.approx(7.25)
 
     def test_zero_action_is_posterior_moment(self, grid_n50, base_model):
         moment = float(grid_n50.normalized_weights @ (1.0 / grid_n50.nodes))
@@ -110,6 +112,13 @@ class TestPosteriorExpectedRisk:
         rng = np.random.default_rng(22)
         for _ in range(50):
             assert posterior_expected_risk(float(rng.uniform(0, 50)), grid_n50, base_model) > 0
+
+    def test_action_array_matches_scalar_calls(self, grid_n50, base_model):
+        actions = np.linspace(0.0, 50.0, 101)
+        values = posterior_expected_risk(actions, grid_n50, base_model)
+        assert values.shape == actions.shape
+        for a, value in zip(actions, values):
+            assert value == posterior_expected_risk(float(a), grid_n50, base_model)
 
 
 class TestBayesDecision:
@@ -135,18 +144,20 @@ class TestBayesDecision:
         assert outcome.objective_value <= min(values) + 1e-12
 
     def test_argmin_invariant_under_risk_scaling(self, grid_n50, base_model):
-        scaled = lambda a, theta: 5.0 * risk(a, theta, base_model)
+        # G is linear in (h, b), so scaling both costs by 5 scales G by 5.
+        scaled = replace(base_model, h=5.0 * base_model.h, b=5.0 * base_model.b)
         plain = bayes_decision(grid_n50, base_model)
-        rescaled = bayes_decision(grid_n50, base_model, risk_fn=scaled)
+        rescaled = bayes_decision(grid_n50, scaled)
         assert abs(plain.action - rescaled.action) < 1e-6
         assert rescaled.objective_value == pytest.approx(5.0 * plain.objective_value, rel=1e-9)
 
 
 class TestCalibratedPosteriorDensity:
     def test_constant_risk_equals_posterior_density(self, grid_n50, base_model):
-        stub = lambda a, theta: np.full_like(theta, 2.5)
         for theta in (0.4, 0.55, 0.7):
-            calibrated = calibrated_posterior_density(1.0, theta, grid_n50, base_model, risk_fn=stub)
+            calibrated = calibrated_posterior_density(
+                1.0, theta, grid_n50, base_model, risk=ConstantRisk(2.5)
+            )
             log_post = log_posterior_unnormalized(theta, grid_n50.data, base_model)
             posterior = math.exp(log_post - grid_n50.log_evidence)
             assert calibrated == pytest.approx(posterior, rel=1e-12)

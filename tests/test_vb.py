@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from newsvb import (
+    ConstantRisk,
     LogNormalVariational,
     NewsvendorModel,
     Observations,
@@ -142,17 +143,21 @@ class TestFitNvb:
         assert diagnostics.converged
         assert diagnostics.final_gradient_norm <= FitSettings().tolerance
 
-    def test_kl_gap_nonnegative_and_below_random_members(
-        self, data_n50, base_model, grid_n50
-    ):
-        q, _ = fit_nvb(data_n50, base_model)
-        kl_best = grid_n50.log_evidence - elbo(q, data_n50, base_model)
-        assert kl_best >= -1e-10
-        rng = np.random.default_rng(7)
-        center = math.log(data_n50.n / data_n50.sum_s)
-        for member in random_members(rng, center, 100, sigma_range=(0.01, 2.0)):
-            kl_member = grid_n50.log_evidence - elbo(member, data_n50, base_model)
-            assert kl_best <= kl_member + 1e-10
+    def test_kl_gap_nonnegative_and_below_random_members(self, base_model):
+        # One ascent per fit must reach the global optimum at every sample
+        # size; the stream's first 50 draws are the data_n50 fixture.
+        stream = sample_demand(base_model.theta0, 6400, np.random.default_rng(20))
+        for n in (1, 50, 6400):
+            data = stream.prefix(n)
+            grid = build_posterior(data, base_model)
+            q, _ = fit_nvb(data, base_model)
+            kl_best = grid.log_evidence - elbo(q, data, base_model)
+            assert kl_best >= -1e-10, n
+            rng = np.random.default_rng(7)
+            center = math.log(data.n / data.sum_s)
+            for member in random_members(rng, center, 100, sigma_range=(0.01, 2.0)):
+                kl_member = grid.log_evidence - elbo(member, data, base_model)
+                assert kl_best <= kl_member + 1e-10, n
 
     def test_posterior_mean_consistency_across_seeds(self, base_model):
         hits = 0
@@ -184,9 +189,10 @@ class TestFitNvb:
 class TestCalibratedObjective:
     def test_constant_risk_decomposition(self, data_n50, base_model, grid_n50):
         constant = 3.7
-        stub = lambda a, theta: np.full_like(theta, constant)
         q, _ = fit_nvb(data_n50, base_model)
-        objective = calibrated_objective(2.0, q, data_n50, base_model, grid_n50, risk_fn=stub)
+        objective = calibrated_objective(
+            2.0, q, data_n50, base_model, grid_n50, risk=ConstantRisk(constant)
+        )
         kl = grid_n50.log_evidence - elbo(q, data_n50, base_model)
         assert objective.log_risk_term == pytest.approx(math.log(constant), rel=1e-12)
         assert objective.value == pytest.approx(-kl + math.log(constant), rel=1e-9)
@@ -218,10 +224,16 @@ class TestCalibratedObjective:
             assert abs(coarse.log_risk_term - fine.log_risk_term) < 1e-8
 
     def test_nonpositive_risk_raises(self, data_n50, base_model, grid_n50):
+        class SignFlip:
+            def value(self, a, theta):
+                return np.where(theta > 0.5, -1.0, 1.0)
+
+            def theta_slope(self, a, theta):
+                return np.zeros_like(theta)
+
         q = LogNormalVariational(0.0, 0.5)
-        bad = lambda a, theta: np.where(theta > 0.5, -1.0, 1.0)
         with pytest.raises(NumericalError):
-            calibrated_objective(1.0, q, data_n50, base_model, grid_n50, risk_fn=bad)
+            calibrated_objective(1.0, q, data_n50, base_model, grid_n50, risk=SignFlip())
 
     def test_rejects_action_outside_interval(self, data_n50, base_model, grid_n50):
         q = LogNormalVariational(0.0, 0.5)
@@ -231,12 +243,11 @@ class TestCalibratedObjective:
 
 class TestFitLcvb:
     def test_constant_risk_collapses_to_plain_fit(self, base_model):
-        stub = lambda a, theta: np.full_like(theta, 2.0)
         for seed in range(10):
             data = sample_demand(base_model.theta0, 80, np.random.default_rng(3000 + seed))
             grid = build_posterior(data, base_model)
             q_plain, _ = fit_nvb(data, base_model)
-            q_cal, _ = fit_lcvb(1.5, data, base_model, grid, risk_fn=stub)
+            q_cal, _ = fit_lcvb(1.5, data, base_model, grid, risk=ConstantRisk(2.0))
             assert abs(q_cal.mu - q_plain.mu) < 1e-6
             assert abs(q_cal.sigma - q_plain.sigma) < 1e-6
 
@@ -264,10 +275,9 @@ class TestFitLcvb:
 
 class TestKlDecomposition:
     def test_constant_risk_cancels(self, data_n50, base_model, grid_n50):
-        stub = lambda a, theta: np.full_like(theta, 4.2)
         q = LogNormalVariational(math.log(0.7), 0.3)
         assert kl_decomposition_check(
-            2.0, q, data_n50, base_model, grid_n50, risk_fn=stub
+            2.0, q, data_n50, base_model, grid_n50, risk=ConstantRisk(4.2)
         ) < 1e-8
 
     def test_random_probes(self, data_n50, base_model, grid_n50):
