@@ -24,6 +24,9 @@ from . import __version__
 from .decisions import lcvb_decide, nvb_decide, optimality_gap
 from .experiment import (
     ExperimentConfig,
+    _integer,
+    _items,
+    _number,
     estimate_rate,
     nearest_rank_quantile,
     reference_config,
@@ -31,7 +34,6 @@ from .experiment import (
     write_results,
 )
 from .model import (
-    ConstantRisk,
     NewsvendorModel,
     Observations,
     fisher_information,
@@ -58,18 +60,26 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_FIT_DECIDE_KEYS = {
-    "theta0",
-    "h",
-    "b",
-    "alpha",
-    "beta",
-    "n",
-    "seed",
-    "values",
-    "data",
-    "a_lo",
-    "a_hi",
+
+def _path(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"config key {key} must be a file path string, got {value!r}")
+    return value
+
+
+# How ``fit`` and ``decide`` read each config-file key.
+_FIT_DECIDE_READERS = {
+    "theta0": _number,
+    "h": _number,
+    "b": _number,
+    "alpha": _number,
+    "beta": _number,
+    "a_lo": _number,
+    "a_hi": _number,
+    "n": _integer,
+    "seed": _integer,
+    "values": lambda key, value: value if isinstance(value, str) else _items(key, value, _number),
+    "data": _path,
 }
 _MODEL_DEFAULTS = {"h": 0.005, "b": 0.1, "alpha": 1.0, "beta": 4.1, "a_lo": 0.0, "a_hi": 50.0}
 
@@ -94,12 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     _shared_flags(fit)
     _data_model_flags(fit)
     fit.add_argument("--calibrate", type=float, metavar="A", help="loss-calibrated fit at action A")
-    fit.add_argument(
-        "--constant-risk",
-        type=float,
-        metavar="C",
-        help="replace the risk with the constant C (testing hook)",
-    )
     fit.set_defaults(handler=cmd_fit)
 
     decide = commands.add_parser("decide", help="compute a stocking decision")
@@ -126,9 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = commands.add_parser("check", help="run the numerical identity suite")
     _shared_flags(check)
-    check.add_argument(
-        "--inject-fault", action="store_true", help="force one failing property (testing hook)"
-    )
     check.set_defaults(handler=cmd_check)
     return parser
 
@@ -179,12 +180,10 @@ def _resolve_seed(args, file_cfg: dict, default: int) -> int:
     env = _env_seed()
     if env is not None:
         return env
+    # fit/decide read the file through their readers; from_dict checks master_seed.
     for key in ("seed", "master_seed"):
         if key in file_cfg:
-            value = file_cfg[key]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"config key {key} must be an integer, got {value!r}")
-            return value
+            return file_cfg[key]
     return default
 
 
@@ -222,17 +221,18 @@ def _read_values_file(path: Path) -> Observations:
     return Observations(values)
 
 
-def _resolve_model_and_data(args, file_cfg: dict) -> tuple[NewsvendorModel, Observations, int]:
-    theta0 = _merged(args, file_cfg, "theta0")
+def _resolve_model_and_data(args) -> tuple[NewsvendorModel, Observations, int]:
+    raw = _load_config_file(args.config, set(_FIT_DECIDE_READERS))
+    file_cfg = {key: _FIT_DECIDE_READERS[key](key, value) for key, value in raw.items()}
     model = NewsvendorModel(
-        h=float(_merged(args, file_cfg, "h", _MODEL_DEFAULTS["h"])),
-        b=float(_merged(args, file_cfg, "b", _MODEL_DEFAULTS["b"])),
-        theta0=None if theta0 is None else float(theta0),
-        alpha=float(_merged(args, file_cfg, "alpha", _MODEL_DEFAULTS["alpha"])),
-        beta=float(_merged(args, file_cfg, "beta", _MODEL_DEFAULTS["beta"])),
+        h=_merged(args, file_cfg, "h", _MODEL_DEFAULTS["h"]),
+        b=_merged(args, file_cfg, "b", _MODEL_DEFAULTS["b"]),
+        theta0=_merged(args, file_cfg, "theta0"),
+        alpha=_merged(args, file_cfg, "alpha", _MODEL_DEFAULTS["alpha"]),
+        beta=_merged(args, file_cfg, "beta", _MODEL_DEFAULTS["beta"]),
         action_interval=(
-            float(_merged(args, file_cfg, "a_lo", _MODEL_DEFAULTS["a_lo"])),
-            float(_merged(args, file_cfg, "a_hi", _MODEL_DEFAULTS["a_hi"])),
+            _merged(args, file_cfg, "a_lo", _MODEL_DEFAULTS["a_lo"]),
+            _merged(args, file_cfg, "a_hi", _MODEL_DEFAULTS["a_hi"]),
         ),
     )
     seed = _resolve_seed(args, file_cfg, default=0)
@@ -246,25 +246,19 @@ def _resolve_model_and_data(args, file_cfg: dict) -> tuple[NewsvendorModel, Obse
     elif n is not None:
         if model.theta0 is None:
             raise ValueError("synthetic data needs --theta0")
-        data = sample_demand(model.theta0, int(n), np.random.default_rng(seed))
+        data = sample_demand(model.theta0, n, np.random.default_rng(seed))
     else:
         raise ValueError("provide demand data via --values, --data, or --n for synthetic draws")
     return model, data, seed
 
 
 def cmd_fit(args) -> int:
-    file_cfg = _load_config_file(args.config, _FIT_DECIDE_KEYS)
-    model, data, _ = _resolve_model_and_data(args, file_cfg)
+    model, data, _ = _resolve_model_and_data(args)
     settings = FitSettings()
-    risk = None
-    if args.constant_risk is not None:
-        if not args.constant_risk > 0:
-            raise ValueError("--constant-risk must be positive")
-        risk = ConstantRisk(args.constant_risk)
     grid = build_posterior(data, model)
     if args.calibrate is not None:
-        q, diag = fit_lcvb(args.calibrate, data, model, grid, settings, risk=risk)
-        objective = calibrated_objective(args.calibrate, q, data, model, grid, risk=risk)
+        q, diag = fit_lcvb(args.calibrate, data, model, grid, settings)
+        objective = calibrated_objective(args.calibrate, q, data, model, grid)
         print(f"rule                loss-calibrated fit at a={args.calibrate:.6g}")
     else:
         q, diag = fit_nvb(data, model, settings)
@@ -293,8 +287,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    file_cfg = _load_config_file(args.config, _FIT_DECIDE_KEYS)
-    model, data, _ = _resolve_model_and_data(args, file_cfg)
+    model, data, _ = _resolve_model_and_data(args)
     settings = FitSettings()
     rule = args.rule
     if rule == "nvb":
@@ -458,9 +451,6 @@ def cmd_check(args) -> int:
         all_ok = all_ok and ok
         print(f"{name:<24} residual={residual:.3e} tolerance={tolerance:.1e}  "
               f"{'PASS' if ok else 'FAIL'}")
-    if args.inject_fault:
-        print(f"{'injected-fault':<24} residual=inf tolerance=0.0e+00  FAIL")
-        all_ok = False
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 

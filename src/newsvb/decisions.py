@@ -18,17 +18,16 @@ import numpy as np
 
 from .model import (
     NewsvendorModel,
-    NewsvendorRisk,
     Observations,
     Risk,
+    expected_risk,
     risk,
     true_optimal_action,
-    validate_action,
 )
 from .numerics import (
     NumericalError,
     gauss_hermite_standard,
-    golden_section_minimize,
+    golden_section_minimize,  # noqa: F401 - unused here; perfbench/tracing.py wraps this name
     minimize_on_grid_then_golden,
 )
 from .vb import (
@@ -47,14 +46,13 @@ __all__ = [
     "Rule",
     "DecisionOutcome",
     "expected_risk_under_q",
+    "decide_on_measure",
     "nvb_decide",
     "decide_with_variational",
     "lcvb_decide",
     "optimality_gap",
 ]
 
-ACTION_GRID_POINTS = 512
-ACTION_TOLERANCE = 1e-8
 LCVB_COARSE_POINTS = 33
 LCVB_OUTER_TOLERANCE = 1e-4
 
@@ -74,18 +72,34 @@ class DecisionOutcome:
     probe_count: int = 0
 
 
+def _gauss_hermite_measure(q: LogNormalVariational, node_count: int = 64):
+    """q as a discrete measure: (rate nodes, weights) of Gauss-Hermite quadrature."""
+    z, w = gauss_hermite_standard(node_count)
+    return np.exp(q.mu + q.sigma * z), w
+
+
 def expected_risk_under_q(a, q: LogNormalVariational, model: NewsvendorModel, node_count: int = 64):
     """Predicted expected cost H_q(a) = E_q[G(a, theta)] by Gauss-Hermite.
 
     ``a`` may be one action or an array of actions; the result has its shape.
     """
-    validate_action(a, model)
-    a = np.asarray(a, dtype=float)
-    z, w = gauss_hermite_standard(node_count)
-    theta = np.exp(q.mu + q.sigma * z)
-    values = NewsvendorRisk(model.h, model.b).value(a[..., None], theta)
-    out = np.einsum("...i,i->...", values, w)  # same sum per action at any a.shape
-    return out if a.ndim else float(out)
+    return expected_risk(a, *_gauss_hermite_measure(q, node_count), model)
+
+
+def decide_on_measure(
+    theta, weights, model: NewsvendorModel, rule: Rule, inner_fit: FitDiagnostics | None = None
+) -> DecisionOutcome:
+    """Minimize sum_i weights[i] * G(a, theta[i]) over the action interval.
+
+    The naive rule passes q's Gauss-Hermite nodes and the Bayes rule the
+    posterior grid; both run the same 512-point scan plus golden-section
+    refinement to 1e-8, ties broken toward the smaller action.
+    """
+    lo, hi = model.action_interval
+    action, value, probes = minimize_on_grid_then_golden(
+        lambda a: expected_risk(a, theta, weights, model), lo, hi
+    )
+    return DecisionOutcome(action, value, rule, inner_fit, probes)
 
 
 def decide_with_variational(
@@ -94,21 +108,7 @@ def decide_with_variational(
     diagnostics: FitDiagnostics | None = None,
 ) -> DecisionOutcome:
     """Minimize H_q over the action interval for an already fitted q."""
-    lo, hi = model.action_interval
-
-    def objective(a):
-        return expected_risk_under_q(a, q, model)
-
-    action, value, probes = minimize_on_grid_then_golden(
-        objective, lo, hi, ACTION_GRID_POINTS, ACTION_TOLERANCE
-    )
-    return DecisionOutcome(
-        action=action,
-        objective_value=value,
-        rule=Rule.NVB,
-        inner_fit=diagnostics,
-        probe_count=probes,
-    )
+    return decide_on_measure(*_gauss_hermite_measure(q), model, Rule.NVB, diagnostics)
 
 
 def nvb_decide(
@@ -135,59 +135,43 @@ def lcvb_decide(
 ) -> DecisionOutcome:
     """Nested min-max rule over (action, variational member).
 
-    The outer minimization scans a coarse action grid and refines the best
-    cell by golden section; every inner maximization is one ascent
-    warm-started from the nearest previously solved action (the first
-    from the plain variational fit). Inner failures invalidate single
-    probes; the rule aborts only when every probe fails. ``risk=None``
-    uses the model's newsvendor risk.
+    The outer minimization is ``minimize_on_grid_then_golden`` with a
+    33-point scan and a 1e-4 golden tolerance. Every inner maximization is
+    one ascent warm-started from the nearest previously solved action (the
+    first from the plain variational fit); the scan's points are solved
+    left to right, so each starts from its left neighbour. Inner failures
+    invalidate single probes; the rule aborts only when every probe fails.
+    ``risk=None`` uses the model's newsvendor risk.
     """
     settings = settings or FitSettings()
-    lo, hi = model.action_interval
-    if nvb_start is None:
-        q_warm, _ = fit_nvb(data, model, settings)
-    else:
-        q_warm = nvb_start
+    q_warm = fit_nvb(data, model, settings)[0] if nvb_start is None else nvb_start
 
-    solved: list[tuple[float, LogNormalVariational, float, FitDiagnostics]] = []
-    failures = 0
+    solved: dict[float, tuple[LogNormalVariational, FitDiagnostics]] = {}
 
     def inner_max(a: float) -> float:
-        nonlocal failures
-        if solved:
-            nearest = min(solved, key=lambda entry: abs(entry[0] - a))
-            start = nearest[1]
-        else:
-            start = q_warm
+        start = solved[min(solved, key=lambda b: abs(b - a))][0] if solved else q_warm
         try:
             q_a, diag = fit_lcvb(a, data, model, grid, settings, risk=risk, initial=start)
             objective = calibrated_objective(
                 a, q_a, data, model, grid, risk=risk, node_count=settings.node_count
             )
         except NumericalError:
-            failures += 1
-            return math.inf  # invalid probe, excluded from the argmin
-        solved.append((a, q_a, objective.value, diag))
+            return math.inf  # invalid probe, never the minimum
+        solved[a] = (q_a, diag)
         return objective.value
 
-    coarse = np.linspace(lo, hi, LCVB_COARSE_POINTS)
-    coarse_values = np.array([inner_max(a) for a in coarse])
-    if not np.any(np.isfinite(coarse_values)):
-        raise NumericalError("every outer action probe failed its inner fit")
-    k = int(np.argmin(coarse_values))
-    bracket_lo = float(coarse[max(k - 1, 0)])
-    bracket_hi = float(coarse[min(k + 1, LCVB_COARSE_POINTS - 1)])
-    if bracket_hi - bracket_lo > LCVB_OUTER_TOLERANCE:
-        golden_section_minimize(inner_max, bracket_lo, bracket_hi, LCVB_OUTER_TOLERANCE)
+    def outer(a):
+        if np.ndim(a):  # the coarse scan, an increasing array
+            return [inner_max(float(x)) for x in a]
+        return inner_max(a)
 
-    best_a, _, best_value, best_diag = min(solved, key=lambda entry: (entry[2], entry[0]))
-    return DecisionOutcome(
-        action=best_a,
-        objective_value=best_value,
-        rule=Rule.LCVB,
-        inner_fit=best_diag,
-        probe_count=len(solved) + failures,
+    lo, hi = model.action_interval
+    action, value, probes = minimize_on_grid_then_golden(
+        outer, lo, hi, LCVB_COARSE_POINTS, LCVB_OUTER_TOLERANCE
     )
+    if not math.isfinite(value):
+        raise NumericalError("every outer action probe failed its inner fit")
+    return DecisionOutcome(action, value, Rule.LCVB, solved[action][1], probes)
 
 
 def optimality_gap(outcome: DecisionOutcome, model: NewsvendorModel) -> tuple[float, float]:

@@ -31,7 +31,7 @@ from .decisions import (
 )
 from .model import NewsvendorModel, sample_demand
 from .numerics import NumericalError
-from .oracle import bayes_decision, build_posterior
+from .oracle import MIN_POSTERIOR_NODES, bayes_decision, build_posterior
 from .vb import FitSettings, fit_nvb
 
 __all__ = [
@@ -88,6 +88,8 @@ class ExperimentConfig:
             raise ValueError("rules must be distinct")
         if len(self.action_interval) != 2:
             raise ValueError("action_interval must hold exactly [a_lo, a_hi]")
+        if self.posterior_nodes < MIN_POSTERIOR_NODES:
+            raise ValueError(f"posterior_nodes must be at least {MIN_POSTERIOR_NODES}")
         # Validate the model once per holding cost; raises on a bad interval.
         for h in self.h_values:
             self.model_for(h)

@@ -30,6 +30,7 @@ __all__ = [
     "NewsvendorRisk",
     "ConstantRisk",
     "resolve_risk",
+    "expected_risk",
     "loss",
     "risk",
     "true_optimal_action",
@@ -199,6 +200,18 @@ class ConstantRisk:
 def resolve_risk(risk: Risk | None, model: NewsvendorModel) -> Risk:
     """``risk``, or the model's own newsvendor risk when it is None."""
     return NewsvendorRisk(model.h, model.b) if risk is None else risk
+
+
+def expected_risk(a, theta, weights, model: NewsvendorModel, risk: Risk | None = None):
+    """Expected risk sum_i weights[i] * G(a, theta[i]) under a discrete measure.
+
+    ``a`` may be one action or an array of actions; the result has its shape.
+    """
+    validate_action(a, model)
+    a = np.asarray(a, dtype=float)
+    values = resolve_risk(risk, model).value(a[..., None], theta)
+    out = np.einsum("...i,i->...", values, weights)  # same sum per action at any a.shape
+    return out if a.ndim else float(out)
 
 
 def risk(a: float, theta, model: NewsvendorModel):

@@ -83,12 +83,14 @@ def golden_section_minimize(f, lo: float, hi: float, tol: float, max_iterations:
     return best_x, best_f, evaluations
 
 
-def minimize_on_grid_then_golden(f, lo, hi, coarse_points, tol):
+def minimize_on_grid_then_golden(f, lo, hi, coarse_points=512, tol=1e-8):
     """Coarse grid scan followed by golden-section refinement.
 
-    ``f`` takes one abscissa or an array of them; the scan evaluates the
-    whole grid in one call. Ties break toward the smaller abscissa.
-    Returns (x, f(x), evaluations).
+    ``f`` is first called once with the whole grid, an increasing array of
+    ``coarse_points`` abscissae, and must return one value per point; the
+    golden-section refinement of the best cell's neighbours then calls it
+    with single floats. Returns (x, f(x), evaluations) for the best of all
+    evaluations, ties broken toward the smaller abscissa.
     """
     grid = np.linspace(lo, hi, coarse_points)
     values = np.asarray(f(grid), dtype=float)

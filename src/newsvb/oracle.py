@@ -18,19 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .decisions import ACTION_GRID_POINTS, ACTION_TOLERANCE, DecisionOutcome, Rule
+from .decisions import DecisionOutcome, Rule, decide_on_measure
 from .model import (
     NewsvendorModel,
     Observations,
     Risk,
+    expected_risk,
     log_posterior_unnormalized,
     resolve_risk,
-    validate_action,
 )
 from .numerics import (
     NumericalError,
     gauss_legendre,
-    minimize_on_grid_then_golden,
+    minimize_on_grid_then_golden,  # noqa: F401 - unused here; perfbench/tracing.py wraps this name
 )
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
 
 BOUNDARY_DENSITY_RATIO = 1e-12
 MAX_WINDOW_EXPANSIONS = 20
+MIN_POSTERIOR_NODES = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +100,8 @@ def build_posterior(
     there falls below 1e-12 of the peak. More than 20 expansions on either
     side aborts with a numerical error.
     """
-    if node_count < 32:
-        raise ValueError("node_count must be at least 32")
+    if node_count < MIN_POSTERIOR_NODES:
+        raise ValueError(f"node_count must be at least {MIN_POSTERIOR_NODES}")
     theta_hat = mle(data)
     spread = 12.0 / math.sqrt(data.n)
     lo = theta_hat * max(1.0 - spread, 1e-3)
@@ -147,39 +148,21 @@ def posterior_expected_risk(
     model: NewsvendorModel,
     risk: Risk | None = None,
 ):
-    """Posterior expectation of the risk, E_post[G(a, theta)].
+    """Posterior expectation of the risk, E_post[G(a, theta)], on the grid.
 
     ``a`` may be one action or an array of actions; the result has its shape.
     """
-    validate_action(a, model)
-    a = np.asarray(a, dtype=float)
-    values = resolve_risk(risk, model).value(a[..., None], grid.nodes)
-    out = np.einsum("...i,i->...", values, grid.normalized_weights)
-    return out if a.ndim else float(out)
+    return expected_risk(a, grid.nodes, grid.normalized_weights, model, risk)
 
 
 def bayes_decision(grid: PosteriorGrid, model: NewsvendorModel) -> DecisionOutcome:
     """Exact Bayes rule: argmin over actions of the model's posterior expected risk.
 
-    512-point grid scan (one vectorized ``posterior_expected_risk`` call)
-    plus golden-section refinement to 1e-8, ties broken toward the smaller
-    action.
+    ``decide_on_measure`` over the grid's nodes and normalized weights:
+    a 512-point scan plus golden-section refinement to 1e-8, ties broken
+    toward the smaller action.
     """
-    lo, hi = model.action_interval
-
-    def objective(a):
-        return posterior_expected_risk(a, grid, model)
-
-    action, value, probes = minimize_on_grid_then_golden(
-        objective, lo, hi, ACTION_GRID_POINTS, ACTION_TOLERANCE
-    )
-    return DecisionOutcome(
-        action=action,
-        objective_value=value,
-        rule=Rule.BAYES,
-        inner_fit=None,
-        probe_count=probes,
-    )
+    return decide_on_measure(grid.nodes, grid.normalized_weights, model, Rule.BAYES)
 
 
 def calibrated_posterior_density(

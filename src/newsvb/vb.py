@@ -48,6 +48,7 @@ from .model import (
     NewsvendorModel,
     Observations,
     Risk,
+    expected_risk,
     log_posterior_unnormalized,
     resolve_risk,
     validate_action,
@@ -389,9 +390,7 @@ def kl_decomposition_check(
     g_nodes = risk.value(a, theta)
     if np.any(g_nodes <= 0.0):
         raise NumericalError("risk must be strictly positive over the quadrature nodes")
-    # Posterior expectation of the risk over the oracle grid.
-    post_weights = np.exp(grid.log_weights - grid.log_evidence)
-    log_zg = math.log(float(post_weights @ risk.value(a, grid.nodes)))
+    log_zg = math.log(expected_risk(a, grid.nodes, grid.normalized_weights, model, risk))
 
     lhs = float(w @ (log_q - np.log(g_nodes) - log_joint)) + grid.log_evidence + log_zg
     kl_q_post = grid.log_evidence - elbo(q, data, model)

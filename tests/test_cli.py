@@ -33,17 +33,15 @@ class TestFit:
         mean = float(parse_report(out)["mean rate E_q[th]"])
         assert abs(mean - 0.68) < 0.05
 
-    def test_calibrated_fit_with_constant_risk_matches_plain(self, capsys):
-        base = ["--n", "400", "--theta0", "0.68", "--seed", "11"]
-        code, plain_out, _ = run_cli(capsys, "fit", *base)
-        assert code == 0
-        code, cal_out, _ = run_cli(
-            capsys, "fit", *base, "--calibrate", "2.0", "--constant-risk", "3.0"
+    def test_calibrated_fit_reports_objective_decomposition(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "fit", "--n", "400", "--theta0", "0.68", "--seed", "11", "--calibrate", "2.0"
         )
         assert code == 0
-        plain, cal = parse_report(plain_out), parse_report(cal_out)
-        assert abs(float(plain["mu"]) - float(cal["mu"])) < 1e-6
-        assert abs(float(plain["sigma"]) - float(cal["sigma"])) < 1e-6
+        report = parse_report(out)
+        value = float(report["objective value"])
+        kl_term, log_risk_term = float(report["kl_term"]), float(report["log_risk_term"])
+        assert abs(value - (-kl_term + log_risk_term)) <= 1e-9
 
     def test_requires_some_data_source(self, capsys):
         code, _, err = run_cli(capsys, "fit", "--theta0", "0.68")
@@ -63,6 +61,34 @@ class TestFit:
         code, _, err = run_cli(capsys, "fit", "--config", str(cfg))
         assert code == 2
         assert "thata0" in err
+
+
+@pytest.mark.parametrize("command", [["fit"], ["decide", "--rule", "nvb"]], ids=["fit", "decide"])
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("h", [1]),
+        ("h", True),
+        ("a_lo", None),
+        ("data", 5),
+        ("n", 1.5),
+        ("theta0", "0.68"),
+        ("seed", 1.5),
+        ("values", [1.0, "2.0"]),
+    ],
+)
+def test_bad_fit_decide_config_value_exits_2_naming_the_key(
+    capsys, tmp_path, monkeypatch, command, key, value
+):
+    monkeypatch.delenv("SEED", raising=False)
+    raw = {"theta0": 0.68, "n": 50}
+    raw[key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = run_cli(capsys, *command, "--config", str(cfg))
+    assert code == 2
+    assert re.search(rf"\b{key}\b", err), err
+    assert out == ""
 
 
 class TestDecide:
@@ -227,6 +253,7 @@ class TestExperimentCommand:
             ("beta", math.inf),
             ("theta0", math.inf),
             ("action_interval", [0.0, math.inf]),
+            ("posterior_nodes", 16),
         ],
     )
     def test_bad_config_value_exits_2_naming_the_key(
@@ -269,10 +296,13 @@ class TestCheck:
         assert out.count("PASS") == 4
         assert "FAIL" not in out
 
-    def test_injected_fault_fails(self, capsys):
-        code, out, _ = run_cli(capsys, "check", "--inject-fault")
+    def test_injected_fault_fails(self, capsys, monkeypatch):
+        import newsvb.cli as cli
+
+        monkeypatch.setattr(cli, "_check_quantile", lambda: (1.0, 0.0))
+        code, out, _ = run_cli(capsys, "check")
         assert code == 1
-        assert "FAIL" in out
+        assert re.search(r"quantile-nearest-rank\s+residual=.*FAIL", out)
 
 
 class TestExitCodes:

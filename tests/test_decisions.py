@@ -25,7 +25,7 @@ from newsvb import (
     sample_demand,
     true_optimal_action,
 )
-from newsvb.decisions import decide_with_variational
+from newsvb.decisions import decide_on_measure, decide_with_variational
 from newsvb.numerics import minimize_on_grid_then_golden
 from newsvb.vb import FitSettings, calibrated_objective, fit_lcvb
 
@@ -97,6 +97,15 @@ class TestNvbDecide:
         )
         reference = bayes_decision(grid_n50, base_model)
         assert abs(action - reference.action) < 1e-4
+
+
+class TestDecideOnMeasure:
+    def test_posterior_grid_measure_is_the_bayes_rule(self, grid_n50, base_model):
+        outcome = decide_on_measure(
+            grid_n50.nodes, grid_n50.normalized_weights, base_model, Rule.BAYES
+        )
+        # Equal outcomes: the same action, value and probe count.
+        assert outcome == bayes_decision(grid_n50, base_model)
 
 
 class TestLcvbDecide:
