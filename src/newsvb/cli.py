@@ -87,8 +87,6 @@ _MODEL_DEFAULTS = {"h": 0.005, "b": 0.1, "alpha": 1.0, "beta": 4.1, "a_lo": 0.0,
 def _shared_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", type=Path, help="JSON config file (strict keys)")
     parser.add_argument("--seed", type=int, help="override every other seed source")
-    parser.add_argument("--out", type=Path, help="output stem for generated files")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes (experiment)")
     parser.add_argument("--verbose", action="store_true", help="debug-level logging")
 
 
@@ -118,6 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment", help="run the optimality-gap consistency experiment"
     )
     _shared_flags(experiment)
+    experiment.add_argument("--out", type=Path, help="output stem for generated files")
+    experiment.add_argument("--jobs", type=int, default=1, help="worker processes")
     experiment.add_argument(
         "--paper-defaults",
         action="store_true",
@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.set_defaults(handler=cmd_experiment)
 
     check = commands.add_parser("check", help="run the numerical identity suite")
-    _shared_flags(check)
+    check.add_argument("--verbose", action="store_true", help="debug-level logging")
     check.set_defaults(handler=cmd_check)
     return parser
 
@@ -257,7 +257,7 @@ def cmd_fit(args) -> int:
     settings = FitSettings()
     grid = build_posterior(data, model)
     if args.calibrate is not None:
-        q, diag = fit_lcvb(args.calibrate, data, model, grid, settings)
+        q, diag = fit_lcvb(args.calibrate, data, model, settings)
         objective = calibrated_objective(args.calibrate, q, data, model, grid)
         print(f"rule                loss-calibrated fit at a={args.calibrate:.6g}")
     else:
@@ -336,10 +336,9 @@ def _experiment_config(args) -> ExperimentConfig:
 
 def cmd_experiment(args) -> int:
     config = _experiment_config(args)
-    jobs = max(1, args.jobs)
     started_at = datetime.now(timezone.utc).isoformat()
     start = time.perf_counter()
-    curves = run_experiment(config, jobs=jobs)
+    curves = run_experiment(config, jobs=args.jobs)
     duration = time.perf_counter() - start
     stem = args.out if args.out is not None else Path("experiment")
     csv_path, manifest_path = write_results(

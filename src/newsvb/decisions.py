@@ -139,9 +139,12 @@ def lcvb_decide(
     33-point scan and a 1e-4 golden tolerance. Every inner maximization is
     one ascent warm-started from the nearest previously solved action (the
     first from the plain variational fit); the scan's points are solved
-    left to right, so each starts from its left neighbour. Inner failures
-    invalidate single probes; the rule aborts only when every probe fails.
-    ``risk=None`` uses the model's newsvendor risk.
+    left to right, so each starts from its left neighbour. Probes rank by
+    the ascent's own maximum ELBO + E_q[log G], since the log evidence is
+    constant in the action; ``grid`` enters once, in the chosen action's
+    calibrated objective, which also checks that it matches the data.
+    Inner failures invalidate single probes; the rule aborts only when
+    every probe fails. ``risk=None`` uses the model's newsvendor risk.
     """
     settings = settings or FitSettings()
     q_warm = fit_nvb(data, model, settings)[0] if nvb_start is None else nvb_start
@@ -151,14 +154,10 @@ def lcvb_decide(
     def inner_max(a: float) -> float:
         start = solved[min(solved, key=lambda b: abs(b - a))][0] if solved else q_warm
         try:
-            q_a, diag = fit_lcvb(a, data, model, grid, settings, risk=risk, initial=start)
-            objective = calibrated_objective(
-                a, q_a, data, model, grid, risk=risk, node_count=settings.node_count
-            )
+            solved[a] = fit_lcvb(a, data, model, settings, risk=risk, initial=start)
         except NumericalError:
             return math.inf  # invalid probe, never the minimum
-        solved[a] = (q_a, diag)
-        return objective.value
+        return solved[a][1].objective
 
     def outer(a):
         if np.ndim(a):  # the coarse scan, an increasing array
@@ -171,7 +170,9 @@ def lcvb_decide(
     )
     if not math.isfinite(value):
         raise NumericalError("every outer action probe failed its inner fit")
-    return DecisionOutcome(action, value, Rule.LCVB, solved[action][1], probes)
+    q, diagnostics = solved[action]
+    objective = calibrated_objective(action, q, data, model, grid, risk, settings.node_count)
+    return DecisionOutcome(action, objective.value, Rule.LCVB, diagnostics, probes)
 
 
 def optimality_gap(outcome: DecisionOutcome, model: NewsvendorModel) -> tuple[float, float]:

@@ -296,16 +296,19 @@ def nearest_rank_quantile(values, level: float) -> float:
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[QuantileCurve]:
     """Execute all paths and aggregate per-(rule, h, n) gap quantiles.
 
-    Paths are independent work units; with jobs > 1 they run in a process
-    pool. Aggregation is keyed deterministically, so the output does not
-    depend on the execution order or the number of workers. Cells whose
-    failure count exceeds half the replications get their quantiles marked
-    missing with a warning.
+    Paths are independent work units; with jobs > 1 they run in a pool of
+    min(jobs, replications) processes. Aggregation is keyed
+    deterministically, so the output does not depend on the execution
+    order or the number of workers. Cells whose failure count exceeds half
+    the replications get their quantiles marked missing with a warning.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     indices = range(config.replications)
-    if jobs > 1:
-        chunksize = max(1, config.replications // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, config.replications)
+    if workers > 1:
+        chunksize = max(1, config.replications // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_path = list(
                 pool.map(partial(simulate_path, config), indices, chunksize=chunksize)
             )

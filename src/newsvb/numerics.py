@@ -19,6 +19,7 @@ __all__ = [
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_ARMIJO = 1e-4  # sufficient-increase fraction of the predicted ascent
 
 
 class NumericalError(RuntimeError):
@@ -45,12 +46,12 @@ def gauss_hermite_standard(node_count: int):
     return z, w
 
 
-def golden_section_minimize(f, lo: float, hi: float, tol: float, max_iterations: int = 400):
+def golden_section_minimize(f, lo: float, hi: float, tol: float):
     """Golden-section minimization of a unimodal f on [lo, hi].
 
-    Shrinks the bracket until its width drops below ``tol`` and returns the
-    best evaluated point, breaking exact ties toward the smaller abscissa.
-    Returns (x, f(x), evaluations).
+    Shrinks the bracket until its width drops below ``tol`` (at most 400
+    shrinks) and returns the best evaluated point, breaking exact ties
+    toward the smaller abscissa. Returns (x, f(x), evaluations).
     """
     a, b = float(lo), float(hi)
     if not a < b:
@@ -64,9 +65,7 @@ def golden_section_minimize(f, lo: float, hi: float, tol: float, max_iterations:
         best_x, best_f = x1, f1
     else:
         best_x, best_f = x2, f2
-    iterations = 0
-    while (b - a) > tol and iterations < max_iterations:
-        iterations += 1
+    while (b - a) > tol and evaluations < 402:  # two initial probes + at most 400 shrinks
         if f1 <= f2:  # ties shrink toward the left, keeping smaller x reachable
             b, x2, f2 = x2, x1, f1
             x1 = b - _INV_PHI * (b - a)
@@ -119,17 +118,16 @@ class AscentResult:
 def ascend(
     value_and_grad,
     x0,
+    preconditioner,
     tolerance: float = 1e-8,
     max_iterations: int = 10_000,
-    preconditioner=None,
-    armijo: float = 1e-4,
 ) -> AscentResult:
     """Maximize a smooth objective by scaled gradient ascent with Armijo backtracking.
 
     ``value_and_grad(x) -> (f, g)``; ``preconditioner(x)`` returns a positive
-    per-coordinate step scaling (identity when omitted). Stops when the true
-    gradient norm drops below ``tolerance`` or the iteration cap is hit; a
-    stalled line search ends the run with ``converged=False``.
+    per-coordinate step scaling. Stops when the true gradient norm drops
+    below ``tolerance`` or the iteration cap is hit; a stalled line search
+    ends the run with ``converged=False``.
 
     The Armijo test tolerates objective changes within a few ulps of the
     current value: near the optimum the analytic gradient keeps far more
@@ -156,8 +154,7 @@ def ascend(
         gradient_norm = float(np.linalg.norm(grad))
         if gradient_norm < tolerance:
             return result(iteration, stopped_by_tolerance=True)
-        scale = preconditioner(x) if preconditioner is not None else 1.0
-        direction = grad * scale
+        direction = grad * preconditioner(x)
         slope = float(grad @ direction)
         noise = 64.0 * np.finfo(float).eps * (1.0 + abs(value))
         step = 1.0
@@ -165,7 +162,7 @@ def ascend(
         while step > 1e-20:
             candidate = x + step * direction
             cand_value, cand_grad = value_and_grad(candidate)
-            if math.isfinite(cand_value) and cand_value + noise >= value + armijo * step * slope:
+            if math.isfinite(cand_value) and cand_value + noise >= value + _ARMIJO * step * slope:
                 accepted = True
                 break
             step *= 0.5

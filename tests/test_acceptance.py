@@ -161,9 +161,8 @@ class TestCriterion05ConstantRiskCollapse:
         model = NewsvendorModel(h=0.005, b=0.1, theta0=0.68, alpha=1.0, beta=4.1)
         for seed in range(10):
             data = sample_demand(model.theta0, 60 + 10 * seed, np.random.default_rng(6300 + seed))
-            grid = build_posterior(data, model)
             q_plain, _ = fit_nvb(data, model)
-            q_cal, _ = fit_lcvb(1.0 + 0.3 * seed, data, model, grid, risk=ConstantRisk(2.0))
+            q_cal, _ = fit_lcvb(1.0 + 0.3 * seed, data, model, risk=ConstantRisk(2.0))
             assert abs(q_cal.mu - q_plain.mu) < 1e-6
             assert abs(q_cal.sigma - q_plain.sigma) < 1e-6
         report(5, "constant-risk-collapse")

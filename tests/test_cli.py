@@ -287,6 +287,36 @@ class TestExperimentCommand:
         assert code == 2
         assert "--paper-defaults" in err
 
+    def test_jobs_below_one_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys,
+            "experiment", "--paper-defaults", "--replications", "1", "--jobs", "0",
+            "--out", str(tmp_path / "run"),
+        )
+        assert code == 2
+        assert "jobs" in err
+        assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--config", "x.json"],
+        ["check", "--seed", "1"],
+        ["check", "--out", "x"],
+        ["check", "--jobs", "2"],
+        ["fit", "--n", "10", "--theta0", "0.68", "--jobs", "2"],
+        ["fit", "--n", "10", "--theta0", "0.68", "--out", "x"],
+        ["decide", "--rule", "nvb", "--n", "10", "--theta0", "0.68", "--jobs", "2"],
+        ["decide", "--rule", "nvb", "--n", "10", "--theta0", "0.68", "--out", "x"],
+    ],
+)
+def test_flags_a_command_would_ignore_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_default_run_passes(self, capsys):

@@ -26,7 +26,7 @@ from newsvb import (
     true_optimal_action,
 )
 from newsvb.decisions import decide_on_measure, decide_with_variational
-from newsvb.numerics import minimize_on_grid_then_golden
+from newsvb.numerics import NumericalError, minimize_on_grid_then_golden
 from newsvb.vb import FitSettings, calibrated_objective, fit_lcvb
 
 
@@ -125,7 +125,7 @@ class TestLcvbDecide:
         outcome = lcvb_decide(data_n50, base_model, grid_n50)
         settings = FitSettings()
         for a in np.linspace(0.0, 50.0, 33):
-            q_a, _ = fit_lcvb(float(a), data_n50, base_model, grid_n50, settings)
+            q_a, _ = fit_lcvb(float(a), data_n50, base_model, settings)
             value = calibrated_objective(
                 float(a), q_a, data_n50, base_model, grid_n50
             ).value
@@ -144,8 +144,6 @@ class TestLcvbDecide:
         )
 
     def test_every_probe_failing_is_a_hard_error(self, data_n50, base_model, grid_n50):
-        from newsvb.numerics import NumericalError
-
         class Hostile:
             def value(self, a, theta):
                 return np.full_like(theta, -1.0)
@@ -173,6 +171,24 @@ class TestLcvbDecide:
         assert outcome.action <= 25.0
         reference = lcvb_decide(data_n50, base_model, grid_n50)
         assert abs(outcome.action - reference.action) < 1e-6
+
+    def test_grid_from_other_data_is_reported_as_a_mismatch(
+        self, data_n50, base_model, grid_n2000
+    ):
+        with pytest.raises(NumericalError, match="does not match"):
+            lcvb_decide(data_n50, base_model, grid_n2000)
+
+    def test_grid_only_shifts_the_reported_objective(self, data_n50, base_model, grid_n50):
+        # The argmin never reads the grid: a coarser grid changes only the
+        # log evidence subtracted from the chosen action's objective.
+        coarse_grid = build_posterior(data_n50, base_model, node_count=64)
+        coarse = lcvb_decide(data_n50, base_model, coarse_grid)
+        fine = lcvb_decide(data_n50, base_model, grid_n50)
+        assert coarse.action == fine.action
+        assert coarse.probe_count == fine.probe_count
+        assert coarse.inner_fit == fine.inner_fit
+        shift = grid_n50.log_evidence - coarse_grid.log_evidence
+        assert fine.objective_value - coarse.objective_value == pytest.approx(-shift, abs=1e-9)
 
 
 class TestOptimalityGap:

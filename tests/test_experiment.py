@@ -145,6 +145,28 @@ class TestRunExperiment:
         config = tiny_config()
         assert run_experiment(config, jobs=1) == run_experiment(config, jobs=2)
 
+    def test_pool_never_exceeds_the_path_count(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        config = tiny_config(replications=2)
+        serial = run_experiment(config, jobs=1)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+        assert run_experiment(config, jobs=64) == serial
+        assert sizes == [2]
+
     def test_single_replication_quantile_is_the_path_gap(self):
         config = tiny_config(replications=1)
         curves = run_experiment(config)

@@ -240,21 +240,33 @@ class TestCalibratedObjective:
         with pytest.raises(ValueError):
             calibrated_objective(60.0, q, data_n50, base_model, grid_n50)
 
+    def test_grid_from_other_data_raises(self, data_n50, base_model, grid_n2000):
+        q, _ = fit_nvb(data_n50, base_model)
+        with pytest.raises(NumericalError, match="does not match"):
+            calibrated_objective(2.0, q, data_n50, base_model, grid_n2000)
+
 
 class TestFitLcvb:
     def test_constant_risk_collapses_to_plain_fit(self, base_model):
         for seed in range(10):
             data = sample_demand(base_model.theta0, 80, np.random.default_rng(3000 + seed))
-            grid = build_posterior(data, base_model)
             q_plain, _ = fit_nvb(data, base_model)
-            q_cal, _ = fit_lcvb(1.5, data, base_model, grid, risk=ConstantRisk(2.0))
+            q_cal, _ = fit_lcvb(1.5, data, base_model, risk=ConstantRisk(2.0))
             assert abs(q_cal.mu - q_plain.mu) < 1e-6
             assert abs(q_cal.sigma - q_plain.sigma) < 1e-6
+
+    def test_diagnostics_report_the_maximized_objective(self, data_n50, base_model, grid_n50):
+        q_plain, diagnostics = fit_nvb(data_n50, base_model)
+        assert abs(diagnostics.objective - elbo(q_plain, data_n50, base_model)) < 1e-9
+        for a in (0.5, 3.0, 20.0):
+            q_cal, diagnostics = fit_lcvb(a, data_n50, base_model)
+            objective = calibrated_objective(a, q_cal, data_n50, base_model, grid_n50)
+            assert abs(diagnostics.objective - (objective.value + grid_n50.log_evidence)) < 1e-9
 
     def test_improves_on_plain_solution(self, data_n50, base_model, grid_n50):
         q_plain, _ = fit_nvb(data_n50, base_model)
         for a in (0.5, 3.0, 20.0):
-            q_cal, _ = fit_lcvb(a, data_n50, base_model, grid_n50)
+            q_cal, _ = fit_lcvb(a, data_n50, base_model)
             at_plain = calibrated_objective(a, q_plain, data_n50, base_model, grid_n50).value
             at_cal = calibrated_objective(a, q_cal, data_n50, base_model, grid_n50).value
             assert at_cal >= at_plain - 1e-9
@@ -266,8 +278,7 @@ class TestFitLcvb:
                 data = sample_demand(
                     base_model.theta0, 5000, np.random.default_rng(4000 + seed)
                 )
-                grid = build_posterior(data, base_model)
-                q, _ = fit_lcvb(a, data, base_model, grid)
+                q, _ = fit_lcvb(a, data, base_model)
                 if abs(q.mean_theta() - base_model.theta0) < 0.05:
                     hits += 1
             assert hits >= 95, f"only {hits}/100 seeds concentrated at a={a}"
