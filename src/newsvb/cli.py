@@ -371,16 +371,17 @@ def _check_dataset():
     return model, data, grid
 
 
-def _probe_members(rng, theta_hat: float, count: int):
+def probe_members(rng, theta_hat: float, count: int):
     mus = math.log(theta_hat) + rng.uniform(-1.5, 1.5, size=count)
     sigmas = rng.uniform(0.05, 1.0, size=count)
     return [LogNormalVariational(float(m), float(s)) for m, s in zip(mus, sigmas)]
 
 
-def _check_kl_decomposition() -> tuple[float, float]:
+# Each check returns (worst residual, tolerance); acceptance criteria 4, 3, 6 call these three.
+def check_kl_decomposition() -> tuple[float, float]:
     model, data, grid = _check_dataset()
-    rng = np.random.default_rng(7)
-    members = _probe_members(rng, data.n / data.sum_s, 100)
+    rng = np.random.default_rng(62)
+    members = probe_members(rng, data.n / data.sum_s, 100)
     actions = rng.uniform(model.action_lo, model.action_hi, size=100)
     residual = max(
         kl_decomposition_check(float(a), q, data, model, grid)
@@ -389,10 +390,10 @@ def _check_kl_decomposition() -> tuple[float, float]:
     return residual, 1e-6
 
 
-def _check_jensen_bound() -> tuple[float, float]:
+def check_jensen_bound() -> tuple[float, float]:
     model, data, grid = _check_dataset()
-    rng = np.random.default_rng(8)
-    members = _probe_members(rng, data.n / data.sum_s, 100)
+    rng = np.random.default_rng(61)
+    members = probe_members(rng, data.n / data.sum_s, 100)
     actions = rng.uniform(model.action_lo, model.action_hi, size=100)
     worst = -math.inf
     for a, q in zip(actions, members):
@@ -402,10 +403,10 @@ def _check_jensen_bound() -> tuple[float, float]:
     return worst, 1e-8
 
 
-def _check_elbo_gradient() -> tuple[float, float]:
+def check_elbo_gradient() -> tuple[float, float]:
     model, data, _ = _check_dataset()
-    rng = np.random.default_rng(9)
-    members = _probe_members(rng, data.n / data.sum_s, 50)
+    rng = np.random.default_rng(64)
+    members = probe_members(rng, data.n / data.sum_s, 50)
     step = 1e-6
     worst = 0.0
     for q in members:
@@ -424,7 +425,7 @@ def _check_elbo_gradient() -> tuple[float, float]:
     return worst, 1e-5
 
 
-def _check_quantile() -> tuple[float, float]:
+def check_quantile() -> tuple[float, float]:
     rng = np.random.default_rng(10)
     worst = 0.0
     for _ in range(200):
@@ -438,10 +439,10 @@ def _check_quantile() -> tuple[float, float]:
 
 def cmd_check(args) -> int:
     checks = [
-        ("kl-decomposition", _check_kl_decomposition),
-        ("jensen-bound", _check_jensen_bound),
-        ("elbo-gradient", _check_elbo_gradient),
-        ("quantile-nearest-rank", _check_quantile),
+        ("kl-decomposition", check_kl_decomposition),
+        ("jensen-bound", check_jensen_bound),
+        ("elbo-gradient", check_elbo_gradient),
+        ("quantile-nearest-rank", check_quantile),
     ]
     all_ok = True
     for name, runner in checks:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import platform
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
@@ -74,6 +75,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.h_values or not all(0 < h < math.inf for h in self.h_values):
             raise ValueError("h_values must be non-empty, positive and finite")
+        if len(set(self.h_values)) != len(self.h_values):
+            raise ValueError("h_values must be distinct")
         if not self.n_schedule or any(n < 1 for n in self.n_schedule):
             raise ValueError("n_schedule must be non-empty with n >= 1")
         if any(b >= a for a, b in zip(self.n_schedule[1:], self.n_schedule)):
@@ -396,7 +399,7 @@ def write_results(
     The CSV is UTF-8 with LF line endings, '.' decimals and shortest
     round-trip float formatting, so identical curves always serialize to
     identical bytes. The manifest echoes the configuration, seed, start
-    time, duration, and the tool version.
+    time, duration, and the tool, Python and numpy versions.
     """
     if not curves:
         raise ValueError("refusing to write an empty result set")
@@ -430,6 +433,8 @@ def write_results(
             "started_at": started_at or datetime.now(timezone.utc).isoformat(),
             "duration_seconds": duration_seconds,
             "tool_version": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
         }
         manifest_path.write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"

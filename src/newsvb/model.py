@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "Observations",
@@ -241,7 +240,7 @@ def log_prior(theta, model: NewsvendorModel):
     theta_arr = _as_positive_theta(theta)
     out = (
         model.alpha * math.log(model.beta)
-        - gammaln(model.alpha)
+        - math.lgamma(model.alpha)
         - (model.alpha + 1.0) * np.log(theta_arr)
         - model.beta / theta_arr
     )

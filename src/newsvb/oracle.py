@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .decisions import DecisionOutcome, Rule, decide_on_measure
 from .model import (
@@ -130,7 +129,11 @@ def build_posterior(
     half = 0.5 * (hi - lo)
     nodes = 0.5 * (hi + lo) + half * x
     log_weights = np.log(w * half) + log_density(nodes)
-    log_evidence = float(logsumexp(log_weights))
+    # Log-sum-exp about the largest term, which becomes the 1 inside log1p.
+    k = int(np.argmax(log_weights))
+    shifted = log_weights - log_weights[k]
+    shifted[k] = -np.inf
+    log_evidence = float(np.log1p(np.exp(shifted).sum()) + log_weights[k])
     if not math.isfinite(log_evidence):
         raise NumericalError("posterior evidence is not finite")
     return PosteriorGrid(

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import gammaln
 
 from .model import (
     NewsvendorModel,
@@ -168,7 +167,7 @@ def _elbo_terms(mu: float, rho: float, n: int, total: float, alpha: float, beta:
         n * mu
         - total * ep
         + alpha * math.log(beta)
-        - float(gammaln(alpha))
+        - math.lgamma(alpha)
         - (alpha + 1.0) * mu
         - beta * em
         + mu

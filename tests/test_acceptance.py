@@ -13,26 +13,27 @@ import pytest
 
 from newsvb import (
     ConstantRisk,
-    LogNormalVariational,
     NewsvendorModel,
     bayes_decision,
     build_posterior,
-    calibrated_objective,
     elbo,
-    elbo_gradient,
     fit_lcvb,
     fit_nvb,
-    kl_decomposition_check,
     lcvb_decide,
     loss,
     nvb_decide,
-    posterior_expected_risk,
     risk,
     sample_demand,
     true_optimal_action,
     variational_variance,
 )
-from newsvb.cli import main
+from newsvb.cli import (
+    check_elbo_gradient,
+    check_jensen_bound,
+    check_kl_decomposition,
+    main,
+    probe_members,
+)
 from newsvb.experiment import estimate_rate, read_results, reference_config
 from newsvb.model import log_likelihood, log_prior
 from newsvb.numerics import gauss_hermite_standard
@@ -113,46 +114,17 @@ class TestCriterion02RiskMonteCarlo:
         report(2, "risk-vs-monte-carlo")
 
 
-@pytest.fixture(scope="module")
-def fixed_dataset():
-    model = NewsvendorModel(h=0.005, b=0.1, theta0=0.68, alpha=1.0, beta=4.1)
-    data = sample_demand(model.theta0, 50, np.random.default_rng(20))
-    grid = build_posterior(data, model)
-    return model, data, grid
-
-
-def probe_members(rng, theta_hat, count, sigma_hi=1.0):
-    mus = math.log(theta_hat) + rng.uniform(-1.5, 1.5, size=count)
-    sigmas = rng.uniform(0.05, sigma_hi, size=count)
-    return [LogNormalVariational(float(m), float(s)) for m, s in zip(mus, sigmas)]
-
-
 class TestCriterion03JensenBound:
-    def test_calibrated_value_below_log_posterior_risk(self, fixed_dataset):
-        model, data, grid = fixed_dataset
-        rng = np.random.default_rng(61)
-        members = probe_members(rng, data.n / data.sum_s, 100)
-        actions = rng.uniform(0.0, 50.0, size=100)
-        worst = -math.inf
-        for a, q in zip(actions, members):
-            value = calibrated_objective(float(a), q, data, model, grid).value
-            bound = math.log(posterior_expected_risk(float(a), grid, model))
-            worst = max(worst, value - bound)
-            assert value <= bound + 1e-8
+    def test_calibrated_value_below_log_posterior_risk(self):
+        worst, _ = check_jensen_bound()
+        assert worst <= 1e-8
         report(3, "jensen-lower-bound", f"worst slack {worst:.3e}")
 
 
 class TestCriterion04KlDecomposition:
-    def test_identity_residual_below_tolerance(self, fixed_dataset):
-        model, data, grid = fixed_dataset
-        rng = np.random.default_rng(62)
-        members = probe_members(rng, data.n / data.sum_s, 100)
-        actions = rng.uniform(0.0, 50.0, size=100)
-        worst = 0.0
-        for a, q in zip(actions, members):
-            residual = kl_decomposition_check(float(a), q, data, model, grid)
-            worst = max(worst, residual)
-            assert residual < 1e-6
+    def test_identity_residual_below_tolerance(self):
+        worst, _ = check_kl_decomposition()
+        assert worst < 1e-6
         report(4, "kl-decomposition", f"max residual {worst:.3e}")
 
 
@@ -169,32 +141,20 @@ class TestCriterion05ConstantRiskCollapse:
 
 
 class TestCriterion06ElboCorrectness:
-    def test_closed_form_gradient_and_quadrature(self, fixed_dataset):
-        model, data, _ = fixed_dataset
+    def test_closed_form_gradient_and_quadrature(self, base_model, data_n50):
         z, w = gauss_hermite_standard(64)
         rng = np.random.default_rng(64)
-        members = probe_members(rng, data.n / data.sum_s, 50)
-        step = 1e-6
-        for q in members:
+        for q in probe_members(rng, data_n50.n / data_n50.sum_s, 50):
             theta = np.exp(q.mu + q.sigma * z)
             integrand = (
-                log_likelihood(theta, data) + log_prior(theta, model) - q.log_density(theta)
+                log_likelihood(theta, data_n50)
+                + log_prior(theta, base_model)
+                - q.log_density(theta)
             )
-            assert abs(elbo(q, data, model) - float(w @ integrand)) < 1e-8
-            analytic = elbo_gradient(q, data, model)
-            x = np.array([q.mu, math.log(q.sigma)])
-            numeric = np.empty(2)
-            for i in range(2):
-                up, down = x.copy(), x.copy()
-                up[i] += step
-                down[i] -= step
-                numeric[i] = (
-                    elbo(LogNormalVariational(up[0], math.exp(up[1])), data, model)
-                    - elbo(LogNormalVariational(down[0], math.exp(down[1])), data, model)
-                ) / (2 * step)
-            scale = max(float(np.linalg.norm(analytic)), 1.0)
-            assert float(np.linalg.norm(analytic - numeric)) <= 1e-5 * scale
-        report(6, "elbo-correctness")
+            assert abs(elbo(q, data_n50, base_model) - float(w @ integrand)) < 1e-8
+        worst, _ = check_elbo_gradient()
+        assert worst <= 1e-5
+        report(6, "elbo-correctness", f"worst relative gradient error {worst:.3e}")
 
 
 class TestCriterion07PosteriorOracleAgreement:

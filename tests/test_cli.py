@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import newsvb
 from newsvb.cli import main
 
 
@@ -254,6 +259,7 @@ class TestExperimentCommand:
             ("theta0", math.inf),
             ("action_interval", [0.0, math.inf]),
             ("posterior_nodes", 16),
+            ("h_values", [0.005, 0.005]),
         ],
     )
     def test_bad_config_value_exits_2_naming_the_key(
@@ -329,10 +335,26 @@ class TestCheck:
     def test_injected_fault_fails(self, capsys, monkeypatch):
         import newsvb.cli as cli
 
-        monkeypatch.setattr(cli, "_check_quantile", lambda: (1.0, 0.0))
+        monkeypatch.setattr(cli, "check_quantile", lambda: (1.0, 0.0))
         code, out, _ = run_cli(capsys, "check")
         assert code == 1
         assert re.search(r"quantile-nearest-rank\s+residual=.*FAIL", out)
+
+    def test_package_and_check_load_no_scipy(self):
+        script = (
+            "import sys, newsvb, newsvb.cli\n"
+            "assert newsvb.cli.main(['check']) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        src = str(Path(newsvb.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestExitCodes:

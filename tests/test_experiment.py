@@ -2,6 +2,7 @@
 
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -46,6 +47,8 @@ class TestConfig:
             tiny_config(n_schedule=(30, 10))
         with pytest.raises(ValueError):
             tiny_config(h_values=())
+        with pytest.raises(ValueError, match="h_values"):
+            tiny_config(h_values=(0.005, 0.005))
         with pytest.raises(ValueError):
             tiny_config(quantile_level=1.5)
         with pytest.raises(ValueError):
@@ -234,7 +237,11 @@ class TestPersistence:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         assert manifest["seed"] == config.master_seed
         assert manifest["config"] == config.to_dict()
-        assert set(manifest) == {"config", "seed", "started_at", "duration_seconds", "tool_version"}
+        assert set(manifest) == {
+            "config", "seed", "started_at", "duration_seconds", "tool_version", "python", "numpy"
+        }
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
 
     def test_missing_quantiles_round_trip(self, tmp_path):
         config = tiny_config(replications=2)

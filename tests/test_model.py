@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from newsvb import (
     ConstantRisk,
@@ -218,6 +219,16 @@ class TestLogDensities:
         model = make_model(0.1, 0.1, alpha=1.7, beta=2.3)
         integral, err = quad(lambda t: math.exp(log_prior(t, model)), 0.0, np.inf, limit=200)
         assert integral == pytest.approx(1.0, abs=max(1e-9, 10 * err))
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.7, 2.5])
+    def test_log_prior_matches_gammaln_form(self, alpha):
+        beta = 2.0
+        theta = np.array([0.2, 1.0, 3.5])
+        expected = (
+            alpha * math.log(beta) - gammaln(alpha) - (alpha + 1.0) * np.log(theta) - beta / theta
+        )
+        model = make_model(0.1, 0.1, alpha=alpha, beta=beta)
+        np.testing.assert_allclose(log_prior(theta, model), expected, rtol=1e-12, atol=0)
 
     def test_log_prior_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from newsvb import (
     ConstantRisk,
@@ -53,6 +54,16 @@ class TestBuildPosterior:
         sd = math.sqrt(grid.variance())
         assert abs(grid.mean() - 0.68) <= 3 * sd
         assert grid.mean() == pytest.approx(mle(data), abs=3 * sd)
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 4.1), (0.3, 2.0), (2.5, 0.7)])
+    def test_log_evidence_matches_scipy_logsumexp(self, alpha, beta):
+        model = NewsvendorModel(h=0.005, b=0.1, theta0=0.68, alpha=alpha, beta=beta)
+        for seed in range(5):
+            stream = sample_demand(model.theta0, 6400, np.random.default_rng(7000 + seed))
+            for n in (1, 50, 1250, 6400):
+                grid = build_posterior(stream.prefix(n), model)
+                reference = float(logsumexp(grid.log_weights))
+                assert abs(grid.log_evidence - reference) <= 1e-15 * abs(reference)
 
     def test_rejects_small_node_count(self, data_n50, base_model):
         with pytest.raises(ValueError):
