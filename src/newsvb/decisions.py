@@ -2,14 +2,16 @@
 
 The naive rule fits one variational posterior and then minimizes the
 predicted expected cost H_q(a) = E_q[G(a, theta)] over the action interval.
-The calibrated rule solves, for each candidate action, an inner fit of the
-loss-calibrated objective and minimizes the resulting inner maximum over
-actions, warm-starting each inner fit from the nearest solved neighbour.
+The calibrated rule minimizes the inner maximum V(a) = max_q F(a, q) of the
+loss-calibrated objective by a local root search on dV/da, which the
+envelope theorem gives from each inner fit, starting at the naive action;
+a global scan over actions is its fallback.
 """
 
 from __future__ import annotations
 
 import enum
+import logging
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -21,6 +23,7 @@ from .model import (
     Observations,
     Risk,
     expected_risk,
+    resolve_risk,
     risk,
     true_optimal_action,
 )
@@ -49,12 +52,17 @@ __all__ = [
     "decide_on_measure",
     "nvb_decide",
     "decide_with_variational",
+    "envelope_slope",
     "lcvb_decide",
     "optimality_gap",
 ]
 
 LCVB_COARSE_POINTS = 33
 LCVB_OUTER_TOLERANCE = 1e-4
+LCVB_FIRST_STEP = 0.01
+LCVB_ROOT_WIDTH = 1e-6
+
+logger = logging.getLogger(__name__)
 
 
 class Rule(enum.Enum):
@@ -125,6 +133,48 @@ def nvb_decide(
     return decide_with_variational(q, model, diagnostics)
 
 
+def envelope_slope(a: float, q: LogNormalVariational, risk: Risk, node_count: int = 64) -> float:
+    """E_q[dG/da / G] by Gauss-Hermite, raising ``NumericalError`` if not finite.
+
+    At the inner maximizer q*(a) of F(a, .) this is dV/da for
+    V(a) = max_q F(a, q), by the envelope theorem.
+    """
+    theta, weights = _gauss_hermite_measure(q, node_count)
+    value = float(weights @ (risk.action_slope(a, theta) / risk.value(a, theta)))
+    if not math.isfinite(value):
+        raise NumericalError(f"envelope slope is {value} at a={a:.6g}")
+    return value
+
+
+def _envelope_root(slope, a0: float, lo: float, hi: float) -> float:
+    """Where ``slope`` turns from negative to nonnegative next to ``a0``: doubling
+    steps downhill bracket the sign change (``NumericalError`` if lo or hi comes
+    first), then Illinois regula falsi, bisecting when an interpolate is not
+    strictly inside, narrows it to LCVB_ROOT_WIDTH. Returns the last point."""
+    b, sb, step = a0, slope(a0), LCVB_FIRST_STEP
+    rightward = sb < 0
+    while (sb >= 0) != rightward:  # no sign change yet
+        if b == (hi if rightward else lo):
+            raise NumericalError(f"no sign change of the envelope slope up to a={b:.6g}")
+        a, s = b, sb
+        b = min(a + step, hi) if rightward else max(a - step, lo)
+        sb, step = slope(b), 2 * step
+    (left, s_left), (right, s_right) = sorted([(a, s), (b, sb)])
+    last, side = b, 0
+    while right - left > LCVB_ROOT_WIDTH:
+        last = right - s_right * (right - left) / (s_right - s_left)
+        if not left < last < right:
+            last = 0.5 * (left + right)
+        s = slope(last)
+        if s < 0:  # Illinois: when one end moves twice running, halve the other's slope
+            s_right *= 0.5 if side < 0 else 1.0
+            left, s_left, side = last, s, -1
+        else:
+            s_left *= 0.5 if side > 0 else 1.0
+            right, s_right, side = last, s, 1
+    return last
+
+
 def lcvb_decide(
     data: Observations,
     model: NewsvendorModel,
@@ -133,46 +183,58 @@ def lcvb_decide(
     risk: Risk | None = None,
     nvb_start: LogNormalVariational | None = None,
 ) -> DecisionOutcome:
-    """Nested min-max rule over (action, variational member).
+    """Nested min-max rule: min_a V(a), V(a) = max_q F(a, q).
 
-    The outer minimization is ``minimize_on_grid_then_golden`` with a
-    33-point scan and a 1e-4 golden tolerance. Every inner maximization is
-    one ascent warm-started from the nearest previously solved action (the
-    first from the plain variational fit); the scan's points are solved
-    left to right, so each starts from its left neighbour. Probes rank by
-    the ascent's own maximum ELBO + E_q[log G], since the log evidence is
-    constant in the action; ``grid`` enters once, in the chosen action's
-    calibrated objective, which also checks that it matches the data.
-    Inner failures invalidate single probes; the rule aborts only when
-    every probe fails. ``risk=None`` uses the model's newsvendor risk.
+    ``_envelope_root`` follows ``envelope_slope`` from the naive action;
+    each inner fit is one ascent warm-started from the nearest solved
+    action (the first from the plain fit). A local search sees one minimum
+    only: if a fit fails, the slope is not finite or no sign change lies
+    before the interval's end, a 33-point scan plus golden refinement to
+    1e-4 ranks inner maxima instead, where failed fits only void their
+    probe. ``probe_count`` counts every inner fit. ``grid`` enters once,
+    in the chosen action's calibrated objective, which checks that it
+    matches the data. ``risk=None`` uses the model's newsvendor risk.
     """
     settings = settings or FitSettings()
+    risk = resolve_risk(risk, model)
     q_warm = fit_nvb(data, model, settings)[0] if nvb_start is None else nvb_start
-
+    a0 = decide_with_variational(q_warm, model).action
     solved: dict[float, tuple[LogNormalVariational, FitDiagnostics]] = {}
+    fits = 0
 
-    def inner_max(a: float) -> float:
+    def solve(a: float) -> tuple[LogNormalVariational, FitDiagnostics]:
+        nonlocal fits
         start = solved[min(solved, key=lambda b: abs(b - a))][0] if solved else q_warm
-        try:
-            solved[a] = fit_lcvb(a, data, model, settings, risk=risk, initial=start)
-        except NumericalError:
-            return math.inf  # invalid probe, never the minimum
-        return solved[a][1].objective
+        fits += 1
+        solved[a] = fit_lcvb(a, data, model, settings, risk=risk, initial=start)
+        return solved[a]
+
+    def slope(a: float) -> float:
+        return envelope_slope(a, solve(a)[0], risk, settings.node_count)
 
     def outer(a):
         if np.ndim(a):  # the coarse scan, an increasing array
-            return [inner_max(float(x)) for x in a]
-        return inner_max(a)
+            return [outer(float(x)) for x in a]
+        try:
+            return solve(a)[1].objective
+        except NumericalError:
+            return math.inf  # invalid probe, never the minimum
 
     lo, hi = model.action_interval
-    action, value, probes = minimize_on_grid_then_golden(
-        outer, lo, hi, LCVB_COARSE_POINTS, LCVB_OUTER_TOLERANCE
-    )
-    if not math.isfinite(value):
-        raise NumericalError("every outer action probe failed its inner fit")
+    try:
+        action, how = _envelope_root(slope, a0, lo, hi), "local"
+    except NumericalError as exc:
+        how = f"scan fallback: {exc}"
+        solved.clear()  # the scan warm-starts from the plain fit alone
+        action, value, _ = minimize_on_grid_then_golden(
+            outer, lo, hi, LCVB_COARSE_POINTS, LCVB_OUTER_TOLERANCE
+        )
+        if not math.isfinite(value):
+            raise NumericalError("every outer action probe failed its inner fit") from exc
     q, diagnostics = solved[action]
     objective = calibrated_objective(action, q, data, model, grid, risk, settings.node_count)
-    return DecisionOutcome(action, objective.value, Rule.LCVB, diagnostics, probes)
+    logger.debug("LCVB action %.9g after %d inner fits, %s", action, fits, how)
+    return DecisionOutcome(action, objective.value, Rule.LCVB, diagnostics, fits)
 
 
 def optimality_gap(outcome: DecisionOutcome, model: NewsvendorModel) -> tuple[float, float]:

@@ -15,7 +15,7 @@ import logging
 import math
 import platform
 from collections import Counter, defaultdict
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import partial
@@ -32,7 +32,7 @@ from .decisions import (
 )
 from .model import NewsvendorModel, sample_demand
 from .numerics import NumericalError
-from .oracle import MIN_POSTERIOR_NODES, bayes_decision, build_posterior
+from .oracle import MAX_POSTERIOR_NODES, MIN_POSTERIOR_NODES, bayes_decision, build_posterior
 from .vb import FitSettings, fit_nvb
 
 __all__ = [
@@ -91,8 +91,10 @@ class ExperimentConfig:
             raise ValueError("rules must be distinct")
         if len(self.action_interval) != 2:
             raise ValueError("action_interval must hold exactly [a_lo, a_hi]")
-        if self.posterior_nodes < MIN_POSTERIOR_NODES:
-            raise ValueError(f"posterior_nodes must be at least {MIN_POSTERIOR_NODES}")
+        if not MIN_POSTERIOR_NODES <= self.posterior_nodes <= MAX_POSTERIOR_NODES:
+            raise ValueError(
+                f"posterior_nodes must lie in [{MIN_POSTERIOR_NODES}, {MAX_POSTERIOR_NODES}]"
+            )
         # Validate the model once per holding cost; raises on a bad interval.
         for h in self.h_values:
             self.model_for(h)
@@ -205,7 +207,7 @@ class GapRecord:
     failed: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurvePoint:
     n: int
     gap_action_q: float | None
@@ -214,7 +216,7 @@ class CurvePoint:
     failures: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuantileCurve:
     rule: Rule
     h: float
@@ -311,7 +313,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[QuantileCurv
     workers = min(jobs, config.replications)
     if workers > 1:
         chunksize = max(1, config.replications // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Looked up here: the attribute's first access imports multiprocessing.
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_path = list(
                 pool.map(partial(simulate_path, config), indices, chunksize=chunksize)
             )

@@ -148,14 +148,14 @@ def loss(a: float, xi, model: NewsvendorModel):
 
 
 class Risk(Protocol):
-    """An expected cost G(a, theta) and its rate slope theta * dG/dtheta.
-
-    Both methods broadcast over arrays of actions ``a`` and rates ``theta``.
-    """
+    """An expected cost G(a, theta), its rate slope theta * dG/dtheta and its
+    action slope dG/da, each broadcasting over arrays of ``a`` and ``theta``."""
 
     def value(self, a, theta) -> np.ndarray: ...
 
     def theta_slope(self, a, theta) -> np.ndarray: ...
+
+    def action_slope(self, a, theta) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -182,6 +182,9 @@ class NewsvendorRisk:
     def theta_slope(self, a, theta):
         return self.h / theta - self._tail(a, theta) * (a * theta + 1.0)
 
+    def action_slope(self, a, theta):
+        return self.h - (self.b + self.h) * np.exp(-a * theta)
+
 
 @dataclass(frozen=True)
 class ConstantRisk:
@@ -194,6 +197,8 @@ class ConstantRisk:
 
     def theta_slope(self, a, theta):
         return np.zeros(np.broadcast_shapes(np.shape(a), np.shape(theta)))
+
+    action_slope = theta_slope  # both slopes are zero
 
 
 def resolve_risk(risk: Risk | None, model: NewsvendorModel) -> Risk:

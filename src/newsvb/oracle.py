@@ -44,6 +44,7 @@ __all__ = [
 BOUNDARY_DENSITY_RATIO = 1e-12
 MAX_WINDOW_EXPANSIONS = 20
 MIN_POSTERIOR_NODES = 32
+MAX_POSTERIOR_NODES = 4096  # leggauss(n) builds an n x n matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +100,9 @@ def build_posterior(
     there falls below 1e-12 of the peak. More than 20 expansions on either
     side aborts with a numerical error.
     """
-    if node_count < MIN_POSTERIOR_NODES:
-        raise ValueError(f"node_count must be at least {MIN_POSTERIOR_NODES}")
+    if not MIN_POSTERIOR_NODES <= node_count <= MAX_POSTERIOR_NODES:
+        bounds = f"[{MIN_POSTERIOR_NODES}, {MAX_POSTERIOR_NODES}]"
+        raise ValueError(f"node_count (posterior_nodes) must lie in {bounds}")
     theta_hat = mle(data)
     spread = 12.0 / math.sqrt(data.n)
     lo = theta_hat * max(1.0 - spread, 1e-3)

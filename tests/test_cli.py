@@ -260,6 +260,7 @@ class TestExperimentCommand:
             ("action_interval", [0.0, math.inf]),
             ("posterior_nodes", 16),
             ("h_values", [0.005, 0.005]),
+            ("posterior_nodes", 10_000_000),
         ],
     )
     def test_bad_config_value_exits_2_naming_the_key(
@@ -341,10 +342,15 @@ class TestCheck:
         assert re.search(r"quantile-nearest-rank\s+residual=.*FAIL", out)
 
     def test_package_and_check_load_no_scipy(self):
+        # A jobs=1 run must not load the process pool either.
         script = (
             "import sys, newsvb, newsvb.cli\n"
             "assert newsvb.cli.main(['check']) == 0\n"
+            "config = newsvb.reference_config(\n"
+            "    replications=1, n_schedule=(10,), h_values=(0.005,))\n"
+            "newsvb.run_experiment(config, jobs=1)\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
         )
         src = str(Path(newsvb.__file__).resolve().parents[1])
         result = subprocess.run(
@@ -354,7 +360,7 @@ class TestCheck:
             text=True,
             check=True,
         )
-        assert result.stdout.strip().splitlines()[-1] == "[]"
+        assert result.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
 
 
 class TestExitCodes:

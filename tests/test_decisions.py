@@ -1,5 +1,6 @@
 """Decision rules: two-stage NVB, nested LCVB, gap metrics, invariances."""
 
+import logging
 import math
 from dataclasses import replace
 
@@ -25,7 +26,7 @@ from newsvb import (
     sample_demand,
     true_optimal_action,
 )
-from newsvb.decisions import decide_on_measure, decide_with_variational
+from newsvb.decisions import decide_on_measure, decide_with_variational, envelope_slope
 from newsvb.numerics import NumericalError, minimize_on_grid_then_golden
 from newsvb.vb import FitSettings, calibrated_objective, fit_lcvb
 
@@ -108,6 +109,42 @@ class TestDecideOnMeasure:
         assert outcome == bayes_decision(grid_n50, base_model)
 
 
+def scan_reference(data, model):
+    """The global LCVB scan: inner-fit objectives searched by a 33-point grid
+    and golden refinement to 1e-4, each fit warm-started from the nearest
+    solved action (the first from the plain fit). Returns (action, value)."""
+    q_plain = fit_nvb(data, model)[0]
+    solved = {}
+
+    def inner(a):
+        start = solved[min(solved, key=lambda b: abs(b - a))][0] if solved else q_plain
+        solved[a] = fit_lcvb(a, data, model, initial=start)
+        return solved[a][1].objective
+
+    def outer(a):
+        return [inner(float(x)) for x in a] if np.ndim(a) else inner(a)
+
+    lo, hi = model.action_interval
+    action, value, _ = minimize_on_grid_then_golden(outer, lo, hi, 33, 1e-4)
+    return action, value
+
+
+class NaNSlope:
+    """The built-in risk with an action slope that is never finite."""
+
+    def __init__(self, model):
+        self.builtin = NewsvendorRisk(model.h, model.b)
+
+    def value(self, a, theta):
+        return self.builtin.value(a, theta)
+
+    def theta_slope(self, a, theta):
+        return self.builtin.theta_slope(a, theta)
+
+    def action_slope(self, a, theta):
+        return np.full_like(theta, math.nan)
+
+
 class TestLcvbDecide:
     def test_constant_risk_returns_lower_endpoint(self, data_n50, base_model, grid_n50):
         outcome = lcvb_decide(data_n50, base_model, grid_n50, risk=ConstantRisk(1.5))
@@ -167,6 +204,9 @@ class TestLcvbDecide:
             def theta_slope(self, a, theta):
                 return self.builtin.theta_slope(a, theta)
 
+            def action_slope(self, a, theta):
+                return self.builtin.action_slope(a, theta)
+
         outcome = lcvb_decide(data_n50, base_model, grid_n50, risk=Patchy())
         assert outcome.action <= 25.0
         reference = lcvb_decide(data_n50, base_model, grid_n50)
@@ -189,6 +229,48 @@ class TestLcvbDecide:
         assert coarse.inner_fit == fine.inner_fit
         shift = grid_n50.log_evidence - coarse_grid.log_evidence
         assert fine.objective_value - coarse.objective_value == pytest.approx(-shift, abs=1e-9)
+
+    @pytest.mark.parametrize("a", [1.0, 4.0, 10.0, 30.0])
+    def test_envelope_slope_is_the_derivative_of_the_inner_maximum(
+        self, a, data_n50, base_model
+    ):
+        q, _ = fit_lcvb(a, data_n50, base_model)
+        delta = 1e-4
+        above = fit_lcvb(a + delta, data_n50, base_model, initial=q)[1].objective
+        below = fit_lcvb(a - delta, data_n50, base_model, initial=q)[1].objective
+        central = (above - below) / (2 * delta)
+        builtin = NewsvendorRisk(base_model.h, base_model.b)
+        assert envelope_slope(a, q, builtin) == pytest.approx(central, rel=1e-5)
+
+    def test_local_search_agrees_with_the_global_scan(self, base_model):
+        for seed in (40, 41, 42):
+            stream = sample_demand(base_model.theta0, 1250, np.random.default_rng(seed))
+            for n in (10, 250, 1250):
+                data = stream.prefix(n)
+                grid = build_posterior(data, base_model)
+                for h in (0.001, 0.005, 0.009):
+                    model = replace(base_model, h=h)
+                    outcome = lcvb_decide(data, model, grid)
+                    action, value = scan_reference(data, model)
+                    assert abs(outcome.action - action) <= 1e-4, (seed, n, h)
+                    assert outcome.inner_fit.objective <= value + 1e-9, (seed, n, h)
+                    assert outcome.probe_count <= 12, (seed, n, h)
+
+    def test_non_finite_slope_falls_back_to_the_scan(self, data_n50, base_model, grid_n50):
+        outcome = lcvb_decide(data_n50, base_model, grid_n50, risk=NaNSlope(base_model))
+        assert outcome.action == scan_reference(data_n50, base_model)[0]
+        assert outcome.probe_count >= 33
+
+    def test_debug_line_names_the_fallback_reason(
+        self, data_n50, base_model, grid_n50, caplog
+    ):
+        with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
+            lcvb_decide(data_n50, base_model, grid_n50, risk=NaNSlope(base_model))
+            lcvb_decide(data_n50, base_model, grid_n50)
+        lines = [r.getMessage() for r in caplog.records]
+        fallback, local = [line for line in lines if line.startswith("LCVB action")]
+        assert "scan fallback: envelope slope is nan" in fallback
+        assert local.endswith(", local")
 
 
 class TestOptimalityGap:

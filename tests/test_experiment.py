@@ -166,7 +166,7 @@ class TestRunExperiment:
 
         config = tiny_config(replications=2)
         serial = run_experiment(config, jobs=1)
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiment.futures, "ProcessPoolExecutor", SerialPool)
         assert run_experiment(config, jobs=64) == serial
         assert sizes == [2]
 

@@ -153,9 +153,17 @@ class TestRisk:
         ) / (2 * eps)
         slope = builtin.theta_slope(actions[:, None], thetas[None, :])
         assert np.allclose(slope, central, rtol=1e-6, atol=1e-9)
+        central_a = (
+            builtin.value(actions[:, None] + eps, thetas)
+            - builtin.value(actions[:, None] - eps, thetas)
+        ) / (2 * eps)
+        slope_a = builtin.action_slope(actions[:, None], thetas[None, :])
+        assert slope_a.shape == (7, 11)
+        assert np.allclose(slope_a, central_a, rtol=1e-6, atol=1e-9)
         constant = ConstantRisk(2.5)
         assert np.array_equal(constant.value(actions[:, None], thetas), np.full((7, 11), 2.5))
         assert not np.any(constant.theta_slope(1.0, thetas))
+        assert not np.any(constant.action_slope(1.0, thetas))
 
 
 def risk_curve(actions, theta, model):

@@ -69,6 +69,10 @@ class TestBuildPosterior:
         with pytest.raises(ValueError):
             build_posterior(data_n50, base_model, node_count=16)
 
+    def test_rejects_huge_node_count(self, data_n50, base_model):
+        with pytest.raises(ValueError, match="posterior_nodes"):
+            build_posterior(data_n50, base_model, node_count=4097)
+
     def test_tiny_sample_is_supported(self, base_model):
         grid = build_posterior(Observations([2.0]), base_model)
         assert abs(grid.normalized_weights.sum() - 1.0) < 1e-10
