@@ -32,6 +32,7 @@ from .vb import (  # noqa: F401
     fit_lcvb,
     fit_nvb,
     kl_decomposition_check,
+    posterior_kl,
     variational_variance,
 )
 from .decisions import (  # noqa: F401

@@ -51,6 +51,7 @@ from .vb import (
     fit_lcvb,
     fit_nvb,
     kl_decomposition_check,
+    posterior_kl,
 )
 
 logger = logging.getLogger(__name__)
@@ -259,13 +260,14 @@ def cmd_fit(args) -> int:
     if args.calibrate is not None:
         q, diag = fit_lcvb(args.calibrate, data, model, settings)
         objective = calibrated_objective(args.calibrate, q, data, model, grid)
-        print(f"rule                loss-calibrated fit at a={args.calibrate:.6g}")
+        rule = f"loss-calibrated fit at a={args.calibrate:.6g}"
     else:
         q, diag = fit_nvb(data, model, settings)
         objective = None
-        print("rule                plain variational fit")
-    kl = grid.log_evidence - elbo(q, data, model)
+        rule = "plain variational fit"
+    kl = posterior_kl(q, data, model, grid)
     theta_hat = mle(data)
+    print(f"rule                {rule}")
     print(f"n                   {data.n}")
     print(f"mu                  {q.mu:.10g}")
     print(f"sigma               {q.sigma:.10g}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -73,11 +73,14 @@ class Rule(enum.Enum):
 
 @dataclass(frozen=True)
 class DecisionOutcome:
+    """A rule's action; for NVB, ``q`` is the plain fit it was decided with."""
+
     action: float
     objective_value: float
     rule: Rule
     inner_fit: FitDiagnostics | None = None
     probe_count: int = 0
+    q: LogNormalVariational | None = None
 
 
 def _gauss_hermite_measure(q: LogNormalVariational, node_count: int = 64):
@@ -116,7 +119,8 @@ def decide_with_variational(
     diagnostics: FitDiagnostics | None = None,
 ) -> DecisionOutcome:
     """Minimize H_q over the action interval for an already fitted q."""
-    return decide_on_measure(*_gauss_hermite_measure(q), model, Rule.NVB, diagnostics)
+    outcome = decide_on_measure(*_gauss_hermite_measure(q), model, Rule.NVB, diagnostics)
+    return replace(outcome, q=q)
 
 
 def nvb_decide(
@@ -181,11 +185,12 @@ def lcvb_decide(
     grid: "PosteriorGrid",
     settings: FitSettings | None = None,
     risk: Risk | None = None,
-    nvb_start: LogNormalVariational | None = None,
+    nvb_start: DecisionOutcome | None = None,
 ) -> DecisionOutcome:
     """Nested min-max rule: min_a V(a), V(a) = max_q F(a, q).
 
-    ``_envelope_root`` follows ``envelope_slope`` from the naive action;
+    ``_envelope_root`` follows ``envelope_slope`` from the naive action,
+    ``nvb_start`` (an NVB outcome with its q) or else ``nvb_decide``'s;
     each inner fit is one ascent warm-started from the nearest solved
     action (the first from the plain fit). A local search sees one minimum
     only: if a fit fails, the slope is not finite or no sign change lies
@@ -197,8 +202,8 @@ def lcvb_decide(
     """
     settings = settings or FitSettings()
     risk = resolve_risk(risk, model)
-    q_warm = fit_nvb(data, model, settings)[0] if nvb_start is None else nvb_start
-    a0 = decide_with_variational(q_warm, model).action
+    nvb = nvb_decide(data, model, settings) if nvb_start is None else nvb_start
+    q_warm, a0 = nvb.q, nvb.action
     solved: dict[float, tuple[LogNormalVariational, FitDiagnostics]] = {}
     fits = 0
 

@@ -241,8 +241,9 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
     One stream of max(n_schedule) demands is drawn; each n reuses its
     prefix and each holding cost sees the same prefix. The posterior grid
     and the plain variational fit depend only on the prefix and the prior,
-    so they are shared across holding costs. Rule failures mark their cell
-    and never abort the path.
+    so they are shared across holding costs; the NVB decision, made once
+    per (n, h), is also LCVB's start, and its failure fails both cells.
+    Rule failures mark their cell and never abort the path.
     """
     if not 0 <= path_index < config.replications:
         raise ValueError(f"path_index {path_index} outside [0, {config.replications})")
@@ -270,16 +271,22 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
             continue
         for h in config.h_values:
             model = config.model_for(h)
+            nvb = None
+            if needs_fit:
+                try:
+                    nvb = decide_with_variational(q_nvb, model, nvb_diag)
+                except NumericalError:
+                    pass  # fails the NVB and LCVB cells below
             for rule in config.rules:
                 try:
-                    if rule is Rule.NVB:
-                        outcome = decide_with_variational(q_nvb, model, nvb_diag)
-                    elif rule is Rule.LCVB:
-                        outcome = lcvb_decide(
-                            data, model, grid, settings, nvb_start=q_nvb
-                        )
-                    else:
+                    if rule is Rule.BAYES:
                         outcome = bayes_decision(grid, model)
+                    elif nvb is None:
+                        raise NumericalError("the NVB decision failed")
+                    elif rule is Rule.NVB:
+                        outcome = nvb
+                    else:
+                        outcome = lcvb_decide(data, model, grid, settings, nvb_start=nvb)
                     gap_action, gap_regret = optimality_gap(outcome, model)
                     records.append(GapRecord(rule, h, n, gap_action, gap_regret))
                 except NumericalError:

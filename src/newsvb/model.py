@@ -53,10 +53,14 @@ class Observations:
             raise ValueError("observations must form a non-empty 1-D sequence")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
             raise ValueError("demand observations must be finite and nonnegative")
+        with np.errstate(over="ignore"):
+            total = float(arr.sum())
+        if not math.isfinite(total):
+            raise ValueError("demand observations sum past the floating-point range")
         arr.setflags(write=False)
         self.values = arr
         self.n = int(arr.size)
-        self.sum_s = float(arr.sum())
+        self.sum_s = total
 
     def prefix(self, n: int) -> "Observations":
         """First ``n`` observations as a fresh sample (nested-sample design)."""
@@ -148,12 +152,16 @@ def loss(a: float, xi, model: NewsvendorModel):
 
 
 class Risk(Protocol):
-    """An expected cost G(a, theta), its rate slope theta * dG/dtheta and its
-    action slope dG/da, each broadcasting over arrays of ``a`` and ``theta``."""
+    """An expected cost G(a, theta), its rate slope theta * dG/dtheta, its
+    rate curvature theta * d(theta * dG/dtheta)/dtheta (the second derivative
+    in log theta) and its action slope dG/da, each broadcasting over arrays
+    of ``a`` and ``theta``."""
 
     def value(self, a, theta) -> np.ndarray: ...
 
     def theta_slope(self, a, theta) -> np.ndarray: ...
+
+    def theta_curvature(self, a, theta) -> np.ndarray: ...
 
     def action_slope(self, a, theta) -> np.ndarray: ...
 
@@ -182,6 +190,10 @@ class NewsvendorRisk:
     def theta_slope(self, a, theta):
         return self.h / theta - self._tail(a, theta) * (a * theta + 1.0)
 
+    def theta_curvature(self, a, theta):
+        a_theta = a * theta
+        return self._tail(a, theta) * (a_theta * a_theta + a_theta + 1.0) - self.h / theta
+
     def action_slope(self, a, theta):
         return self.h - (self.b + self.h) * np.exp(-a * theta)
 
@@ -198,7 +210,7 @@ class ConstantRisk:
     def theta_slope(self, a, theta):
         return np.zeros(np.broadcast_shapes(np.shape(a), np.shape(theta)))
 
-    action_slope = theta_slope  # both slopes are zero
+    action_slope = theta_curvature = theta_slope  # every derivative is zero
 
 
 def resolve_risk(risk: Risk | None, model: NewsvendorModel) -> Risk:

@@ -1,4 +1,4 @@
-"""Shared numerical machinery: quadrature tables, 1-D minimization, ascent."""
+"""Shared numerical machinery: quadrature tables, 1-D minimization, Newton ascent."""
 
 from __future__ import annotations
 
@@ -113,21 +113,35 @@ class AscentResult:
     gradient_norm: float
     iterations: int
     converged: bool
+    fallback_steps: int = 0
+
+
+def _newton_direction(gradient, hessian):
+    """-H^{-1} g for a negative definite 2x2 ``hessian``, else None."""
+    h00, h01, h11 = hessian[0][0], hessian[0][1], hessian[1][1]
+    det = h00 * h11 - h01 * h01
+    if not (h00 < 0.0 and 0.0 < det < math.inf):  # False for NaN too
+        return None
+    g0, g1 = gradient
+    return np.array([h01 * g1 - h11 * g0, h01 * g0 - h00 * g1]) / det
 
 
 def ascend(
-    value_and_grad,
+    objective,
     x0,
-    preconditioner,
     tolerance: float = 1e-8,
     max_iterations: int = 10_000,
 ) -> AscentResult:
-    """Maximize a smooth objective by scaled gradient ascent with Armijo backtracking.
+    """Maximize a smooth objective of two parameters by damped Newton ascent.
 
-    ``value_and_grad(x) -> (f, g)``; ``preconditioner(x)`` returns a positive
-    per-coordinate step scaling. Stops when the true gradient norm drops
-    below ``tolerance`` or the iteration cap is hit; a stalled line search
-    ends the run with ``converged=False``.
+    ``objective(x) -> (f, g, H, H_fallback)`` gives the value, gradient and
+    Hessian at ``x`` plus a fallback curvature that is negative definite
+    wherever ``f`` is finite. Each step solves the Newton system with ``H``,
+    or with ``H_fallback`` where ``H`` is not negative definite (counted in
+    ``fallback_steps``), and halves the step until the Armijo condition
+    holds. Stops when the gradient norm drops below ``tolerance`` or the
+    iteration cap is hit; a stalled line search, or no negative definite
+    curvature at all, ends the run with ``converged=False``.
 
     The Armijo test tolerates objective changes within a few ulps of the
     current value: near the optimum the analytic gradient keeps far more
@@ -136,11 +150,11 @@ def ascend(
     so the result never undercuts its own starting value.
     """
     x = np.array(x0, dtype=float)
-    value, grad = value_and_grad(x)
+    value, grad, hess, fallback = objective(x)
     if not math.isfinite(value):
         raise NumericalError("objective is not finite at the initial point")
-    grad = np.asarray(grad, dtype=float)
     best_x, best_value, best_grad = x, value, grad
+    fallback_steps = 0
 
     def result(iterations: int, *, stopped_by_tolerance: bool) -> AscentResult:
         if stopped_by_tolerance or value >= best_value:
@@ -148,27 +162,34 @@ def ascend(
         else:
             out_x, out_value, out_grad = best_x, best_value, best_grad
         norm = float(np.linalg.norm(out_grad))
-        return AscentResult(out_x, out_value, norm, iterations, norm < tolerance)
+        return AscentResult(
+            out_x, out_value, norm, iterations, norm < tolerance, fallback_steps
+        )
 
     for iteration in range(max_iterations):
-        gradient_norm = float(np.linalg.norm(grad))
-        if gradient_norm < tolerance:
+        if float(np.linalg.norm(grad)) < tolerance:
             return result(iteration, stopped_by_tolerance=True)
-        direction = grad * preconditioner(x)
+        direction = _newton_direction(grad, hess)
+        if direction is None:
+            fallback_steps += 1
+            direction = _newton_direction(grad, fallback)
+            if direction is None:
+                return result(iteration, stopped_by_tolerance=False)
         slope = float(grad @ direction)
         noise = 64.0 * np.finfo(float).eps * (1.0 + abs(value))
         step = 1.0
         accepted = False
         while step > 1e-20:
             candidate = x + step * direction
-            cand_value, cand_grad = value_and_grad(candidate)
-            if math.isfinite(cand_value) and cand_value + noise >= value + _ARMIJO * step * slope:
+            cand = objective(candidate)
+            if math.isfinite(cand[0]) and cand[0] + noise >= value + _ARMIJO * step * slope:
                 accepted = True
                 break
             step *= 0.5
         if not accepted or np.array_equal(candidate, x):
             return result(iteration + 1, stopped_by_tolerance=False)
-        x, value, grad = candidate, cand_value, np.asarray(cand_grad, dtype=float)
+        x = candidate
+        value, grad, hess, fallback = cand
         if value > best_value:
             best_x, best_value, best_grad = x, value, grad
     return result(max_iterations, stopped_by_tolerance=False)

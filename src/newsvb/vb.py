@@ -22,13 +22,20 @@ expectation E_q[log G] is computed with deterministic Gauss-Hermite nodes
 (theta = exp(mu + sigma*z), z ~ N(0,1)), which keeps the nested decision
 loops reproducible.
 
-Each fit is one Armijo-backtracked ascent over (mu, rho = log sigma) from
-its start, with a curvature-derived diagonal step scaling; the likelihood
-curvature in mu grows like n while the rho curvature stays O(1), so
-unscaled steps would stall long before the 1e-8 gradient tolerance. One
-ascent suffices for the plain fit: the ELBO is strictly concave in
-(mu, sigma^2) (a sum of negated exponentials of linear forms, linear
-terms and 0.5*log(sigma^2)), so its maximizer is unique.
+Each fit is one damped Newton ascent (``numerics.ascend``) over
+(mu, rho = log sigma) from its start. With A = S*exp(mu + v/2),
+B = beta*exp(-mu + v/2) and v = sigma^2, the bound's Hessian is
+
+    H_mumu = -(A + B),  H_murho = v*(B - A),  H_rhorho = -v*(A + B)*(2 + v),
+
+negative definite everywhere (its determinant is 2v(A+B)^2 + 4v^2*AB > 0).
+The calibrated fit adds the Gauss-Hermite Hessian of E_q[log G], which
+needs the risk's second derivative in log theta (``Risk.theta_curvature``);
+where that sum is not negative definite, the step uses the bound's Hessian
+alone. Newton steps take the likelihood curvature in mu, which grows like
+n, in their stride. One ascent suffices for the plain fit: the ELBO is
+strictly concave in (mu, sigma^2) (a sum of negated exponentials of linear
+forms, linear terms and 0.5*log(sigma^2)), so its maximizer is unique.
 
 The risk G enters through a ``Risk`` object (``model.Risk``); passing
 ``risk=None`` selects the model's own newsvendor risk.
@@ -64,6 +71,7 @@ __all__ = [
     "CalibratedObjective",
     "elbo",
     "elbo_gradient",
+    "posterior_kl",
     "fit_nvb",
     "calibrated_objective",
     "fit_lcvb",
@@ -156,13 +164,13 @@ def _guarded_exp(x: float) -> float:
 
 
 def _elbo_terms(mu: float, rho: float, n: int, total: float, alpha: float, beta: float):
-    """Value and (d/dmu, d/drho) gradient of the closed-form bound."""
+    """Value, (mu, rho) gradient and Hessian of the closed-form bound."""
     sigma = _guarded_exp(rho)
     v = sigma * sigma
     ep = _guarded_exp(mu + 0.5 * v)  # E_q[theta]
     em = _guarded_exp(-mu + 0.5 * v)  # E_q[1/theta]
     if not (math.isfinite(ep) and math.isfinite(em) and math.isfinite(v)):
-        return -math.inf, np.zeros(2)
+        return -math.inf, np.zeros(2), np.zeros((2, 2))
     value = (
         n * mu
         - total * ep
@@ -174,47 +182,58 @@ def _elbo_terms(mu: float, rho: float, n: int, total: float, alpha: float, beta:
         + 0.5 * (1.0 + _LOG_2PI)
         + rho
     )
-    g_mu = n - alpha - total * ep + beta * em
-    g_rho = 1.0 - v * (total * ep + beta * em)
-    return value, np.array([g_mu, g_rho])
-
-
-def _elbo_preconditioner(n: int, total: float, alpha: float, beta: float):
-    """Positive diagonal step scaling from the bound's curvature profile."""
-
-    def precondition(x):
-        mu, rho = float(x[0]), float(x[1])
-        sigma = _guarded_exp(rho)
-        v = sigma * sigma
-        t = total * _guarded_exp(mu + 0.5 * v) + beta * _guarded_exp(-mu + 0.5 * v)
-        t = min(t, 1e300) if math.isfinite(t) else 1e300
-        c_mu = t + 1.0
-        c_rho = min(v * t * (2.0 + v), 1e300) + 2.0
-        return np.array([1.0 / c_mu, 1.0 / c_rho])
-
-    return precondition
+    a_term, b_term = total * ep, beta * em
+    both = a_term + b_term
+    cross = v * (b_term - a_term)
+    gradient = np.array([n - alpha - a_term + b_term, 1.0 - v * both])
+    hessian = np.array([[-both, cross], [cross, -v * both * (2.0 + v)]])
+    return value, gradient, hessian
 
 
 def elbo(q: LogNormalVariational, data: Observations, model: NewsvendorModel) -> float:
     """Closed-form evidence lower bound at q."""
-    value, _ = _elbo_terms(q.mu, math.log(q.sigma), data.n, data.sum_s, model.alpha, model.beta)
-    return value
+    return _elbo_terms(q.mu, math.log(q.sigma), data.n, data.sum_s, model.alpha, model.beta)[0]
 
 
 def elbo_gradient(q: LogNormalVariational, data: Observations, model: NewsvendorModel) -> np.ndarray:
     """Analytic gradient of the bound with respect to (mu, log sigma)."""
-    _, grad = _elbo_terms(q.mu, math.log(q.sigma), data.n, data.sum_s, model.alpha, model.beta)
-    return grad
+    return _elbo_terms(q.mu, math.log(q.sigma), data.n, data.sum_s, model.alpha, model.beta)[1]
 
 
-def _fit(value_and_grad, x0, data: Observations, model: NewsvendorModel, settings: FitSettings):
-    """One preconditioned ascent from ``x0``, as (member, diagnostics)."""
+def posterior_kl(
+    q: LogNormalVariational, data: Observations, model: NewsvendorModel, grid: "PosteriorGrid"
+) -> float:
+    """KL(q || posterior) as the oracle's log evidence minus the bound.
+
+    Raises ``NumericalError`` when the evidence falls below the bound by
+    more than 1e-6: the grid was built for other data, or it cannot resolve
+    this posterior. Smaller negative values are rounding and read 0.
+    """
+    kl = grid.log_evidence - elbo(q, data, model)
+    if kl < -1e-6:
+        raise NumericalError(
+            f"evidence {grid.log_evidence:.9g} fell below the bound by {-kl:.3e}; "
+            "the posterior grid does not match or does not resolve this dataset"
+        )
+    return max(kl, 0.0)
+
+
+def _nvb_objective(data: Observations, model: NewsvendorModel):
+    """The bound as an ``ascend`` objective of x = (mu, rho)."""
+
+    def objective(x):
+        value, gradient, hessian = _elbo_terms(
+            float(x[0]), float(x[1]), data.n, data.sum_s, model.alpha, model.beta
+        )
+        return value, gradient, hessian, hessian
+
+    return objective
+
+
+def _fit(objective, x0, settings: FitSettings, kind: str):
+    """One Newton ascent from ``x0``, as (member, diagnostics)."""
     result = ascend(
-        value_and_grad,
-        x0,
-        tolerance=settings.tolerance,
-        max_iterations=settings.max_iterations,
-        preconditioner=_elbo_preconditioner(data.n, data.sum_s, model.alpha, model.beta),
+        objective, x0, tolerance=settings.tolerance, max_iterations=settings.max_iterations
     )
     q = LogNormalVariational(mu=float(result.x[0]), sigma=math.exp(float(result.x[1])))
     diagnostics = FitDiagnostics(
@@ -222,6 +241,13 @@ def _fit(value_and_grad, x0, data: Observations, model: NewsvendorModel, setting
         final_gradient_norm=result.gradient_norm,
         converged=result.converged,
         objective=result.value,
+    )
+    logger.debug(
+        "%s: %d iterations, gradient norm %.3e, %d fallback steps",
+        kind,
+        result.iterations,
+        result.gradient_norm,
+        result.fallback_steps,
     )
     return q, diagnostics
 
@@ -242,11 +268,7 @@ def fit_nvb(
     if data.sum_s <= 0:
         raise ValueError("degenerate data: all observed demands are zero")
     x0 = np.array([math.log(data.n / data.sum_s), -0.5 * math.log(data.n)])
-
-    def value_and_grad(x):
-        return _elbo_terms(float(x[0]), float(x[1]), data.n, data.sum_s, model.alpha, model.beta)
-
-    q, diagnostics = _fit(value_and_grad, x0, data, model, settings)
+    q, diagnostics = _fit(_nvb_objective(data, model), x0, settings, "plain fit")
     if not diagnostics.converged:
         logger.warning(
             "variational fit stopped at gradient norm %.3e after %d iterations",
@@ -257,9 +279,9 @@ def fit_nvb(
 
 
 def _log_risk_term(a: float, mu: float, rho: float, risk: Risk, node_count: int):
-    """E_q[log G(a, theta)] and its (mu, rho) gradient by Gauss-Hermite.
+    """E_q[log G(a, theta)] with its (mu, rho) gradient and Hessian by Gauss-Hermite.
 
-    Returns (value, g_mu, g_rho, clamped). Raises when the risk is not
+    Returns (value, gradient, hessian, clamped). Raises when the risk is not
     strictly positive at some node; positive values below the floating
     floor are clamped and flagged.
     """
@@ -276,12 +298,34 @@ def _log_risk_term(a: float, mu: float, rho: float, risk: Risk, node_count: int)
     if clamped:
         logger.warning("risk values clamped at %.1e before taking logs (a=%.6g)", _RISK_FLOOR, a)
         values = np.maximum(values, _RISK_FLOOR)
-    # d(log G)/dmu = theta * dG/dtheta / G
-    relative = risk.theta_slope(a, theta) / values
-    value = float(w @ np.log(values))
-    g_mu = float(w @ relative)
-    g_rho = float(w @ (relative * scaled_z))
-    return value, g_mu, g_rho, clamped
+    # With l(u) = log G(a, e^u): l' = theta*dG/dtheta / G and
+    # l'' = theta*d(theta*dG/dtheta)/dtheta / G - l'^2, at u = mu + sigma*z.
+    slope = risk.theta_slope(a, theta) / values
+    w_slope = w * slope
+    w_curv = w * (risk.theta_curvature(a, theta) / values - slope * slope)
+    g_mu, g_rho = float(w_slope.sum()), float(w_slope @ scaled_z)
+    h_mu_rho = float(w_curv @ scaled_z)
+    hessian = np.array(
+        [[float(w_curv.sum()), h_mu_rho], [h_mu_rho, float(w_curv @ (scaled_z * scaled_z)) + g_rho]]
+    )
+    return float(w @ np.log(values)), np.array([g_mu, g_rho]), hessian, clamped
+
+
+def _lcvb_objective(
+    a: float, data: Observations, model: NewsvendorModel, risk: Risk, node_count: int
+):
+    """ELBO + E_q[log G(a, .)] as an ``ascend`` objective of x = (mu, rho),
+    with the bound's own Hessian as the fallback curvature."""
+
+    def objective(x):
+        mu, rho = float(x[0]), float(x[1])
+        value, gradient, hessian = _elbo_terms(mu, rho, data.n, data.sum_s, model.alpha, model.beta)
+        if not math.isfinite(value):
+            return -math.inf, gradient, hessian, hessian
+        lr_value, lr_gradient, lr_hessian, _ = _log_risk_term(a, mu, rho, risk, node_count)
+        return value + lr_value, gradient + lr_gradient, hessian + lr_hessian, hessian
+
+    return objective
 
 
 def calibrated_objective(
@@ -295,20 +339,14 @@ def calibrated_objective(
 ) -> CalibratedObjective:
     """Evaluate F(a, q) = -KL(q || posterior) + E_q[log G(a, theta)].
 
-    The divergence uses the quadrature oracle's log evidence, making it
-    exact up to the evidence's own quadrature error.
+    The divergence is ``posterior_kl``: exact up to the quadrature
+    oracle's own error, and checked against it.
     """
     validate_action(a, model)
     log_risk, _, _, clamped = _log_risk_term(
         a, q.mu, math.log(q.sigma), resolve_risk(risk, model), node_count
     )
-    kl_term = grid.log_evidence - elbo(q, data, model)
-    if kl_term < -1e-6:
-        raise NumericalError(
-            f"evidence {grid.log_evidence:.9g} fell below the bound by {-kl_term:.3e}; "
-            "the posterior grid does not match this dataset"
-        )
-    kl_term = max(kl_term, 0.0)
+    kl_term = posterior_kl(q, data, model, grid)
     return CalibratedObjective(
         value=-kl_term + log_risk,
         kl_term=kl_term,
@@ -339,16 +377,8 @@ def fit_lcvb(
     risk = resolve_risk(risk, model)
     q0 = fit_nvb(data, model, settings)[0] if initial is None else initial
     x0 = np.array([q0.mu, math.log(q0.sigma)])
-
-    def value_and_grad(x):
-        mu, rho = float(x[0]), float(x[1])
-        value, grad = _elbo_terms(mu, rho, data.n, data.sum_s, model.alpha, model.beta)
-        if not math.isfinite(value):
-            return -math.inf, grad
-        lr_value, lr_mu, lr_rho, _ = _log_risk_term(a, mu, rho, risk, settings.node_count)
-        return value + lr_value, grad + np.array([lr_mu, lr_rho])
-
-    q, diagnostics = _fit(value_and_grad, x0, data, model, settings)
+    objective = _lcvb_objective(a, data, model, risk, settings.node_count)
+    q, diagnostics = _fit(objective, x0, settings, f"calibrated fit at a={a:.9g}")
     if not diagnostics.converged:
         logger.warning(
             "calibrated fit at a=%.6g stopped at gradient norm %.3e",
@@ -392,8 +422,8 @@ def kl_decomposition_check(
 
     lhs = float(w @ (log_q - np.log(g_nodes) - log_joint)) + grid.log_evidence + log_zg
     kl_q_post = grid.log_evidence - elbo(q, data, model)
-    ref_log_risk, _, _, _ = _log_risk_term(
+    ref_log_risk = _log_risk_term(
         a, q.mu, math.log(q.sigma), risk, reference_node_count
-    )
+    )[0]
     rhs = kl_q_post - ref_log_risk + log_zg
     return abs(lhs - rhs)

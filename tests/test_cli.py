@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,18 @@ class TestFit:
         value = float(report["objective value"])
         kl_term, log_risk_term = float(report["kl_term"]), float(report["log_risk_term"])
         assert abs(value - (-kl_term + log_risk_term)) <= 1e-9
+
+    def test_unresolved_posterior_is_a_numerical_failure(self, capsys):
+        code, _, err = run_cli(capsys, "fit", "--values", "1e12,2e12")
+        assert code == 3
+        assert "does not match or does not resolve this dataset" in err
+
+    def test_overflowing_demand_sum_is_a_config_error(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, "fit", "--values", "1e308,1e308")
+        assert code == 2
+        assert "sum past the floating-point range" in err
 
     def test_requires_some_data_source(self, capsys):
         code, _, err = run_cli(capsys, "fit", "--theta0", "0.68")

@@ -141,6 +141,9 @@ class NaNSlope:
     def theta_slope(self, a, theta):
         return self.builtin.theta_slope(a, theta)
 
+    def theta_curvature(self, a, theta):
+        return self.builtin.theta_curvature(a, theta)
+
     def action_slope(self, a, theta):
         return np.full_like(theta, math.nan)
 
@@ -203,6 +206,9 @@ class TestLcvbDecide:
 
             def theta_slope(self, a, theta):
                 return self.builtin.theta_slope(a, theta)
+
+            def theta_curvature(self, a, theta):
+                return self.builtin.theta_curvature(a, theta)
 
             def action_slope(self, a, theta):
                 return self.builtin.action_slope(a, theta)
@@ -320,7 +326,7 @@ class TestMonotoneConsistency:
                 grid = build_posterior(data, base_model)
                 q, diag = fit_nvb(data, base_model)
                 nvb = decide_with_variational(q, base_model, diag)
-                lcvb = lcvb_decide(data, base_model, grid, nvb_start=q)
+                lcvb = lcvb_decide(data, base_model, grid, nvb_start=nvb)
                 gaps[Rule.NVB][n].append(optimality_gap(nvb, base_model)[0])
                 gaps[Rule.LCVB][n].append(optimality_gap(lcvb, base_model)[0])
         for rule in (Rule.NVB, Rule.LCVB):

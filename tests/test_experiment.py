@@ -7,8 +7,9 @@ import platform
 import numpy as np
 import pytest
 
+import newsvb.decisions as decisions
 import newsvb.experiment as experiment
-from newsvb import Rule
+from newsvb import NumericalError, Rule
 from newsvb.experiment import (
     CurvePoint,
     ExperimentConfig,
@@ -114,6 +115,55 @@ class TestSimulatePath:
         }
         for key, record in narrow_records.items():
             assert wide_records[key] == record
+
+    def test_one_nvb_decide_per_cell_and_lcvb_starts_from_it(self, monkeypatch):
+        config = tiny_config(h_values=(0.003, 0.008))
+        calls = []
+        lcvb_calls = []
+
+        def counted(original):
+            def decide(*args, **kwargs):
+                calls.append(args[1].h)
+                return original(*args, **kwargs)
+
+            return decide
+
+        def recorded(*args, **kwargs):
+            outcome = decisions.lcvb_decide(*args, **kwargs)
+            lcvb_calls.append((args, outcome))
+            return outcome
+
+        monkeypatch.setattr(
+            experiment, "decide_with_variational", counted(decisions.decide_with_variational)
+        )
+        monkeypatch.setattr(
+            decisions, "decide_with_variational", counted(decisions.decide_with_variational)
+        )
+        monkeypatch.setattr(experiment, "lcvb_decide", recorded)
+        records = simulate_path(config, 1)
+        assert not any(record.failed for record in records)
+        assert len(calls) == len(config.n_schedule) * len(config.h_values)
+        assert len(lcvb_calls) == len(calls)
+        calls.clear()
+        for (data, model, grid, settings), outcome in lcvb_calls:
+            alone = decisions.lcvb_decide(data, model, grid, settings)  # fits its own q
+            assert alone.action == outcome.action
+            assert alone.objective_value == outcome.objective_value
+        # Without a start, lcvb_decide decides NVB itself, and the counter sees it.
+        assert len(calls) == len(lcvb_calls)
+
+    def test_failed_nvb_decide_fails_both_variational_cells(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise NumericalError("synthetic failure")
+
+        monkeypatch.setattr(experiment, "decide_with_variational", failing)
+        config = tiny_config(rules=(Rule.NVB, Rule.LCVB, Rule.BAYES))
+        records = simulate_path(config, 0)
+        assert {(r.rule, r.failed) for r in records} == {
+            (Rule.NVB, True),
+            (Rule.LCVB, True),
+            (Rule.BAYES, False),
+        }
 
     def test_large_sample_gap_is_small(self):
         config = tiny_config(replications=1, n_schedule=(100_000,), h_values=(0.005,))

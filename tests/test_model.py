@@ -1,6 +1,7 @@
 """Model layer: loss, closed-form risk, optimum formula, densities, sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,21 @@ class TestRisk:
         assert not np.any(constant.theta_slope(1.0, thetas))
         assert not np.any(constant.action_slope(1.0, thetas))
 
+    def test_theta_curvature_matches_differences_of_the_slope_in_log_theta(self):
+        model = make_model(0.05, 0.4)
+        builtin = NewsvendorRisk(model.h, model.b)
+        actions = np.linspace(0.0, 20.0, 7)[:, None]
+        thetas = np.linspace(0.1, 5.0, 11)
+        eps = 1e-6
+        central = (
+            builtin.theta_slope(actions, thetas * math.exp(eps))
+            - builtin.theta_slope(actions, thetas * math.exp(-eps))
+        ) / (2 * eps)
+        curvature = builtin.theta_curvature(actions, thetas)
+        assert curvature.shape == (7, 11)
+        assert np.allclose(curvature, central, rtol=1e-6, atol=1e-9)
+        assert not np.any(ConstantRisk(2.5).theta_curvature(actions, thetas))
+
 
 def risk_curve(actions, theta, model):
     log_theta = math.log(theta)
@@ -301,6 +317,12 @@ class TestObservations:
             Observations([1.0, -0.5])
         with pytest.raises(ValueError):
             Observations([np.nan])
+
+    def test_rejects_an_overflowing_sum_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sum past the floating-point range"):
+                Observations([1e308, 1e308])
 
 
 class TestModelValidation:

@@ -1,8 +1,11 @@
-"""Shared 1-D minimization: the coarse scan plus golden-section contract."""
+"""Shared numerics: the coarse scan plus golden-section contract, Newton ascent."""
+
+import math
 
 import numpy as np
+import pytest
 
-from newsvb.numerics import minimize_on_grid_then_golden
+from newsvb.numerics import NumericalError, ascend, minimize_on_grid_then_golden
 
 
 class TestMinimizeOnGridThenGolden:
@@ -46,3 +49,69 @@ class TestMinimizeOnGridThenGolden:
 
         x, fx, _ = minimize_on_grid_then_golden(twin_minima, 0.0, 1.0, 9, 1e-6)
         assert (x, fx) == (0.25, 0.0)
+
+
+def concave_quadratic(center, curvature):
+    """f(x) = -(x - c)'A(x - c)/2 as an ``ascend`` objective."""
+    hessian = -np.asarray(curvature, dtype=float)
+
+    def objective(x):
+        offset = x - center
+        gradient = hessian @ offset
+        return 0.5 * float(offset @ gradient), gradient, hessian, hessian
+
+    return objective
+
+
+class TestAscend:
+    def test_concave_quadratic_converges_in_one_step(self):
+        center = np.array([1.5, -0.25])
+        objective = concave_quadratic(center, [[4.0, 1.0], [1.0, 3.0]])
+        result = ascend(objective, [-2.0, 3.0])
+        assert result.converged and result.iterations == 1
+        assert result.fallback_steps == 0
+        assert np.allclose(result.x, center, rtol=0.0, atol=1e-12)
+
+    def test_indefinite_curvature_uses_the_fallback_and_converges(self):
+        # f = -log(1 + x0^2) - x1^2 curves upward in x0 where |x0| > 1.
+        fallback = np.diag([-2.0, -2.0])
+
+        def objective(x):
+            x0, x1 = float(x[0]), float(x[1])
+            s = 1.0 + x0 * x0
+            hessian = np.diag([-2.0 * (1.0 - x0 * x0) / (s * s), -2.0])
+            gradient = np.array([-2.0 * x0 / s, -2.0 * x1])
+            return -math.log(s) - x1 * x1, gradient, hessian, fallback
+
+        assert objective(np.array([3.0, 1.0]))[2][0, 0] > 0.0
+        result = ascend(objective, [3.0, 1.0])
+        assert result.converged and result.fallback_steps > 0
+        assert np.allclose(result.x, 0.0, rtol=0.0, atol=1e-8)
+
+    def test_non_finite_start_raises(self):
+        def objective(x):
+            return -math.inf, np.zeros(2), -np.eye(2), -np.eye(2)
+
+        with pytest.raises(NumericalError, match="initial point"):
+            ascend(objective, [0.0, 0.0])
+
+    def test_result_never_falls_below_its_start(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            root = rng.normal(size=(2, 2))
+            objective = concave_quadratic(rng.normal(size=2), root @ root.T + 0.1 * np.eye(2))
+            start = rng.normal(scale=5.0, size=2)
+            result = ascend(objective, start)
+            assert result.converged
+            assert result.value >= objective(start)[0]
+
+        # A gradient with the wrong sign stalls the line search at once.
+        def misleading(x):
+            value, gradient, hessian, fallback = concave_quadratic(np.zeros(2), np.eye(2))(x)
+            return value, -gradient, hessian, fallback
+
+        start = np.array([0.5, -1.0])
+        result = ascend(misleading, start)
+        assert not result.converged
+        assert result.value == misleading(start)[0]
+        assert np.array_equal(result.x, start)

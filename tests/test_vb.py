@@ -1,9 +1,12 @@
 """Variational engine: closed-form bound, calibrated objective, fits, identities."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsvb import (
     ConstantRisk,
@@ -21,9 +24,10 @@ from newsvb import (
     sample_demand,
     variational_variance,
 )
-from newsvb.model import log_likelihood, log_prior
+from newsvb.cli import _check_dataset, probe_members
+from newsvb.model import NewsvendorRisk, log_likelihood, log_prior
 from newsvb.numerics import NumericalError, gauss_hermite_standard
-from newsvb.vb import FitSettings
+from newsvb.vb import FitSettings, _lcvb_objective, _nvb_objective
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -131,6 +135,49 @@ class TestElbo:
                 ) / (2 * step)
             scale = max(float(np.linalg.norm(analytic)), 1.0)
             assert float(np.linalg.norm(analytic - numeric)) <= 1e-5 * scale
+
+
+def hessian_by_differences(objective, x, step=1e-6):
+    """Central differences of ``objective``'s analytic gradient, column by column."""
+    columns = []
+    for i in range(2):
+        up, down = x.copy(), x.copy()
+        up[i] += step
+        down[i] -= step
+        columns.append((objective(up)[1] - objective(down)[1]) / (2 * step))
+    return np.column_stack(columns)
+
+
+class TestHessians:
+    # The members and dataset of ``newsvb check``'s elbo-gradient check.
+    model, data, _ = _check_dataset()
+    members = probe_members(np.random.default_rng(64), data.n / data.sum_s, 50)
+
+    def assert_matches_differences(self, objective, q):
+        x = np.array([q.mu, math.log(q.sigma)])
+        _, _, hessian, fallback = objective(x)
+        numeric = hessian_by_differences(objective, x)
+        scale = max(float(np.linalg.norm(hessian)), 1.0)
+        assert float(np.linalg.norm(hessian - numeric)) <= 1e-5 * scale
+        assert hessian[0, 1] == hessian[1, 0]
+        assert np.all(np.linalg.eigvalsh(fallback) < 0.0)  # the bound's own, never indefinite
+        return hessian, fallback
+
+    def test_elbo_hessian_matches_differences_of_its_gradient(self):
+        objective = _nvb_objective(self.data, self.model)
+        for q in self.members:
+            hessian, fallback = self.assert_matches_differences(objective, q)
+            assert np.array_equal(hessian, fallback)
+
+    def test_calibrated_hessian_matches_differences_of_its_gradient(self):
+        builtin = NewsvendorRisk(self.model.h, self.model.b)
+        actions = np.random.default_rng(65).uniform(0.0, 50.0, size=len(self.members))
+        elbo_only = _nvb_objective(self.data, self.model)
+        for a, q in zip(actions, self.members):
+            objective = _lcvb_objective(float(a), self.data, self.model, builtin, 64)
+            _, fallback = self.assert_matches_differences(objective, q)
+            x = np.array([q.mu, math.log(q.sigma)])
+            assert np.array_equal(fallback, elbo_only(x)[2])
 
 
 class TestFitNvb:
@@ -282,6 +329,42 @@ class TestFitLcvb:
                 if abs(q.mean_theta() - base_model.theta0) < 0.05:
                     hits += 1
             assert hits >= 95, f"only {hits}/100 seeds concentrated at a={a}"
+
+
+    @settings(deadline=None, max_examples=50, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 6400),
+        seed=st.integers(0, 2**32 - 1),
+        a=st.floats(0.0, 50.0),
+        h=st.floats(0.001, 0.05),
+        alpha=st.floats(0.5, 5.0),
+        beta=st.floats(0.5, 10.0),
+    )
+    def test_converges_and_never_ends_below_its_start(self, n, seed, a, h, alpha, beta):
+        model = NewsvendorModel(h=h, b=0.1, theta0=None, alpha=alpha, beta=beta)
+        data = sample_demand(0.68, n, np.random.default_rng(seed))
+        q0, _ = fit_nvb(data, model)
+        q, diagnostics = fit_lcvb(a, data, model, initial=q0)
+        objective = _lcvb_objective(a, data, model, NewsvendorRisk(h, 0.1), 64)
+        at_start = objective(np.array([q0.mu, math.log(q0.sigma)]))[0]
+        assert diagnostics.converged
+        assert diagnostics.objective >= at_start
+        assert diagnostics.objective == objective(np.array([q.mu, math.log(q.sigma)]))[0]
+
+    def test_one_debug_line_per_fit(self, data_n50, base_model, caplog):
+        with caplog.at_level(logging.DEBUG, logger="newsvb.vb"):
+            _, plain = fit_nvb(data_n50, base_model)
+            _, calibrated = fit_lcvb(2.0, data_n50, base_model)  # fits q0 first
+        lines = [record.getMessage() for record in caplog.records]
+        assert len(lines) == 3
+        assert lines[0] == lines[1] == (
+            f"plain fit: {plain.iterations} iterations, "
+            f"gradient norm {plain.final_gradient_norm:.3e}, 0 fallback steps"
+        )
+        assert lines[2] == (
+            f"calibrated fit at a=2: {calibrated.iterations} iterations, "
+            f"gradient norm {calibrated.final_gradient_norm:.3e}, 0 fallback steps"
+        )
 
 
 class TestKlDecomposition:
