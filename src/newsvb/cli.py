@@ -1,13 +1,15 @@
 """Command-line interface: fit, decide, experiment, check.
 
 Exit codes: 0 success, 1 check-property failure, 2 configuration error,
-3 numerical failure. Seed precedence: --seed flag, then the SEED
+3 numerical failure, 141 stdout closed by its reader (as a shell reports
+SIGPIPE). Seed precedence: --seed flag, then the SEED
 environment variable, then the config file, then built-in defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -60,6 +62,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def _path(key: str, value) -> str:
@@ -467,13 +470,23 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except BrokenPipeError:
+        # The reader left early (``newsvb experiment ... | head -1``). Send
+        # the rest of stdout to devnull so the flush at exit raises nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        with contextlib.suppress(AttributeError, OSError):  # no file descriptor
+            os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,12 +12,13 @@ the ground truth the variational machinery is validated against.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .decisions import DecisionOutcome, Rule, decide_on_measure
+from .decisions import DecisionOutcome, Rule
 from .model import (
     NewsvendorModel,
     Observations,
@@ -26,11 +27,7 @@ from .model import (
     log_posterior_unnormalized,
     resolve_risk,
 )
-from .numerics import (
-    NumericalError,
-    gauss_legendre,
-    minimize_on_grid_then_golden,  # noqa: F401 - unused here; perfbench/tracing.py wraps this name
-)
+from .numerics import NumericalError, gauss_legendre, minimize_on_grid_then_golden
 
 __all__ = [
     "PosteriorGrid",
@@ -45,6 +42,8 @@ BOUNDARY_DENSITY_RATIO = 1e-12
 MAX_WINDOW_EXPANSIONS = 20
 MIN_POSTERIOR_NODES = 32
 MAX_POSTERIOR_NODES = 4096  # leggauss(n) builds an n x n matrix
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,11 +162,17 @@ def posterior_expected_risk(
 def bayes_decision(grid: PosteriorGrid, model: NewsvendorModel) -> DecisionOutcome:
     """Exact Bayes rule: argmin over actions of the model's posterior expected risk.
 
-    ``decide_on_measure`` over the grid's nodes and normalized weights:
-    a 512-point scan plus golden-section refinement to 1e-8, ties broken
-    toward the smaller action.
+    A derivative-free search: a 512-point scan plus golden-section
+    refinement to 1e-8, ties broken toward the smaller action. It is the
+    reference that the naive rule's first-order root is checked against.
     """
-    return decide_on_measure(grid.nodes, grid.normalized_weights, model, Rule.BAYES)
+    nodes, weights = grid.nodes, grid.normalized_weights
+    lo, hi = model.action_interval
+    action, value, probes = minimize_on_grid_then_golden(
+        lambda a: expected_risk(a, nodes, weights, model), lo, hi
+    )
+    logger.debug("BAYES action %.9g after %d probes", action, probes)
+    return DecisionOutcome(action, value, Rule.BAYES, None, probes)
 
 
 def calibrated_posterior_density(

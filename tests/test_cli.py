@@ -404,3 +404,34 @@ class TestExitCodes:
         assert code == 0
         manifest = json.loads((tmp_path / "env.manifest.json").read_text())
         assert manifest["seed"] == 31337
+
+    def test_closed_stdout_exits_141_after_writing_results(self, capsys, tmp_path, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(
+            ["experiment", "--paper-defaults", "--replications", "1",
+             "--out", str(tmp_path / "run")]
+        )
+        assert code == 141
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "run.csv").exists()
+        assert (tmp_path / "run.manifest.json").exists()
+
+    def test_reader_closing_the_pipe_leaves_no_traceback(self, tmp_path):
+        src = str(Path(newsvb.__file__).resolve().parents[1])
+        process = subprocess.Popen(
+            [sys.executable, "-m", "newsvb.cli", "check"],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        process.stdout.close()  # the reader leaves before the first line
+        err = process.stderr.read()
+        assert process.wait() == 141
+        assert err == b""

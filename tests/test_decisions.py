@@ -2,10 +2,13 @@
 
 import logging
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsvb import (
     ConstantRisk,
@@ -27,6 +30,7 @@ from newsvb import (
     true_optimal_action,
 )
 from newsvb.decisions import decide_on_measure, decide_with_variational, envelope_slope
+from newsvb.model import expected_risk
 from newsvb.numerics import NumericalError, minimize_on_grid_then_golden
 from newsvb.vb import FitSettings, calibrated_objective, fit_lcvb
 
@@ -90,8 +94,9 @@ class TestNvbDecide:
         assert outcome.objective_value == expected_risk_under_q(outcome.action, q, base_model)
 
     def test_matches_bayes_when_family_is_the_posterior_grid(self, grid_n50, base_model):
-        # Feed the exact posterior-grid expectation through the same
-        # action minimizer the variational rule uses.
+        # The scan over the exact posterior-grid expectation lands on the
+        # Bayes action; the first-order root is checked against it in
+        # TestDecideOnMeasure.
         lo, hi = base_model.action_interval
         action, _, _ = minimize_on_grid_then_golden(
             lambda a: posterior_expected_risk(a, grid_n50, base_model), lo, hi, 512, 1e-8
@@ -100,13 +105,120 @@ class TestNvbDecide:
         assert abs(action - reference.action) < 1e-4
 
 
+@st.composite
+def measures(draw):
+    """Positive rates with weights, some zero and at least one positive."""
+    size = draw(st.integers(1, 40))
+    theta = draw(st.lists(st.floats(0.2, 5.0), min_size=size, max_size=size))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    weights = draw(
+        st.lists(weight, min_size=size, max_size=size).filter(lambda w: max(w) > 0)
+    )
+    return np.array(theta), np.array(weights)
+
+
+def measure_model(h, b, lo, width):
+    interval = (lo, lo + width)
+    return NewsvendorModel(h=h, b=b, theta0=None, alpha=1.0, beta=1.0, action_interval=interval)
+
+
+def psi(a, theta, weights):
+    """log sum_i weights[i] * exp(-a * theta[i]), over the positive weights."""
+    keep = weights > 0
+    return float(np.logaddexp.reduce(np.log(weights[keep]) - a * theta[keep]))
+
+
+def action_slope_sum(a, theta, weights, model):
+    """H'(a) = sum_i weights[i] * dG/da(a, theta[i])."""
+    return float(weights @ NewsvendorRisk(model.h, model.b).action_slope(a, theta))
+
+
+PROPERTY_SETTINGS = settings(deadline=None, max_examples=50, derandomize=True, database=None)
+COSTS = dict(
+    h=st.floats(1e-3, 0.5),
+    b=st.floats(0.01, 1.0),
+    lo=st.floats(0.0, 5.0),
+    width=st.floats(0.5, 50.0),
+)
+
+
 class TestDecideOnMeasure:
     def test_posterior_grid_measure_is_the_bayes_rule(self, grid_n50, base_model):
-        outcome = decide_on_measure(
+        # Two independent searches of the same posterior expected risk: the
+        # first-order root and the oracle's derivative-free scan.
+        root = decide_on_measure(
             grid_n50.nodes, grid_n50.normalized_weights, base_model, Rule.BAYES
         )
-        # Equal outcomes: the same action, value and probe count.
-        assert outcome == bayes_decision(grid_n50, base_model)
+        scan = bayes_decision(grid_n50, base_model)
+        assert abs(root.action - scan.action) <= 1e-7
+        assert root.objective_value <= scan.objective_value + 1e-15 * abs(scan.objective_value)
+
+    @PROPERTY_SETTINGS
+    @given(measure=measures(), **COSTS)
+    def test_root_solves_the_first_order_condition(self, measure, h, b, lo, width):
+        theta, weights = measure
+        model = measure_model(h, b, lo, width)
+        outcome = decide_on_measure(theta, weights, model, Rule.NVB)
+        a = outcome.action
+        assert type(a) is float
+        if a == model.action_lo:  # H rises from a_lo
+            assert action_slope_sum(a, theta, weights, model) >= -1e-12
+        elif a == model.action_hi:  # H still falls at a_hi
+            assert action_slope_sum(a, theta, weights, model) <= 1e-12
+        else:
+            level = math.log(h * weights.sum() / (b + h))
+            assert abs(psi(a, theta, weights) - level) <= 1e-10
+        assert outcome.objective_value == expected_risk(a, theta, weights, model)
+
+    @PROPERTY_SETTINGS
+    @given(measure=measures(), **COSTS)
+    def test_root_agrees_with_the_scan(self, measure, h, b, lo, width):
+        theta, weights = measure
+        model = measure_model(h, b, lo, width)
+        outcome = decide_on_measure(theta, weights, model, Rule.NVB)
+        action, _, _ = minimize_on_grid_then_golden(
+            lambda a: expected_risk(a, theta, weights, model), lo, lo + width
+        )
+        assert abs(outcome.action - action) <= 1e-6
+
+    @PROPERTY_SETTINGS
+    @given(measure=measures(), raise_by=st.floats(0.0, 0.5), **COSTS)
+    def test_action_is_non_increasing_in_h(self, measure, raise_by, h, b, lo, width):
+        theta, weights = measure
+        low = decide_on_measure(theta, weights, measure_model(h, b, lo, width), Rule.NVB)
+        high_model = measure_model(h + raise_by, b, lo, width)
+        high = decide_on_measure(theta, weights, high_model, Rule.NVB)
+        # Equal roots may differ by the Newton stop, 1e-15 * (1 + a).
+        assert high.action <= low.action + 1e-13
+
+    def test_zero_weights_raise_no_warning(self, base_model):
+        theta = np.array([0.5, 0.7, 0.9])
+        weights = np.array([0.0, 1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = decide_on_measure(theta, weights, base_model, Rule.NVB)
+        assert outcome.action == pytest.approx(
+            math.log((base_model.b + base_model.h) / base_model.h) / 0.7, rel=1e-14
+        )
+
+    def test_one_debug_line_per_decide(self, grid_n50, base_model, data_n50, caplog):
+        q, _ = fit_nvb(data_n50, base_model)
+        with caplog.at_level(logging.DEBUG):
+            nvb = decide_with_variational(q, base_model)
+            at_hi = decide_on_measure(
+                np.array([1e-3]), np.array([1.0]), base_model, Rule.NVB
+            )
+            bayes = bayes_decision(grid_n50, base_model)
+        lines = [(r.name, r.getMessage()) for r in caplog.records]
+        assert lines == [
+            (
+                "newsvb.decisions",
+                f"NVB action {nvb.action:.9g} after {nvb.probe_count} psi evaluations, interior",
+            ),
+            ("newsvb.decisions", "NVB action 50 after 2 psi evaluations, at a_hi"),
+            ("newsvb.oracle", f"BAYES action {bayes.action:.9g} after 549 probes"),
+        ]
+        assert at_hi.action == base_model.action_hi
 
 
 def scan_reference(data, model):
