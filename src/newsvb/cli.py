@@ -37,6 +37,7 @@ from .experiment import (
 )
 from .model import (
     NewsvendorModel,
+    NewsvendorRisk,
     Observations,
     fisher_information,
     sample_demand,
@@ -47,6 +48,7 @@ from .oracle import bayes_decision, build_posterior, mle, posterior_expected_ris
 from .vb import (
     FitSettings,
     LogNormalVariational,
+    _lcvb_objective,
     calibrated_objective,
     elbo,
     elbo_gradient,
@@ -408,25 +410,44 @@ def check_jensen_bound() -> tuple[float, float]:
     return worst, 1e-8
 
 
+def _central_differences(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """df/dx by central differences: entry [..., j] differentiates along x[j]."""
+    shifts = step * np.eye(x.size)
+    return np.stack([np.subtract(f(x + e), f(x - e)) / (2 * step) for e in shifts], axis=-1)
+
+
+def _relative_error(analytic, numeric) -> float:
+    analytic = np.asarray(analytic)
+    return float(np.linalg.norm(analytic - numeric)) / max(float(np.linalg.norm(analytic)), 1.0)
+
+
 def check_elbo_gradient() -> tuple[float, float]:
     model, data, _ = _check_dataset()
-    rng = np.random.default_rng(64)
-    members = probe_members(rng, data.n / data.sum_s, 50)
-    step = 1e-6
+    members = probe_members(np.random.default_rng(64), data.n / data.sum_s, 50)
+
+    def bound(x):
+        return elbo(LogNormalVariational(x[0], math.exp(x[1])), data, model)
+
     worst = 0.0
     for q in members:
-        analytic = elbo_gradient(q, data, model)
+        numeric = _central_differences(bound, np.array([q.mu, math.log(q.sigma)]))
+        worst = max(worst, _relative_error(elbo_gradient(q, data, model), numeric))
+    return worst, 1e-5
+
+
+def check_calibrated_hessian() -> tuple[float, float]:
+    """The calibrated fit's closed-form Hessian against central differences of
+    its gradient, on the elbo-gradient check's members at random actions."""
+    model, data, _ = _check_dataset()
+    members = probe_members(np.random.default_rng(64), data.n / data.sum_s, 50)
+    actions = np.random.default_rng(65).uniform(model.action_lo, model.action_hi, size=50)
+    risk = NewsvendorRisk(model.h, model.b)
+    worst = 0.0
+    for a, q in zip(actions, members):
+        objective = _lcvb_objective(float(a), data, model, risk, 64)
         x = np.array([q.mu, math.log(q.sigma)])
-        numeric = np.empty(2)
-        for i in range(2):
-            up, down = x.copy(), x.copy()
-            up[i] += step
-            down[i] -= step
-            q_up = LogNormalVariational(up[0], math.exp(up[1]))
-            q_down = LogNormalVariational(down[0], math.exp(down[1]))
-            numeric[i] = (elbo(q_up, data, model) - elbo(q_down, data, model)) / (2 * step)
-        scale = max(float(np.linalg.norm(analytic)), 1.0)
-        worst = max(worst, float(np.linalg.norm(analytic - numeric)) / scale)
+        numeric = _central_differences(lambda y: objective(y)[1], x)
+        worst = max(worst, _relative_error(objective(x)[2], numeric))
     return worst, 1e-5
 
 
@@ -447,6 +468,7 @@ def cmd_check(args) -> int:
         ("kl-decomposition", check_kl_decomposition),
         ("jensen-bound", check_jensen_bound),
         ("elbo-gradient", check_elbo_gradient),
+        ("calibrated-hessian", check_calibrated_hessian),
         ("quantile-nearest-rank", check_quantile),
     ]
     all_ok = True

@@ -243,7 +243,8 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
     and the plain variational fit depend only on the prefix and the prior,
     so they are shared across holding costs; the NVB decision, made once
     per (n, h), is also LCVB's start, and its failure fails both cells.
-    Rule failures mark their cell and never abort the path.
+    Rule failures mark their cell and never abort the path; one debug line
+    per n names the failed cells.
     """
     if not 0 <= path_index < config.replications:
         raise ValueError(f"path_index {path_index} outside [0, {config.replications})")
@@ -257,6 +258,7 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
     records: list[GapRecord] = []
     for n in config.n_schedule:
         data = stream.prefix(n)
+        first = len(records)
         grid = None
         q_nvb = nvb_diag = None
         try:
@@ -268,29 +270,31 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
             for h in config.h_values:
                 for rule in config.rules:
                     records.append(GapRecord(rule, h, n, math.nan, math.nan, failed=True))
-            continue
-        for h in config.h_values:
-            model = config.model_for(h)
-            nvb = None
-            if needs_fit:
-                try:
-                    nvb = decide_with_variational(q_nvb, model, nvb_diag)
-                except NumericalError:
-                    pass  # fails the NVB and LCVB cells below
-            for rule in config.rules:
-                try:
-                    if rule is Rule.BAYES:
-                        outcome = bayes_decision(grid, model)
-                    elif nvb is None:
-                        raise NumericalError("the NVB decision failed")
-                    elif rule is Rule.NVB:
-                        outcome = nvb
-                    else:
-                        outcome = lcvb_decide(data, model, grid, settings, nvb_start=nvb)
-                    gap_action, gap_regret = optimality_gap(outcome, model)
-                    records.append(GapRecord(rule, h, n, gap_action, gap_regret))
-                except NumericalError:
-                    records.append(GapRecord(rule, h, n, math.nan, math.nan, failed=True))
+        else:
+            for h in config.h_values:
+                model = config.model_for(h)
+                nvb = None
+                if needs_fit:
+                    try:
+                        nvb = decide_with_variational(q_nvb, model, nvb_diag)
+                    except NumericalError:
+                        pass  # fails the NVB and LCVB cells below
+                for rule in config.rules:
+                    try:
+                        if rule is Rule.BAYES:
+                            outcome = bayes_decision(grid, model)
+                        elif nvb is None:
+                            raise NumericalError("the NVB decision failed")
+                        elif rule is Rule.NVB:
+                            outcome = nvb
+                        else:
+                            outcome = lcvb_decide(data, model, grid, settings, nvb_start=nvb)
+                        gap_action, gap_regret = optimality_gap(outcome, model)
+                        records.append(GapRecord(rule, h, n, gap_action, gap_regret))
+                    except NumericalError:
+                        records.append(GapRecord(rule, h, n, math.nan, math.nan, failed=True))
+        failed = ", ".join(f"{r.rule.value} h={r.h:g}" for r in records[first:] if r.failed)
+        logger.debug("path %d, n=%d: failed cells: %s", path_index, n, failed or "none")
     return records
 
 

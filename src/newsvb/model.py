@@ -152,16 +152,14 @@ def loss(a: float, xi, model: NewsvendorModel):
 
 
 class Risk(Protocol):
-    """An expected cost G(a, theta), its rate slope theta * dG/dtheta, its
-    rate curvature theta * d(theta * dG/dtheta)/dtheta (the second derivative
-    in log theta) and its action slope dG/da, each broadcasting over arrays
-    of ``a`` and ``theta``."""
+    """An expected cost G(a, theta) and its derivatives over broadcast arrays of
+    ``a`` and ``theta``: ``theta_terms`` gives (G, theta*dG/dtheta,
+    theta*d(theta*dG/dtheta)/dtheta), the derivatives in log theta, from one
+    shared tail; ``action_slope`` gives dG/da."""
 
     def value(self, a, theta) -> np.ndarray: ...
 
-    def theta_slope(self, a, theta) -> np.ndarray: ...
-
-    def theta_curvature(self, a, theta) -> np.ndarray: ...
+    def theta_terms(self, a, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
 
     def action_slope(self, a, theta) -> np.ndarray: ...
 
@@ -187,12 +185,13 @@ class NewsvendorRisk:
         out -= self.h / theta
         return out
 
-    def theta_slope(self, a, theta):
-        return self.h / theta - self._tail(a, theta) * (a * theta + 1.0)
-
-    def theta_curvature(self, a, theta):
+    def theta_terms(self, a, theta):
         a_theta = a * theta
-        return self._tail(a, theta) * (a_theta * a_theta + a_theta + 1.0) - self.h / theta
+        tail, h_theta = self._tail(a, theta), self.h / theta
+        value = tail + self.h * a - h_theta  # the arithmetic of ``value``
+        slope = h_theta - tail * (a_theta + 1.0)
+        curvature = tail * (a_theta * a_theta + a_theta + 1.0) - h_theta
+        return value, slope, curvature
 
     def action_slope(self, a, theta):
         return self.h - (self.b + self.h) * np.exp(-a * theta)
@@ -207,10 +206,12 @@ class ConstantRisk:
     def value(self, a, theta):
         return np.full(np.broadcast_shapes(np.shape(a), np.shape(theta)), float(self.level))
 
-    def theta_slope(self, a, theta):
+    def action_slope(self, a, theta):
         return np.zeros(np.broadcast_shapes(np.shape(a), np.shape(theta)))
 
-    action_slope = theta_curvature = theta_slope  # every derivative is zero
+    def theta_terms(self, a, theta):
+        zero = self.action_slope(a, theta)  # every derivative is zero
+        return self.value(a, theta), zero, zero
 
 
 def resolve_risk(risk: Risk | None, model: NewsvendorModel) -> Risk:

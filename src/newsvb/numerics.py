@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -89,7 +90,9 @@ def minimize_on_grid_then_golden(f, lo, hi, coarse_points=512, tol=1e-8):
     ``coarse_points`` abscissae, and must return one value per point; the
     golden-section refinement of the best cell's neighbours then calls it
     with single floats. Returns (x, f(x), evaluations) for the best of all
-    evaluations, ties broken toward the smaller abscissa.
+    evaluations, ties broken toward the smaller abscissa. ``tol`` is the final
+    bracket width, not an accuracy: compared values stop resolving x within
+    about sqrt(eps*|f|/f'') of the minimizer, more than ``tol`` on a flat f.
     """
     grid = np.linspace(lo, hi, coarse_points)
     values = np.asarray(f(grid), dtype=float)
@@ -108,7 +111,7 @@ def minimize_on_grid_then_golden(f, lo, hi, coarse_points=512, tol=1e-8):
 
 @dataclass(frozen=True)
 class AscentResult:
-    x: np.ndarray
+    x: tuple[float, float]
     value: float
     gradient_norm: float
     iterations: int
@@ -118,12 +121,12 @@ class AscentResult:
 
 def _newton_direction(gradient, hessian):
     """-H^{-1} g for a negative definite 2x2 ``hessian``, else None."""
-    h00, h01, h11 = hessian[0][0], hessian[0][1], hessian[1][1]
+    (h00, h01), (_, h11) = hessian
     det = h00 * h11 - h01 * h01
     if not (h00 < 0.0 and 0.0 < det < math.inf):  # False for NaN too
         return None
     g0, g1 = gradient
-    return np.array([h01 * g1 - h11 * g0, h01 * g0 - h00 * g1]) / det
+    return (h01 * g1 - h11 * g0) / det, (h01 * g0 - h00 * g1) / det
 
 
 def ascend(
@@ -136,12 +139,14 @@ def ascend(
 
     ``objective(x) -> (f, g, H, H_fallback)`` gives the value, gradient and
     Hessian at ``x`` plus a fallback curvature that is negative definite
-    wherever ``f`` is finite. Each step solves the Newton system with ``H``,
-    or with ``H_fallback`` where ``H`` is not negative definite (counted in
-    ``fallback_steps``), and halves the step until the Armijo condition
-    holds. Stops when the gradient norm drops below ``tolerance`` or the
-    iteration cap is hit; a stalled line search, or no negative definite
-    curvature at all, ends the run with ``converged=False``.
+    wherever ``f`` is finite: a pair of floats ``x`` in, any pair ``g`` and
+    2x2 nestings (tuples or arrays) out. Each step solves the Newton system
+    in closed form with ``H``, or with ``H_fallback`` where ``H`` is not
+    negative definite (counted in ``fallback_steps``), and halves the step
+    until the Armijo condition holds. Stops when the gradient norm drops
+    below ``tolerance`` or the iteration cap is hit; a stalled line search,
+    or no negative definite curvature at all, ends the run with
+    ``converged=False``.
 
     The Armijo test tolerates objective changes within a few ulps of the
     current value: near the optimum the analytic gradient keeps far more
@@ -149,7 +154,7 @@ def ascend(
     gradient tolerance is met. The best iterate seen is the one returned,
     so the result never undercuts its own starting value.
     """
-    x = np.array(x0, dtype=float)
+    x = (float(x0[0]), float(x0[1]))
     value, grad, hess, fallback = objective(x)
     if not math.isfinite(value):
         raise NumericalError("objective is not finite at the initial point")
@@ -161,13 +166,11 @@ def ascend(
             out_x, out_value, out_grad = x, value, grad
         else:
             out_x, out_value, out_grad = best_x, best_value, best_grad
-        norm = float(np.linalg.norm(out_grad))
-        return AscentResult(
-            out_x, out_value, norm, iterations, norm < tolerance, fallback_steps
-        )
+        norm = math.hypot(*out_grad)
+        return AscentResult(out_x, out_value, norm, iterations, norm < tolerance, fallback_steps)
 
     for iteration in range(max_iterations):
-        if float(np.linalg.norm(grad)) < tolerance:
+        if math.hypot(*grad) < tolerance:
             return result(iteration, stopped_by_tolerance=True)
         direction = _newton_direction(grad, hess)
         if direction is None:
@@ -175,18 +178,19 @@ def ascend(
             direction = _newton_direction(grad, fallback)
             if direction is None:
                 return result(iteration, stopped_by_tolerance=False)
-        slope = float(grad @ direction)
-        noise = 64.0 * np.finfo(float).eps * (1.0 + abs(value))
+        d0, d1 = direction
+        slope = grad[0] * d0 + grad[1] * d1
+        noise = 64.0 * sys.float_info.epsilon * (1.0 + abs(value))
         step = 1.0
         accepted = False
         while step > 1e-20:
-            candidate = x + step * direction
+            candidate = (x[0] + step * d0, x[1] + step * d1)
             cand = objective(candidate)
             if math.isfinite(cand[0]) and cand[0] + noise >= value + _ARMIJO * step * slope:
                 accepted = True
                 break
             step *= 0.5
-        if not accepted or np.array_equal(candidate, x):
+        if not accepted or candidate == x:
             return result(iteration + 1, stopped_by_tolerance=False)
         x = candidate
         value, grad, hess, fallback = cand

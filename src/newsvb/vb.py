@@ -30,7 +30,7 @@ B = beta*exp(-mu + v/2) and v = sigma^2, the bound's Hessian is
 
 negative definite everywhere (its determinant is 2v(A+B)^2 + 4v^2*AB > 0).
 The calibrated fit adds the Gauss-Hermite Hessian of E_q[log G], which
-needs the risk's second derivative in log theta (``Risk.theta_curvature``);
+needs the risk's second derivative in log theta (``Risk.theta_terms``);
 where that sum is not negative definite, the step uses the bound's Hessian
 alone. Newton steps take the likelihood curvature in mu, which grows like
 n, in their stride. One ascent suffices for the plain fit: the ELBO is
@@ -46,6 +46,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -164,13 +165,13 @@ def _guarded_exp(x: float) -> float:
 
 
 def _elbo_terms(mu: float, rho: float, n: int, total: float, alpha: float, beta: float):
-    """Value, (mu, rho) gradient and Hessian of the closed-form bound."""
+    """Value, (mu, rho) gradient and Hessian (as nested pairs) of the closed-form bound."""
     sigma = _guarded_exp(rho)
     v = sigma * sigma
     ep = _guarded_exp(mu + 0.5 * v)  # E_q[theta]
     em = _guarded_exp(-mu + 0.5 * v)  # E_q[1/theta]
     if not (math.isfinite(ep) and math.isfinite(em) and math.isfinite(v)):
-        return -math.inf, np.zeros(2), np.zeros((2, 2))
+        return -math.inf, (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0))
     value = (
         n * mu
         - total * ep
@@ -185,8 +186,8 @@ def _elbo_terms(mu: float, rho: float, n: int, total: float, alpha: float, beta:
     a_term, b_term = total * ep, beta * em
     both = a_term + b_term
     cross = v * (b_term - a_term)
-    gradient = np.array([n - alpha - a_term + b_term, 1.0 - v * both])
-    hessian = np.array([[-both, cross], [cross, -v * both * (2.0 + v)]])
+    gradient = (n - alpha - a_term + b_term, 1.0 - v * both)
+    hessian = ((-both, cross), (cross, -v * both * (2.0 + v)))
     return value, gradient, hessian
 
 
@@ -197,7 +198,9 @@ def elbo(q: LogNormalVariational, data: Observations, model: NewsvendorModel) ->
 
 def elbo_gradient(q: LogNormalVariational, data: Observations, model: NewsvendorModel) -> np.ndarray:
     """Analytic gradient of the bound with respect to (mu, log sigma)."""
-    return _elbo_terms(q.mu, math.log(q.sigma), data.n, data.sum_s, model.alpha, model.beta)[1]
+    return np.array(
+        _elbo_terms(q.mu, math.log(q.sigma), data.n, data.sum_s, model.alpha, model.beta)[1]
+    )
 
 
 def posterior_kl(
@@ -222,32 +225,33 @@ def _nvb_objective(data: Observations, model: NewsvendorModel):
     """The bound as an ``ascend`` objective of x = (mu, rho)."""
 
     def objective(x):
-        value, gradient, hessian = _elbo_terms(
-            float(x[0]), float(x[1]), data.n, data.sum_s, model.alpha, model.beta
-        )
+        value, gradient, hessian = _elbo_terms(*x, data.n, data.sum_s, model.alpha, model.beta)
         return value, gradient, hessian, hessian
 
     return objective
 
 
 def _fit(objective, x0, settings: FitSettings, kind: str):
-    """One Newton ascent from ``x0``, as (member, diagnostics)."""
+    """One Newton ascent from ``x0``, as (member, diagnostics), logged in one
+    line: at debug level, or as a warning when it missed the tolerance."""
     result = ascend(
         objective, x0, tolerance=settings.tolerance, max_iterations=settings.max_iterations
     )
-    q = LogNormalVariational(mu=float(result.x[0]), sigma=math.exp(float(result.x[1])))
+    q = LogNormalVariational(mu=result.x[0], sigma=math.exp(result.x[1]))
     diagnostics = FitDiagnostics(
         iterations=result.iterations,
         final_gradient_norm=result.gradient_norm,
         converged=result.converged,
         objective=result.value,
     )
-    logger.debug(
-        "%s: %d iterations, gradient norm %.3e, %d fallback steps",
+    logger.log(
+        logging.DEBUG if result.converged else logging.WARNING,
+        "%s: %d iterations, gradient norm %.3e, %d fallback steps%s",
         kind,
         result.iterations,
         result.gradient_norm,
         result.fallback_steps,
+        "" if result.converged else ", not converged",
     )
     return q, diagnostics
 
@@ -262,33 +266,35 @@ def fit_nvb(
     One ascent from mu = log of the maximum-likelihood rate and
     sigma = 1/sqrt(n); the bound is strictly concave in (mu, sigma^2), so
     its maximizer is unique. A run that fails the gradient tolerance is
-    still returned, flagged in the diagnostics.
+    still returned, flagged in the diagnostics and logged as a warning.
     """
     settings = settings or FitSettings()
     if data.sum_s <= 0:
         raise ValueError("degenerate data: all observed demands are zero")
-    x0 = np.array([math.log(data.n / data.sum_s), -0.5 * math.log(data.n)])
-    q, diagnostics = _fit(_nvb_objective(data, model), x0, settings, "plain fit")
-    if not diagnostics.converged:
-        logger.warning(
-            "variational fit stopped at gradient norm %.3e after %d iterations",
-            diagnostics.final_gradient_norm,
-            diagnostics.iterations,
-        )
-    return q, diagnostics
+    x0 = (math.log(data.n / data.sum_s), -0.5 * math.log(data.n))
+    return _fit(_nvb_objective(data, model), x0, settings, "plain fit")
+
+
+@lru_cache(maxsize=None)
+def _moment_basis(node_count: int):
+    """Standard Gauss-Hermite nodes z and the (k, 3) columns [w, w*z, w*z^2]."""
+    z, w = gauss_hermite_standard(node_count)
+    basis = np.column_stack([w, w * z, w * z * z])
+    basis.setflags(write=False)
+    return z, basis
 
 
 def _log_risk_term(a: float, mu: float, rho: float, risk: Risk, node_count: int):
     """E_q[log G(a, theta)] with its (mu, rho) gradient and Hessian by Gauss-Hermite.
 
-    Returns (value, gradient, hessian, clamped). Raises when the risk is not
-    strictly positive at some node; positive values below the floating
-    floor are clamped and flagged.
+    Returns (value, gradient, hessian, clamped), the derivatives as nested
+    pairs of floats. Raises when the risk is not strictly positive at some
+    node; positive values below the floating floor are clamped and flagged.
     """
-    z, w = gauss_hermite_standard(node_count)
-    scaled_z = math.exp(rho) * z
-    theta = np.exp(mu + scaled_z)
-    values = risk.value(a, theta)
+    z, basis = _moment_basis(node_count)
+    sigma = math.exp(rho)
+    theta = np.exp(mu + sigma * z)
+    values, slope, curvature = risk.theta_terms(a, theta)
     lowest = values.min()  # NaN propagates, so NaN fails the test below too
     if not (lowest > 0.0 and values.max() < math.inf):
         raise NumericalError(
@@ -298,17 +304,18 @@ def _log_risk_term(a: float, mu: float, rho: float, risk: Risk, node_count: int)
     if clamped:
         logger.warning("risk values clamped at %.1e before taking logs (a=%.6g)", _RISK_FLOOR, a)
         values = np.maximum(values, _RISK_FLOOR)
-    # With l(u) = log G(a, e^u): l' = theta*dG/dtheta / G and
-    # l'' = theta*d(theta*dG/dtheta)/dtheta / G - l'^2, at u = mu + sigma*z.
-    slope = risk.theta_slope(a, theta) / values
-    w_slope = w * slope
-    w_curv = w * (risk.theta_curvature(a, theta) / values - slope * slope)
-    g_mu, g_rho = float(w_slope.sum()), float(w_slope @ scaled_z)
-    h_mu_rho = float(w_curv @ scaled_z)
-    hessian = np.array(
-        [[float(w_curv.sum()), h_mu_rho], [h_mu_rho, float(w_curv @ (scaled_z * scaled_z)) + g_rho]]
-    )
-    return float(w @ np.log(values)), np.array([g_mu, g_rho]), hessian, clamped
+    # Rows log G, l' and l'' of l(u) = log G(a, e^u) at u = mu + sigma*z, with
+    # l' = theta*dG/dtheta / G and l'' = theta*d(theta*dG/dtheta)/dtheta / G - l'^2;
+    # one product gives each row's sums against w, w*z and w*z^2.
+    terms = np.empty((3, z.size))
+    np.log(values, out=terms[0])
+    np.divide(slope, values, out=terms[1])
+    np.divide(curvature, values, out=terms[2])
+    terms[2] -= np.square(terms[1])
+    (value, _, _), (g_mu, g_rho, _), (h_mu, h_mu_rho, h_rho) = (terms @ basis).tolist()
+    g_rho, h_mu_rho = sigma * g_rho, sigma * h_mu_rho
+    h_rho = sigma * sigma * h_rho + g_rho
+    return value, (g_mu, g_rho), ((h_mu, h_mu_rho), (h_mu_rho, h_rho)), clamped
 
 
 def _lcvb_objective(
@@ -318,12 +325,13 @@ def _lcvb_objective(
     with the bound's own Hessian as the fallback curvature."""
 
     def objective(x):
-        mu, rho = float(x[0]), float(x[1])
-        value, gradient, hessian = _elbo_terms(mu, rho, data.n, data.sum_s, model.alpha, model.beta)
+        value, gradient, hessian = _elbo_terms(*x, data.n, data.sum_s, model.alpha, model.beta)
         if not math.isfinite(value):
             return -math.inf, gradient, hessian, hessian
-        lr_value, lr_gradient, lr_hessian, _ = _log_risk_term(a, mu, rho, risk, node_count)
-        return value + lr_value, gradient + lr_gradient, hessian + lr_hessian, hessian
+        extra, (l_mu, l_rho), ((m00, m01), (_, m11)), _ = _log_risk_term(a, *x, risk, node_count)
+        (e00, e01), (_, e11) = hessian
+        total = ((e00 + m00, e01 + m01), (e01 + m01, e11 + m11))
+        return value + extra, (gradient[0] + l_mu, gradient[1] + l_rho), total, hessian
 
     return objective
 
@@ -376,16 +384,9 @@ def fit_lcvb(
     validate_action(a, model)
     risk = resolve_risk(risk, model)
     q0 = fit_nvb(data, model, settings)[0] if initial is None else initial
-    x0 = np.array([q0.mu, math.log(q0.sigma)])
+    x0 = (q0.mu, math.log(q0.sigma))
     objective = _lcvb_objective(a, data, model, risk, settings.node_count)
-    q, diagnostics = _fit(objective, x0, settings, f"calibrated fit at a={a:.9g}")
-    if not diagnostics.converged:
-        logger.warning(
-            "calibrated fit at a=%.6g stopped at gradient norm %.3e",
-            a,
-            diagnostics.final_gradient_norm,
-        )
-    return q, diagnostics
+    return _fit(objective, x0, settings, f"calibrated fit at a={a:.9g}")
 
 
 def kl_decomposition_check(

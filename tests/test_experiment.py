@@ -1,6 +1,7 @@
 """Harness: seeding, common random numbers, quantiles, persistence, rates."""
 
 import json
+import logging
 import math
 import platform
 
@@ -164,6 +165,37 @@ class TestSimulatePath:
             (Rule.LCVB, True),
             (Rule.BAYES, False),
         }
+
+    def test_one_debug_line_per_n_names_the_failed_cells(self, monkeypatch, caplog):
+        config = tiny_config(rules=(Rule.NVB, Rule.BAYES), h_values=(0.003, 0.008))
+        with caplog.at_level(logging.DEBUG, logger="newsvb.experiment"):
+            clean = simulate_path(config, 1)
+        assert [record.getMessage() for record in caplog.records] == [
+            "path 1, n=10: failed cells: none",
+            "path 1, n=30: failed cells: none",
+        ]
+        caplog.clear()
+        fit, decide = experiment.fit_nvb, experiment.decide_with_variational
+
+        def fit_failing_at_30(data, *args):
+            if data.n == 30:
+                raise NumericalError("synthetic fit failure")
+            return fit(data, *args)
+
+        def decide_failing_at_low_h(q, model, *args):
+            if model.h == 0.003:
+                raise NumericalError("synthetic decide failure")
+            return decide(q, model, *args)
+
+        monkeypatch.setattr(experiment, "fit_nvb", fit_failing_at_30)
+        monkeypatch.setattr(experiment, "decide_with_variational", decide_failing_at_low_h)
+        with caplog.at_level(logging.DEBUG, logger="newsvb.experiment"):
+            records = simulate_path(config, 1)
+        assert [record.getMessage() for record in caplog.records] == [
+            "path 1, n=10: failed cells: NVB h=0.003",
+            "path 1, n=30: failed cells: NVB h=0.003, BAYES h=0.003, NVB h=0.008, BAYES h=0.008",
+        ]
+        assert records[1:4] == clean[1:4]  # the cells at n=10 that did not fail
 
     def test_large_sample_gap_is_small(self):
         config = tiny_config(replications=1, n_schedule=(100_000,), h_values=(0.005,))

@@ -152,7 +152,8 @@ class TestRisk:
             builtin.value(actions[:, None], thetas * (1 + eps))
             - builtin.value(actions[:, None], thetas * (1 - eps))
         ) / (2 * eps)
-        slope = builtin.theta_slope(actions[:, None], thetas[None, :])
+        value, slope, _ = builtin.theta_terms(actions[:, None], thetas[None, :])
+        assert np.array_equal(value, values)  # the same arithmetic as ``value``
         assert np.allclose(slope, central, rtol=1e-6, atol=1e-9)
         central_a = (
             builtin.value(actions[:, None] + eps, thetas)
@@ -163,7 +164,9 @@ class TestRisk:
         assert np.allclose(slope_a, central_a, rtol=1e-6, atol=1e-9)
         constant = ConstantRisk(2.5)
         assert np.array_equal(constant.value(actions[:, None], thetas), np.full((7, 11), 2.5))
-        assert not np.any(constant.theta_slope(1.0, thetas))
+        value, slope, curvature = constant.theta_terms(1.0, thetas)
+        assert np.array_equal(value, np.full(11, 2.5))
+        assert not np.any(slope) and not np.any(curvature)
         assert not np.any(constant.action_slope(1.0, thetas))
 
     def test_theta_curvature_matches_differences_of_the_slope_in_log_theta(self):
@@ -173,13 +176,13 @@ class TestRisk:
         thetas = np.linspace(0.1, 5.0, 11)
         eps = 1e-6
         central = (
-            builtin.theta_slope(actions, thetas * math.exp(eps))
-            - builtin.theta_slope(actions, thetas * math.exp(-eps))
+            builtin.theta_terms(actions, thetas * math.exp(eps))[1]
+            - builtin.theta_terms(actions, thetas * math.exp(-eps))[1]
         ) / (2 * eps)
-        curvature = builtin.theta_curvature(actions, thetas)
+        curvature = builtin.theta_terms(actions, thetas)[2]
         assert curvature.shape == (7, 11)
         assert np.allclose(curvature, central, rtol=1e-6, atol=1e-9)
-        assert not np.any(ConstantRisk(2.5).theta_curvature(actions, thetas))
+        assert not np.any(ConstantRisk(2.5).theta_terms(actions, thetas)[2])
 
 
 def risk_curve(actions, theta, model):

@@ -27,7 +27,7 @@ from newsvb import (
 from newsvb.cli import _check_dataset, probe_members
 from newsvb.model import NewsvendorRisk, log_likelihood, log_prior
 from newsvb.numerics import NumericalError, gauss_hermite_standard
-from newsvb.vb import FitSettings, _lcvb_objective, _nvb_objective
+from newsvb.vb import FitSettings, _lcvb_objective, _log_risk_term, _nvb_objective
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -144,7 +144,7 @@ def hessian_by_differences(objective, x, step=1e-6):
         up, down = x.copy(), x.copy()
         up[i] += step
         down[i] -= step
-        columns.append((objective(up)[1] - objective(down)[1]) / (2 * step))
+        columns.append(np.subtract(objective(up)[1], objective(down)[1]) / (2 * step))
     return np.column_stack(columns)
 
 
@@ -155,7 +155,7 @@ class TestHessians:
 
     def assert_matches_differences(self, objective, q):
         x = np.array([q.mu, math.log(q.sigma)])
-        _, _, hessian, fallback = objective(x)
+        hessian, fallback = map(np.asarray, objective(x)[2:])
         numeric = hessian_by_differences(objective, x)
         scale = max(float(np.linalg.norm(hessian)), 1.0)
         assert float(np.linalg.norm(hessian - numeric)) <= 1e-5 * scale
@@ -177,7 +177,7 @@ class TestHessians:
             objective = _lcvb_objective(float(a), self.data, self.model, builtin, 64)
             _, fallback = self.assert_matches_differences(objective, q)
             x = np.array([q.mu, math.log(q.sigma)])
-            assert np.array_equal(fallback, elbo_only(x)[2])
+            assert np.array_equal(fallback, np.asarray(elbo_only(x)[2]))
 
 
 class TestFitNvb:
@@ -233,6 +233,72 @@ class TestFitNvb:
         assert -1.3 <= slope <= -0.7
 
 
+def weighted_sums(log_g, slope, curvature, w, scaled_z):
+    """E_q[log G] with its (mu, rho) gradient and Hessian from per-node log G,
+    l' and l'', one weighted sum per entry."""
+    g_rho = float((w * slope) @ scaled_z)
+    h_mu_rho = float((w * curvature) @ scaled_z)
+    h_rho = float((w * curvature) @ (scaled_z * scaled_z)) + g_rho
+    gradient = np.array([float(w @ slope), g_rho])
+    hessian = np.array([[float(w @ curvature), h_mu_rho], [h_mu_rho, h_rho]])
+    return float(w @ log_g), gradient, hessian
+
+
+def log_risk_reference(a, mu, rho, risk, node_count=64):
+    """``_log_risk_term`` node by node from the newsvendor's value, rate slope and
+    rate curvature, plus the same sums over absolute terms: the scale that
+    rounding errors of the sums are measured against."""
+    z, w = gauss_hermite_standard(node_count)
+    scaled_z = math.exp(rho) * z
+    theta = np.exp(mu + scaled_z)
+    a_theta = a * theta
+    tail = np.exp((math.log(risk.b + risk.h) - np.log(theta)) - a_theta)
+    value = tail + risk.h * a - risk.h / theta
+    slope = (risk.h / theta - tail * (a_theta + 1.0)) / value
+    curvature = (tail * (a_theta * a_theta + a_theta + 1.0) - risk.h / theta) / value
+    curvature -= slope * slope
+    rows = (np.log(value), slope, curvature)
+    exact = weighted_sums(*rows, w, scaled_z)
+    scale = weighted_sums(*map(np.abs, rows), w, np.abs(scaled_z))
+    return exact, scale
+
+
+class TestLogRiskTerm:
+    def test_one_pass_matches_the_node_by_node_reference(self):
+        rng = np.random.default_rng(66)
+        corners = [
+            (a, mu, sigma)
+            for a in (0.0, 50.0)
+            for mu in (math.log(1e-3), math.log(5.0))
+            for sigma in (0.01, 1.0)
+        ]
+        draws = zip(
+            rng.uniform(0.0, 50.0, 300),
+            rng.uniform(math.log(1e-3), math.log(5.0), 300),
+            rng.uniform(0.01, 1.0, 300),
+        )
+        for i, (a, mu, sigma) in enumerate([*corners, *draws]):
+            risk = NewsvendorRisk((0.001, 0.005, 0.05)[i % 3], 0.1)
+            rho = math.log(sigma)
+            value, gradient, hessian, clamped = _log_risk_term(a, mu, rho, risk, 64)
+            exact, scale = log_risk_reference(a, mu, rho, risk)
+            assert not clamped
+            # Only the order of the sums differs: 1e-12 relative to the summed terms.
+            for got, want, size in zip((value, gradient, hessian), exact, scale):
+                assert np.all(np.abs(np.subtract(got, want)) <= 1e-12 * size)
+            assert hessian[0][1] == hessian[1][0]
+
+    def test_constant_risk_has_zero_gradient_and_hessian(self):
+        for mu, sigma in [(-3.0, 0.01), (0.0, 0.5), (1.5, 1.0)]:
+            value, gradient, hessian, clamped = _log_risk_term(
+                2.0, mu, math.log(sigma), ConstantRisk(3.7), 64
+            )
+            assert value == pytest.approx(math.log(3.7), rel=1e-14)
+            assert gradient == (0.0, 0.0)
+            assert hessian == ((0.0, 0.0), (0.0, 0.0))
+            assert not clamped
+
+
 class TestCalibratedObjective:
     def test_constant_risk_decomposition(self, data_n50, base_model, grid_n50):
         constant = 3.7
@@ -275,8 +341,8 @@ class TestCalibratedObjective:
             def value(self, a, theta):
                 return np.where(theta > 0.5, -1.0, 1.0)
 
-            def theta_slope(self, a, theta):
-                return np.zeros_like(theta)
+            def theta_terms(self, a, theta):
+                return self.value(a, theta), np.zeros_like(theta), np.zeros_like(theta)
 
         q = LogNormalVariational(0.0, 0.5)
         with pytest.raises(NumericalError):
@@ -365,6 +431,19 @@ class TestFitLcvb:
             f"calibrated fit at a=2: {calibrated.iterations} iterations, "
             f"gradient norm {calibrated.final_gradient_norm:.3e}, 0 fallback steps"
         )
+
+
+    def test_a_fit_short_of_the_tolerance_logs_one_warning(self, data_n50, base_model, caplog):
+        with caplog.at_level(logging.DEBUG, logger="newsvb.vb"):
+            _, diagnostics = fit_nvb(data_n50, base_model, FitSettings(max_iterations=1))
+        assert not diagnostics.converged
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (
+                logging.WARNING,
+                f"plain fit: 1 iterations, gradient norm {diagnostics.final_gradient_norm:.3e}, "
+                "0 fallback steps, not converged",
+            )
+        ]
 
 
 class TestKlDecomposition:
