@@ -1,9 +1,10 @@
 """Command-line interface: fit, decide, experiment, check.
 
-Exit codes: 0 success, 1 check-property failure, 2 configuration error,
-3 numerical failure, 141 stdout closed by its reader (as a shell reports
-SIGPIPE). Seed precedence: --seed flag, then the SEED
-environment variable, then the config file, then built-in defaults.
+Exit codes: 0 success, 1 check-property failure, 2 configuration error
+(a sample too large for memory included), 3 numerical failure, 141 stdout
+closed by its reader (as a shell reports SIGPIPE). Seed precedence: --seed
+flag, then the SEED environment variable, then the config file, then
+built-in defaults.
 """
 
 from __future__ import annotations
@@ -501,6 +502,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:  # a sample size past memory, here or in a pool worker
+        print(f"config error: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except BrokenPipeError:
         # The reader left early (``newsvb experiment ... | head -1``). Send
         # the rest of stdout to devnull so the flush at exit raises nothing.

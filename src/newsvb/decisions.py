@@ -14,8 +14,8 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .model import (
     Risk,
     expected_risk,
     resolve_risk,
-    risk,
     true_optimal_action,
 )
 from .numerics import (
@@ -52,6 +51,7 @@ __all__ = [
     "expected_risk_under_q",
     "decide_on_measure",
     "nvb_decide",
+    "decide_across_h",
     "decide_with_variational",
     "envelope_slope",
     "lcvb_decide",
@@ -100,59 +100,104 @@ def expected_risk_under_q(a, q: LogNormalVariational, model: NewsvendorModel, no
 
 
 def decide_on_measure(
-    theta, weights, model: NewsvendorModel, rule: Rule, inner_fit: FitDiagnostics | None = None
-) -> DecisionOutcome:
-    """Minimize H(a) = sum_i weights[i] * G(a, theta[i]) over the action interval.
+    theta,
+    weights,
+    models: Sequence[NewsvendorModel],
+    rule: Rule,
+    inner_fit: FitDiagnostics | None = None,
+    q: LogNormalVariational | None = None,
+) -> list[DecisionOutcome | NumericalError]:
+    """Minimize H(a) = sum_i weights[i] * G(a, theta[i]) for each model.
 
-    For the newsvendor H'(a) = h*W - (b+h)*exp(psi(a)), with W = sum(weights)
-    and psi(a) = log sum_i weights[i]*exp(-a*theta[i]); H is convex, so its
-    minimizer is a_lo if psi(a_lo) <= c = log(h*W/(b+h)), a_hi if
-    psi(a_hi) >= c, and otherwise the root of psi(a) = c. psi is convex and
-    decreasing, so Newton's iterates from a_lo rise to that root without
-    overshooting; they stop once a step is at most 1e-15*(1 + a), and 100
-    steps without that raise ``NumericalError``. ``probe_count`` counts the
-    evaluations of psi. The naive rule passes q's Gauss-Hermite nodes.
+    The models must differ only in h (``ValueError`` otherwise). For the
+    newsvendor H'(a) = h*W - (b+h)*exp(psi(a)), with W = sum(weights) and
+    psi(a) = log sum_i weights[i]*exp(-a*theta[i]); H is convex, so its
+    minimizer is a_lo if psi(a_lo) <= c_h = log(h*W/(b+h)), a_hi if
+    psi(a_hi) >= c_h, and otherwise the root of psi(a) = c_h. psi is
+    convex, decreasing and the same for every h, so one pass gives every row
+    psi(a_lo) and psi(a_hi), and Newton's iterates from a_lo rise to each
+    row's root without overshooting, in one (rows, nodes) pass per step over
+    the rows still moving. A row stops once its step is at most
+    1e-15*(1 + a); a row still moving after 100 steps gets a
+    ``NumericalError`` in its place, which fails it alone.
+    ``probe_count`` counts the evaluations of psi that a row used. The
+    naive rule passes q's Gauss-Hermite nodes, and q and ``inner_fit`` to
+    record in each outcome.
     """
+    first = models[0]
+    fixed = vars(first) | {"h": None}  # every field but h
+    if any(vars(model) | {"h": None} != fixed for model in models):
+        raise ValueError("models decided on one measure must differ only in h")
     keep = weights > 0  # zero weights drop out of psi
     nodes, log_weights = theta[keep], np.log(weights[keep])
-    evaluations = 0
 
-    def psi(a: float) -> tuple[float, float]:
-        """psi(a) and -psi'(a), the mean of theta under the tilted weights."""
-        nonlocal evaluations
-        evaluations += 1
-        log_terms = log_weights - a * nodes
-        peak = log_terms.max()
-        terms = np.exp(log_terms - peak)
-        total = terms.sum()
-        return float(peak + math.log(total)), float(terms @ nodes / total)
+    def psi(actions: list[float]) -> tuple[list[float], list[float]]:
+        """psi and -psi', the mean of theta under the tilted weights, at each
+        action, in one (actions, nodes) pass."""
+        terms = log_weights - np.array(actions)[:, None] * nodes
+        peak = np.maximum.reduce(terms, axis=1, keepdims=True)
+        terms -= peak
+        np.exp(terms, out=terms)
+        total = np.add.reduce(terms, axis=1)  # row sums, unlike BLAS, ignore the row count
+        mean = np.add.reduce(terms * nodes, axis=1) / total
+        return (peak[:, 0] + np.log(total)).tolist(), mean.tolist()
 
-    lo, hi = model.action_interval
-    level = math.log(model.h * weights.sum() / (model.b + model.h))
-    value, tilted_mean = psi(lo)
-    if value <= level:
-        action, where = lo, "at a_lo"
-    elif psi(hi)[0] >= level:
-        action, where = hi, "at a_hi"
-    else:
-        action, where = lo, "interior"
-        for _ in range(NVB_MAX_NEWTON_STEPS):
-            step = (value - level) / tilted_mean
-            if step <= 1e-15 * (1.0 + action):
-                break
-            action = min(action + step, hi)
-            value, tilted_mean = psi(action)
-        else:
-            raise NumericalError(
-                f"{rule.value} first-order root not reached in {NVB_MAX_NEWTON_STEPS} Newton steps"
+    lo, hi = (float(end) for end in first.action_interval)
+    total_weight = weights.sum()
+    levels = [math.log(model.h * total_weight / (model.b + model.h)) for model in models]
+    (value_lo, value_hi), (mean_lo, _) = psi([lo, hi])  # one pass; a row at a_lo uses one
+    where = [
+        "at a_lo" if value_lo <= level else "at a_hi" if value_hi >= level else "interior"
+        for level in levels
+    ]
+    action = [hi if w == "at a_hi" else lo for w in where]
+    evaluations = [1 if w == "at a_lo" else 2 for w in where]
+    # The rows still moving, with psi and the tilted mean at their action.
+    moving = {row: (value_lo, mean_lo) for row, w in enumerate(where) if w == "interior"}
+    for _ in range(NVB_MAX_NEWTON_STEPS):
+        for row, (value, tilted_mean) in list(moving.items()):
+            step = (value - levels[row]) / tilted_mean
+            if step <= 1e-15 * (1.0 + action[row]):
+                del moving[row]
+            else:
+                action[row] = min(action[row] + step, hi)
+                evaluations[row] += 1
+        if not moving:
+            break
+        rows = list(moving)
+        values, tilted_means = psi([action[row] for row in rows])
+        moving = dict(zip(rows, zip(values, tilted_means)))
+    # NewsvendorRisk.value's arithmetic with one h per row, summed as in expected_risk.
+    actions = np.array(action)[:, None]
+    h = np.array([model.h for model in models])[:, None]
+    log_scale = np.array([math.log(first.b + model.h) for model in models])[:, None]
+    values = np.exp((log_scale - np.log(theta)) - actions * theta)
+    values += h * actions
+    values -= h / theta
+    objective = np.einsum("...i,i->...", values, weights).tolist()
+    outcomes: list[DecisionOutcome | NumericalError] = []
+    for row, model in enumerate(models):
+        if row in moving:  # still moving after the last step
+            outcomes.append(
+                NumericalError(
+                    f"{rule.value} first-order root not reached in {NVB_MAX_NEWTON_STEPS} "
+                    f"Newton steps at h={model.h:g}"
+                )
             )
-    action = float(action)
-    logger.debug(
-        "%s action %.9g after %d psi evaluations, %s", rule.value, action, evaluations, where
-    )
-    return DecisionOutcome(
-        action, expected_risk(action, theta, weights, model), rule, inner_fit, evaluations
-    )
+            continue
+        a, count, end = action[row], evaluations[row], where[row]
+        logger.debug("%s action %.9g after %d psi evaluations, %s", rule.value, a, count, end)
+        outcomes.append(DecisionOutcome(a, objective[row], rule, inner_fit, count, q))
+    return outcomes
+
+
+def decide_across_h(
+    q: LogNormalVariational,
+    models: Sequence[NewsvendorModel],
+    diagnostics: FitDiagnostics | None = None,
+) -> list[DecisionOutcome | NumericalError]:
+    """``decide_on_measure`` on q's nodes for models that differ only in h."""
+    return decide_on_measure(*_gauss_hermite_measure(q), models, Rule.NVB, diagnostics, q)
 
 
 def decide_with_variational(
@@ -161,8 +206,10 @@ def decide_with_variational(
     diagnostics: FitDiagnostics | None = None,
 ) -> DecisionOutcome:
     """Minimize H_q over the action interval for an already fitted q."""
-    outcome = decide_on_measure(*_gauss_hermite_measure(q), model, Rule.NVB, diagnostics)
-    return replace(outcome, q=q)
+    (outcome,) = decide_across_h(q, [model], diagnostics)
+    if isinstance(outcome, NumericalError):
+        raise outcome
+    return outcome
 
 
 def nvb_decide(
@@ -285,8 +332,22 @@ def lcvb_decide(
 
 
 def optimality_gap(outcome: DecisionOutcome, model: NewsvendorModel) -> tuple[float, float]:
-    """(|a - a0*|, regret G(a, theta0) - G(a0*, theta0)) against the true rate."""
+    """(|a - a0*|, regret G(a, theta0) - G(a0*, theta0)) against the true rate.
+
+    In float arithmetic, associated as ``NewsvendorRisk.value``; a negative
+    action raises ``ValueError`` as ``risk`` does.
+    """
     a_star = true_optimal_action(model)
-    gap_action = abs(outcome.action - a_star)
-    gap_regret = risk(outcome.action, model.theta0, model) - risk(a_star, model.theta0, model)
-    return gap_action, max(gap_regret, 0.0)
+    if outcome.action < 0:
+        raise ValueError("action a must be nonnegative")
+    h, theta = model.h, model.theta0
+    log_scale = math.log(model.b + h) - math.log(theta)
+
+    def cost(a: float) -> float:
+        try:
+            tail = math.exp(log_scale - a * theta)
+        except OverflowError:  # where numpy's exp, and so ``risk``, gives inf
+            tail = math.inf
+        return tail + h * a - h / theta
+
+    return abs(outcome.action - a_star), max(cost(outcome.action) - cost(a_star), 0.0)

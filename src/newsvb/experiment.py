@@ -26,7 +26,8 @@ import numpy as np
 from . import __version__
 from .decisions import (
     Rule,
-    decide_with_variational,
+    decide_across_h,
+    decide_with_variational,  # noqa: F401 - unused here; perfbench/tracing.py wraps this name
     lcvb_decide,
     optimality_gap,
 )
@@ -205,6 +206,7 @@ class GapRecord:
     gap_action: float
     gap_regret: float
     failed: bool = False
+    reason: str = ""  # why a failed cell failed
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,17 +243,18 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
     One stream of max(n_schedule) demands is drawn; each n reuses its
     prefix and each holding cost sees the same prefix. The posterior grid
     and the plain variational fit depend only on the prefix and the prior,
-    so they are shared across holding costs; the NVB decision, made once
-    per (n, h), is also LCVB's start, and its failure fails both cells.
-    Rule failures mark their cell and never abort the path; one debug line
-    per n names the failed cells.
+    so they are shared across holding costs, and NVB decides every holding
+    cost of an n in one ``decide_across_h`` call. Each NVB decision is also
+    its LCVB cell's start, and its failure fails both cells. Rule failures
+    mark their cell with a reason and never abort the path; one debug line
+    per n names the failed cells and their reasons.
     """
     if not 0 <= path_index < config.replications:
         raise ValueError(f"path_index {path_index} outside [0, {config.replications})")
     rng = np.random.default_rng(derive_path_seed(config.master_seed, path_index))
     stream = sample_demand(config.theta0, max(config.n_schedule), rng)
     settings = FitSettings()
-    prior_model = config.model_for(config.h_values[0])
+    models = [config.model_for(h) for h in config.h_values]
     needs_grid = Rule.LCVB in config.rules or Rule.BAYES in config.rules
     needs_fit = Rule.NVB in config.rules or Rule.LCVB in config.rules
 
@@ -259,43 +262,52 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
     for n in config.n_schedule:
         data = stream.prefix(n)
         first = len(records)
-        grid = None
-        q_nvb = nvb_diag = None
+        grid, nvb_outcomes = None, [None] * len(models)
         try:
+            reason = "posterior grid"
             if needs_grid:
-                grid = build_posterior(data, prior_model, config.posterior_nodes)
+                grid = build_posterior(data, models[0], config.posterior_nodes)
+            reason = "plain fit"
             if needs_fit:
-                q_nvb, nvb_diag = fit_nvb(data, prior_model, settings)
+                q_nvb, nvb_diag = fit_nvb(data, models[0], settings)
+                nvb_outcomes = decide_across_h(q_nvb, models, nvb_diag)
         except NumericalError:
-            for h in config.h_values:
-                for rule in config.rules:
-                    records.append(GapRecord(rule, h, n, math.nan, math.nan, failed=True))
+            records.extend(
+                GapRecord(rule, h, n, math.nan, math.nan, failed=True, reason=reason)
+                for h in config.h_values
+                for rule in config.rules
+            )
         else:
-            for h in config.h_values:
-                model = config.model_for(h)
-                nvb = None
-                if needs_fit:
-                    try:
-                        nvb = decide_with_variational(q_nvb, model, nvb_diag)
-                    except NumericalError:
-                        pass  # fails the NVB and LCVB cells below
-                for rule in config.rules:
-                    try:
-                        if rule is Rule.BAYES:
-                            outcome = bayes_decision(grid, model)
-                        elif nvb is None:
-                            raise NumericalError("the NVB decision failed")
-                        elif rule is Rule.NVB:
-                            outcome = nvb
-                        else:
-                            outcome = lcvb_decide(data, model, grid, settings, nvb_start=nvb)
-                        gap_action, gap_regret = optimality_gap(outcome, model)
-                        records.append(GapRecord(rule, h, n, gap_action, gap_regret))
-                    except NumericalError:
-                        records.append(GapRecord(rule, h, n, math.nan, math.nan, failed=True))
-        failed = ", ".join(f"{r.rule.value} h={r.h:g}" for r in records[first:] if r.failed)
+            for model, nvb in zip(models, nvb_outcomes):
+                records.extend(
+                    _cell(rule, n, model, data, grid, settings, nvb) for rule in config.rules
+                )
+        failed = ", ".join(
+            f"{r.rule.value} h={r.h:g} ({r.reason})" for r in records[first:] if r.failed
+        )
         logger.debug("path %d, n=%d: failed cells: %s", path_index, n, failed or "none")
     return records
+
+
+def _cell(rule: Rule, n: int, model: NewsvendorModel, data, grid, settings, nvb) -> GapRecord:
+    """One (rule, h, n) cell's gaps, or its failure with the reason. ``nvb`` is
+    the NVB decision at this h (or the error that failed it), None without one."""
+
+    def failure(reason: str) -> GapRecord:
+        return GapRecord(rule, model.h, n, math.nan, math.nan, failed=True, reason=reason)
+
+    if rule is not Rule.BAYES and isinstance(nvb, NumericalError):
+        return failure("NVB root not reached")
+    try:
+        if rule is Rule.BAYES:
+            outcome = bayes_decision(grid, model)
+        elif rule is Rule.NVB:
+            outcome = nvb
+        else:
+            outcome = lcvb_decide(data, model, grid, settings, nvb_start=nvb)
+    except NumericalError as exc:
+        return failure(f"{'Bayes' if rule is Rule.BAYES else 'LCVB'}: {exc}")
+    return GapRecord(rule, model.h, n, *optimality_gap(outcome, model))
 
 
 def nearest_rank_quantile(values, level: float) -> float:

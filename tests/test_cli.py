@@ -13,6 +13,7 @@ import pytest
 
 import newsvb
 from newsvb.cli import main
+from newsvb.experiment import reference_config
 
 
 def run_cli(capsys, *argv):
@@ -396,6 +397,38 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "fit", "--n", "10", "--theta0", "0.68")
         assert code == 3
         assert "numerical failure" in err
+
+    # Sizes that malloc refuses at once; never a size that could be allocated.
+    @pytest.mark.parametrize(
+        "argv,config",
+        [
+            (["fit", "--n", "10000000000000", "--theta0", "1"], None),
+            (["decide", "--rule", "nvb"], {"theta0": 1.0, "n": 10**13}),
+            (["experiment"], {"n_schedule": [10, 10**13]}),
+            (["experiment", "--jobs", "2"], {"n_schedule": [10, 10**13], "replications": 2}),
+        ],
+        ids=["fit", "decide", "experiment", "experiment-pool"],
+    )
+    def test_a_sample_past_memory_exits_2_in_one_line(
+        self, capsys, tmp_path, monkeypatch, argv, config
+    ):
+        monkeypatch.delenv("SEED", raising=False)
+        if argv[0] == "experiment":
+            config = {
+                **reference_config(h_values=(0.005,), replications=1).to_dict(),
+                **config,
+            }
+            argv = argv + ["--out", str(tmp_path / "run")]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            argv = argv + ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: not enough memory: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run.csv").exists()
 
     def test_no_command_prints_usage(self, capsys):
         code, _, err = run_cli(capsys)

@@ -28,6 +28,7 @@ from newsvb import (
     sample_demand,
     true_optimal_action,
 )
+import newsvb.decisions as decisions
 from newsvb.decisions import decide_on_measure, decide_with_variational, envelope_slope
 from newsvb.model import expected_risk
 from newsvb.numerics import NumericalError, minimize_on_grid_then_golden
@@ -105,6 +106,14 @@ def measures(draw):
     return np.array(theta), np.array(weights)
 
 
+def decide_one(theta, weights, model, rule=Rule.NVB):
+    """``decide_on_measure`` for one model: its outcome, or its error raised."""
+    (outcome,) = decide_on_measure(theta, weights, [model], rule)
+    if isinstance(outcome, NumericalError):
+        raise outcome
+    return outcome
+
+
 def measure_model(h, b, lo, width):
     interval = (lo, lo + width)
     return NewsvendorModel(h=h, b=b, theta0=None, alpha=1.0, beta=1.0, action_interval=interval)
@@ -121,6 +130,21 @@ def action_slope_sum(a, theta, weights, model):
     return float(weights @ NewsvendorRisk(model.h, model.b).action_slope(a, theta))
 
 
+def assert_first_order(outcome, theta, weights, model):
+    """The action solves H's first-order condition, or H's slope points out of
+    the interval at the end it sits on; the objective is H at the action."""
+    a = outcome.action
+    assert type(a) is float
+    if a == model.action_lo:  # H rises from a_lo
+        assert action_slope_sum(a, theta, weights, model) >= -1e-12
+    elif a == model.action_hi:  # H still falls at a_hi
+        assert action_slope_sum(a, theta, weights, model) <= 1e-12
+    else:
+        level = math.log(model.h * weights.sum() / (model.b + model.h))
+        assert abs(psi(a, theta, weights) - level) <= 1e-10
+    assert outcome.objective_value == expected_risk(a, theta, weights, model)
+
+
 PROPERTY_SETTINGS = settings(deadline=None, max_examples=50, derandomize=True, database=None)
 COSTS = dict(
     h=st.floats(1e-3, 0.5),
@@ -134,9 +158,7 @@ class TestDecideOnMeasure:
     def test_posterior_grid_measure_is_the_bayes_rule(self, grid_n50, base_model):
         # Two independent searches of the same posterior expected risk: the
         # first-order root and the oracle's derivative-free scan.
-        root = decide_on_measure(
-            grid_n50.nodes, grid_n50.normalized_weights, base_model, Rule.BAYES
-        )
+        root = decide_one(grid_n50.nodes, grid_n50.normalized_weights, base_model, Rule.BAYES)
         scan = bayes_decision(grid_n50, base_model)
         assert abs(root.action - scan.action) <= 1e-7
         assert root.objective_value <= scan.objective_value + 1e-15 * abs(scan.objective_value)
@@ -146,24 +168,14 @@ class TestDecideOnMeasure:
     def test_root_solves_the_first_order_condition(self, measure, h, b, lo, width):
         theta, weights = measure
         model = measure_model(h, b, lo, width)
-        outcome = decide_on_measure(theta, weights, model, Rule.NVB)
-        a = outcome.action
-        assert type(a) is float
-        if a == model.action_lo:  # H rises from a_lo
-            assert action_slope_sum(a, theta, weights, model) >= -1e-12
-        elif a == model.action_hi:  # H still falls at a_hi
-            assert action_slope_sum(a, theta, weights, model) <= 1e-12
-        else:
-            level = math.log(h * weights.sum() / (b + h))
-            assert abs(psi(a, theta, weights) - level) <= 1e-10
-        assert outcome.objective_value == expected_risk(a, theta, weights, model)
+        assert_first_order(decide_one(theta, weights, model), theta, weights, model)
 
     @PROPERTY_SETTINGS
     @given(measure=measures(), **COSTS)
     def test_root_agrees_with_the_scan(self, measure, h, b, lo, width):
         theta, weights = measure
         model = measure_model(h, b, lo, width)
-        outcome = decide_on_measure(theta, weights, model, Rule.NVB)
+        outcome = decide_one(theta, weights, model)
         action, _, _ = minimize_on_grid_then_golden(
             lambda a: expected_risk(a, theta, weights, model), lo, lo + width
         )
@@ -173,9 +185,9 @@ class TestDecideOnMeasure:
     @given(measure=measures(), raise_by=st.floats(0.0, 0.5), **COSTS)
     def test_action_is_non_increasing_in_h(self, measure, raise_by, h, b, lo, width):
         theta, weights = measure
-        low = decide_on_measure(theta, weights, measure_model(h, b, lo, width), Rule.NVB)
+        low = decide_one(theta, weights, measure_model(h, b, lo, width))
         high_model = measure_model(h + raise_by, b, lo, width)
-        high = decide_on_measure(theta, weights, high_model, Rule.NVB)
+        high = decide_one(theta, weights, high_model)
         # Equal roots may differ by the Newton stop, 1e-15 * (1 + a).
         assert high.action <= low.action + 1e-13
 
@@ -190,7 +202,7 @@ class TestDecideOnMeasure:
         for _ in range(200):
             size = int(rng.integers(1, 41))
             theta, weights = rng.uniform(0.05, 0.3, size), rng.uniform(1e-3, 1.0, size)
-            root = decide_on_measure(theta, weights, model, Rule.NVB).action
+            root = decide_one(theta, weights, model).action
             if root == model.action_hi:
                 continue
             interior += 1
@@ -207,7 +219,7 @@ class TestDecideOnMeasure:
         weights = np.array([0.0, 1.0, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            outcome = decide_on_measure(theta, weights, base_model, Rule.NVB)
+            outcome = decide_one(theta, weights, base_model)
         assert outcome.action == pytest.approx(
             math.log((base_model.b + base_model.h) / base_model.h) / 0.7, rel=1e-14
         )
@@ -216,9 +228,7 @@ class TestDecideOnMeasure:
         q, _ = fit_nvb(data_n50, base_model)
         with caplog.at_level(logging.DEBUG):
             nvb = decide_with_variational(q, base_model)
-            at_hi = decide_on_measure(
-                np.array([1e-3]), np.array([1.0]), base_model, Rule.NVB
-            )
+            at_hi = decide_one(np.array([1e-3]), np.array([1.0]), base_model)
             bayes = bayes_decision(grid_n50, base_model)
         lines = [(r.name, r.getMessage()) for r in caplog.records]
         assert lines == [
@@ -230,6 +240,87 @@ class TestDecideOnMeasure:
             ("newsvb.oracle", f"BAYES action {bayes.action:.9g} after 549 probes"),
         ]
         assert at_hi.action == base_model.action_hi
+
+
+class TestDecideAcrossH:
+    # Two rates with equal weights on [1, 3] at b = 0.1: h = 0.2 sits at a_lo,
+    # 0.005 at a_hi, and 0.09, 0.03 and 0.016 between them.
+    THETA, WEIGHTS = np.array([0.5, 1.0]), np.array([0.5, 0.5])
+
+    @staticmethod
+    def models(hs, b=0.1, interval=(1.0, 3.0)):
+        return [measure_model(h, b, interval[0], interval[1] - interval[0]) for h in hs]
+
+    @PROPERTY_SETTINGS
+    @given(
+        measure=measures(),
+        hs=st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=12, unique=True),
+        b=COSTS["b"],
+        lo=COSTS["lo"],
+        width=COSTS["width"],
+    )
+    def test_every_row_is_its_own_decide(self, measure, hs, b, lo, width):
+        theta, weights = measure
+        models = [measure_model(h, b, lo, width) for h in hs]
+        outcomes = decide_on_measure(theta, weights, models, Rule.NVB)
+        assert len(outcomes) == len(models)
+        for model, outcome in zip(models, outcomes):
+            alone = decide_one(theta, weights, model)
+            assert abs(outcome.action - alone.action) <= 1e-12
+            assert abs(outcome.objective_value - alone.objective_value) <= 1e-12 * max(
+                1.0, abs(alone.objective_value)
+            )
+            assert outcome.probe_count == alone.probe_count
+            assert_first_order(outcome, theta, weights, model)
+        by_h = sorted(zip(hs, (outcome.action for outcome in outcomes)))
+        # Equal roots may differ by the Newton stop, 1e-15 * (1 + a).
+        assert all(high <= low + 1e-13 for (_, low), (_, high) in zip(by_h, by_h[1:]))
+
+    def test_rows_at_both_ends_and_inside_in_one_call(self, caplog):
+        models = self.models((0.2, 0.03, 0.005))
+        with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
+            low, inside, high = decide_on_measure(self.THETA, self.WEIGHTS, models, Rule.NVB)
+        assert (low.action, low.probe_count) == (1.0, 1)
+        assert (high.action, high.probe_count) == (3.0, 2)
+        assert 1.0 < inside.action < 3.0 and inside.probe_count > 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "NVB action 1 after 1 psi evaluations, at a_lo",
+            f"NVB action {inside.action:.9g} after {inside.probe_count} psi evaluations, interior",
+            "NVB action 3 after 2 psi evaluations, at a_hi",
+        ]
+        for model, outcome in zip(models, (low, inside, high)):
+            assert outcome == decide_one(self.THETA, self.WEIGHTS, model)
+            assert_first_order(outcome, self.THETA, self.WEIGHTS, model)
+
+    def test_a_row_past_the_step_cap_fails_alone(self, monkeypatch):
+        models = self.models((0.2, 0.09, 0.03, 0.005))
+        outcomes = decide_on_measure(self.THETA, self.WEIGHTS, models, Rule.NVB)
+        counts = [outcome.probe_count for outcome in outcomes]
+        # Rows 1 and 2 are interior: two psi evaluations at the ends, then one
+        # per Newton step, and one more loop pass to see the step stop.
+        assert counts[0] == 1 and counts[3] == 2 and 2 < counts[1] < counts[2]
+        monkeypatch.setattr(decisions, "NVB_MAX_NEWTON_STEPS", counts[1] - 1)
+        outcomes = decide_on_measure(self.THETA, self.WEIGHTS, models, Rule.NVB)
+        assert isinstance(outcomes[2], NumericalError)
+        assert "not reached" in str(outcomes[2])
+        for row in (0, 1, 3):
+            assert outcomes[row] == decide_one(self.THETA, self.WEIGHTS, models[row])
+        with pytest.raises(NumericalError, match="not reached"):
+            decide_one(self.THETA, self.WEIGHTS, models[2])
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            dict(b=0.2),
+            dict(interval=(1.0, 4.0)),
+            dict(interval=(0.5, 3.0)),
+        ],
+        ids=["b", "a_hi", "a_lo"],
+    )
+    def test_models_that_differ_beyond_h_are_rejected(self, other):
+        models = self.models((0.03,)) + self.models((0.01,), **other)
+        with pytest.raises(ValueError, match="only in h"):
+            decide_on_measure(self.THETA, self.WEIGHTS, models, Rule.NVB)
 
 
 def scan_reference(data, model):
@@ -428,6 +519,37 @@ class TestOptimalityGap:
             )
             gap_action, gap_regret = optimality_gap(outcome, base_model)
             assert gap_regret <= lipschitz * gap_action + 1e-9
+
+
+    def test_float_gaps_match_the_validated_risk(self):
+        # The reference: the same gaps through the validated numpy ``risk``.
+        rng = np.random.default_rng(35)
+        for _ in range(300):
+            theta0 = float(rng.uniform(0.05, 5.0))
+            h, b = float(rng.uniform(1e-3, 0.5)), float(rng.uniform(0.01, 1.0))
+            model = NewsvendorModel(h=h, b=b, theta0=theta0, alpha=1.0, beta=1.0,
+                                    action_interval=(0.0, 200.0))
+            a_star = true_optimal_action(model)
+            a = float(rng.uniform(0.0, 200.0))
+            gap_action, gap_regret = optimality_gap(
+                DecisionOutcome(action=a, objective_value=0.0, rule=Rule.NVB), model
+            )
+            cost, best = risk(a, theta0, model), risk(a_star, theta0, model)
+            assert gap_action == abs(a - a_star)
+            # Rounding in either cost, ~45 eps of the larger one.
+            assert abs(gap_regret - max(cost - best, 0.0)) <= 1e-14 * max(1.0, cost, best)
+
+    def test_an_overflowing_cost_gives_an_infinite_regret(self):
+        # b/theta0 past the float range: the tail at a = 0 is inf, as with numpy.
+        model = NewsvendorModel(h=1.0, b=1e10, theta0=1e-300, alpha=1.0, beta=1.0,
+                                action_interval=(0.0, 1e308))
+        outcome = DecisionOutcome(action=0.0, objective_value=0.0, rule=Rule.NVB)
+        assert optimality_gap(outcome, model) == (true_optimal_action(model), math.inf)
+
+    def test_negative_action_raises(self, base_model):
+        outcome = DecisionOutcome(action=-1.0, objective_value=0.0, rule=Rule.NVB)
+        with pytest.raises(ValueError, match="nonnegative"):
+            optimality_gap(outcome, base_model)
 
 
 class TestMonotoneConsistency:

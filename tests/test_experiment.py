@@ -4,9 +4,13 @@ import json
 import logging
 import math
 import platform
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import newsvb.decisions as decisions
 import newsvb.experiment as experiment
@@ -117,54 +121,79 @@ class TestSimulatePath:
         for key, record in narrow_records.items():
             assert wide_records[key] == record
 
-    def test_one_nvb_decide_per_cell_and_lcvb_starts_from_it(self, monkeypatch):
+    def test_one_nvb_decide_per_n_and_lcvb_starts_from_it(self, monkeypatch):
         config = tiny_config(h_values=(0.003, 0.008))
         calls = []
+        single_calls = []
         lcvb_calls = []
+
+        def counted_across_h(q, models, *args):
+            calls.append(tuple(model.h for model in models))
+            return decisions.decide_across_h(q, models, *args)
 
         def counted(original):
             def decide(*args, **kwargs):
-                calls.append(args[1].h)
+                single_calls.append(args[1].h)
                 return original(*args, **kwargs)
 
             return decide
 
         def recorded(*args, **kwargs):
             outcome = decisions.lcvb_decide(*args, **kwargs)
-            lcvb_calls.append((args, outcome))
+            lcvb_calls.append((args, kwargs["nvb_start"], outcome))
             return outcome
 
-        monkeypatch.setattr(
-            experiment, "decide_with_variational", counted(decisions.decide_with_variational)
-        )
+        monkeypatch.setattr(experiment, "decide_across_h", counted_across_h)
         monkeypatch.setattr(
             decisions, "decide_with_variational", counted(decisions.decide_with_variational)
         )
         monkeypatch.setattr(experiment, "lcvb_decide", recorded)
         records = simulate_path(config, 1)
         assert not any(record.failed for record in records)
-        assert len(calls) == len(config.n_schedule) * len(config.h_values)
-        assert len(lcvb_calls) == len(calls)
-        calls.clear()
-        for (data, model, grid, settings), outcome in lcvb_calls:
+        assert calls == [config.h_values] * len(config.n_schedule)
+        assert single_calls == []
+        assert len(lcvb_calls) == len(config.n_schedule) * len(config.h_values)
+        for (data, model, grid, settings), start, outcome in lcvb_calls:
+            assert start.rule is Rule.NVB and start.q is not None
             alone = decisions.lcvb_decide(data, model, grid, settings)  # fits its own q
             assert alone.action == outcome.action
             assert alone.objective_value == outcome.objective_value
         # Without a start, lcvb_decide decides NVB itself, and the counter sees it.
-        assert len(calls) == len(lcvb_calls)
+        assert len(single_calls) == len(lcvb_calls)
 
     def test_failed_nvb_decide_fails_both_variational_cells(self, monkeypatch):
-        def failing(*args, **kwargs):
-            raise NumericalError("synthetic failure")
+        def failing(q, models, *args):
+            return [NumericalError("synthetic failure")] * len(models)
 
-        monkeypatch.setattr(experiment, "decide_with_variational", failing)
+        monkeypatch.setattr(experiment, "decide_across_h", failing)
         config = tiny_config(rules=(Rule.NVB, Rule.LCVB, Rule.BAYES))
         records = simulate_path(config, 0)
-        assert {(r.rule, r.failed) for r in records} == {
-            (Rule.NVB, True),
-            (Rule.LCVB, True),
-            (Rule.BAYES, False),
+        assert {(r.rule, r.failed, r.reason) for r in records} == {
+            (Rule.NVB, True, "NVB root not reached"),
+            (Rule.LCVB, True, "NVB root not reached"),
+            (Rule.BAYES, False, ""),
         }
+
+    def test_a_failed_nvb_row_fails_only_its_own_cells(self, monkeypatch):
+        config = tiny_config(
+            rules=(Rule.NVB, Rule.LCVB, Rule.BAYES), h_values=(0.003, 0.005, 0.008)
+        )
+        clean = simulate_path(config, 1)
+        assert not any(record.failed for record in clean)
+
+        def failing_at_middle_h(q, models, *args):
+            outcomes = decisions.decide_across_h(q, models, *args)
+            outcomes[1] = NumericalError("synthetic row failure")
+            return outcomes
+
+        monkeypatch.setattr(experiment, "decide_across_h", failing_at_middle_h)
+        records = simulate_path(config, 1)
+        assert len(records) == len(clean)
+        for record, reference in zip(records, clean):
+            if record.h == 0.005 and record.rule is not Rule.BAYES:
+                assert record.failed and record.reason == "NVB root not reached"
+            else:
+                assert record == reference
 
     def test_one_debug_line_per_n_names_the_failed_cells(self, monkeypatch, caplog):
         config = tiny_config(rules=(Rule.NVB, Rule.BAYES), h_values=(0.003, 0.008))
@@ -175,27 +204,49 @@ class TestSimulatePath:
             "path 1, n=30: failed cells: none",
         ]
         caplog.clear()
-        fit, decide = experiment.fit_nvb, experiment.decide_with_variational
+        fit, decide, bayes = (
+            experiment.fit_nvb, experiment.decide_across_h, experiment.bayes_decision
+        )
 
         def fit_failing_at_30(data, *args):
             if data.n == 30:
                 raise NumericalError("synthetic fit failure")
             return fit(data, *args)
 
-        def decide_failing_at_low_h(q, model, *args):
-            if model.h == 0.003:
-                raise NumericalError("synthetic decide failure")
-            return decide(q, model, *args)
+        def decide_failing_at_low_h(q, models, *args):
+            return [
+                NumericalError("synthetic decide failure") if model.h == 0.003 else outcome
+                for model, outcome in zip(models, decide(q, models, *args))
+            ]
+
+        def bayes_failing_at_high_h(grid, model):
+            if model.h == 0.008:
+                raise NumericalError("synthetic Bayes failure")
+            return bayes(grid, model)
 
         monkeypatch.setattr(experiment, "fit_nvb", fit_failing_at_30)
-        monkeypatch.setattr(experiment, "decide_with_variational", decide_failing_at_low_h)
+        monkeypatch.setattr(experiment, "decide_across_h", decide_failing_at_low_h)
+        monkeypatch.setattr(experiment, "bayes_decision", bayes_failing_at_high_h)
         with caplog.at_level(logging.DEBUG, logger="newsvb.experiment"):
             records = simulate_path(config, 1)
         assert [record.getMessage() for record in caplog.records] == [
-            "path 1, n=10: failed cells: NVB h=0.003",
-            "path 1, n=30: failed cells: NVB h=0.003, BAYES h=0.003, NVB h=0.008, BAYES h=0.008",
+            "path 1, n=10: failed cells: NVB h=0.003 (NVB root not reached), "
+            "BAYES h=0.008 (Bayes: synthetic Bayes failure)",
+            "path 1, n=30: failed cells: NVB h=0.003 (plain fit), BAYES h=0.003 (plain fit), "
+            "NVB h=0.008 (plain fit), BAYES h=0.008 (plain fit)",
         ]
-        assert records[1:4] == clean[1:4]  # the cells at n=10 that did not fail
+        assert records[1:3] == clean[1:3]  # the cells at n=10 that did not fail
+
+    def test_a_failed_lcvb_decide_names_its_error(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise NumericalError("synthetic LCVB failure")
+
+        monkeypatch.setattr(experiment, "lcvb_decide", failing)
+        records = simulate_path(tiny_config(), 0)
+        assert {(r.rule, r.failed, r.reason) for r in records} == {
+            (Rule.NVB, False, ""),
+            (Rule.LCVB, True, "LCVB: synthetic LCVB failure"),
+        }
 
     def test_large_sample_gap_is_small(self):
         config = tiny_config(replications=1, n_schedule=(100_000,), h_values=(0.005,))
@@ -305,7 +356,42 @@ class TestEstimateRate:
             estimate_rate(curve)
 
 
+@st.composite
+def curve_sets(draw):
+    """Curves with distinct (rule, h, level) keys and 1-5 points each, whose
+    quantiles may be missing."""
+    keys = draw(
+        st.lists(
+            st.tuples(st.sampled_from(list(Rule)), st.floats(1e-6, 10.0), st.floats(0.01, 0.99)),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        )
+    )
+    gap = st.one_of(st.none(), st.floats(0.0, 1e6))
+    point = st.builds(
+        CurvePoint,
+        n=st.integers(1, 10**9),
+        gap_action_q=gap,
+        gap_regret_q=gap,
+        replications=st.integers(0, 10**6),
+        failures=st.integers(0, 10**6),
+    )
+    return [
+        QuantileCurve(rule, h, level, tuple(draw(st.lists(point, min_size=1, max_size=5))))
+        for rule, h, level in keys
+    ]
+
+
 class TestPersistence:
+    @settings(deadline=None, max_examples=50, derandomize=True, database=None)
+    @given(curves=curve_sets())
+    def test_curves_round_trip_through_the_csv(self, curves):
+        with tempfile.TemporaryDirectory() as directory:
+            csv_path, _ = write_results(curves, Path(directory) / "run", tiny_config())
+            assert read_results(csv_path) == curves
+
+
     def test_round_trip_and_shape(self, tmp_path):
         config = tiny_config(replications=2)
         curves = run_experiment(config)
