@@ -50,6 +50,7 @@ from .vb import (
     FitSettings,
     LogNormalVariational,
     _lcvb_objective,
+    _log_risk_term,
     calibrated_objective,
     elbo,
     elbo_gradient,
@@ -452,6 +453,27 @@ def check_calibrated_hessian() -> tuple[float, float]:
     return worst, 1e-5
 
 
+def check_calibrated_action_derivatives() -> tuple[float, float]:
+    """The kernel's F_a against central differences of F in a at fixed q, and
+    its F_a_mu and F_a_rho against central differences of F_a in (mu, rho),
+    on the calibrated-hessian check's members and actions."""
+    model, data, _ = _check_dataset()
+    members = probe_members(np.random.default_rng(64), data.n / data.sum_s, 50)
+    actions = np.random.default_rng(65).uniform(model.action_lo, model.action_hi, size=50)
+    risk = NewsvendorRisk(model.h, model.b)
+
+    def kernel(a, x):
+        return _log_risk_term(float(a), float(x[0]), float(x[1]), risk, 64)
+
+    worst = 0.0
+    for a, q in zip(actions, members):
+        x = np.array([q.mu, math.log(q.sigma)])
+        in_a = _central_differences(lambda b: kernel(b[0], x)[0], np.array([a]))
+        in_q = _central_differences(lambda y: kernel(a, y)[3][0], x)
+        worst = max(worst, _relative_error(kernel(a, x)[3], np.concatenate([in_a, in_q])))
+    return worst, 1e-5
+
+
 def check_quantile() -> tuple[float, float]:
     rng = np.random.default_rng(10)
     worst = 0.0
@@ -470,6 +492,7 @@ def cmd_check(args) -> int:
         ("jensen-bound", check_jensen_bound),
         ("elbo-gradient", check_elbo_gradient),
         ("calibrated-hessian", check_calibrated_hessian),
+        ("calibrated-action-derivatives", check_calibrated_action_derivatives),
         ("quantile-nearest-rank", check_quantile),
     ]
     all_ok = True
@@ -477,7 +500,7 @@ def cmd_check(args) -> int:
         residual, tolerance = runner()
         ok = residual <= tolerance
         all_ok = all_ok and ok
-        print(f"{name:<24} residual={residual:.3e} tolerance={tolerance:.1e}  "
+        print(f"{name:<30} residual={residual:.3e} tolerance={tolerance:.1e}  "
               f"{'PASS' if ok else 'FAIL'}")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 

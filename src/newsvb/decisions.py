@@ -4,9 +4,12 @@ The naive rule fits one variational posterior and then minimizes the
 predicted expected cost H_q(a) = E_q[G(a, theta)] over the action interval
 at the root of its first-order condition, found by Newton's method.
 The calibrated rule minimizes the inner maximum V(a) = max_q F(a, q) of the
-loss-calibrated objective by a local root search on dV/da, which the
-envelope theorem gives from each inner fit, starting at the naive action;
-a global scan over actions is its fallback.
+loss-calibrated objective by a local root search on dV/da, starting at the
+naive action. Each inner fit's last kernel pass gives the search what it
+reads: dV/da = F_a at the maximizer q*(a) (the envelope theorem), and the
+tangent dq*/da = -F_qq^{-1} F_qa (the implicit function theorem), along
+which the next fit's start is predicted. A global scan over actions is the
+fallback.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ __all__ = [
     "nvb_decide",
     "decide_across_h",
     "decide_with_variational",
-    "envelope_slope",
     "lcvb_decide",
     "optimality_gap",
 ]
@@ -226,17 +228,18 @@ def nvb_decide(
     return decide_with_variational(q, model, diagnostics)
 
 
-def envelope_slope(a: float, q: LogNormalVariational, risk: Risk, node_count: int = 64) -> float:
-    """E_q[dG/da / G] by Gauss-Hermite, raising ``NumericalError`` if not finite.
-
-    At the inner maximizer q*(a) of F(a, .) this is dV/da for
-    V(a) = max_q F(a, q), by the envelope theorem.
-    """
-    theta, weights = _gauss_hermite_measure(q, node_count)
-    value = float(weights @ (risk.action_slope(a, theta) / risk.value(a, theta)))
-    if not math.isfinite(value):
-        raise NumericalError(f"envelope slope is {value} at a={a:.6g}")
-    return value
+def _along_tangent(
+    q: LogNormalVariational, tangent: tuple[float, float] | None, step: float
+) -> LogNormalVariational | None:
+    """q moved by ``step`` in a along its tangent (dmu/da, drho/da), or None
+    when there is no tangent or the move leaves the family."""
+    if tangent is None:
+        return None
+    try:
+        sigma = math.exp(math.log(q.sigma) + tangent[1] * step)
+        return LogNormalVariational(q.mu + tangent[0] * step, sigma)
+    except (OverflowError, ValueError):
+        return None
 
 
 def _envelope_root(slope, a0: float, lo: float, hi: float) -> float:
@@ -278,33 +281,57 @@ def lcvb_decide(
 ) -> DecisionOutcome:
     """Nested min-max rule: min_a V(a), V(a) = max_q F(a, q).
 
-    ``_envelope_root`` follows ``envelope_slope`` from the naive action,
-    ``nvb_start`` (an NVB outcome with its q) or else ``nvb_decide``'s;
-    each inner fit is one ascent warm-started from the nearest solved
-    action (the first from the plain fit). A local search sees one minimum
-    only: if a fit fails, the slope is not finite or no sign change lies
-    before the interval's end, a 33-point scan plus golden refinement to
-    1e-4 ranks inner maxima instead, where failed fits only void their
-    probe. ``probe_count`` counts every inner fit. ``grid`` enters once,
-    in the chosen action's calibrated objective, which checks that it
-    matches the data. ``risk=None`` uses the model's newsvendor risk.
+    ``_envelope_root`` follows the envelope slope F_a that each inner fit
+    reports from the naive action, ``nvb_start`` (an NVB outcome with its
+    q) or else ``nvb_decide``'s. Each inner fit is one ascent from the
+    nearest solved member (the first from the plain fit), moved along that
+    member's tangent to the new action. The unmoved member is the start
+    instead, counted as a cold start, when the fit gave no tangent (F_qq
+    not negative definite, or the tangent not finite), the move leaves the
+    family, or the fit from the moved start raises (its objective is not
+    finite there, say). A local search sees one minimum only: if a fit
+    fails, the slope is not finite or no sign change lies before the
+    interval's end, a 33-point scan plus golden refinement to 1e-4 ranks
+    inner maxima instead, each fit started from the nearest member the scan
+    solved, where failed fits only void their probe. ``probe_count``
+    counts every inner fit. ``grid`` enters once, in the chosen action's
+    calibrated objective, which checks that it matches the data.
+    ``risk=None`` uses the model's newsvendor risk.
     """
     settings = settings or FitSettings()
     risk = resolve_risk(risk, model)
     nvb = nvb_decide(data, model, settings) if nvb_start is None else nvb_start
     q_warm, a0 = nvb.q, nvb.action
     solved: dict[float, tuple[LogNormalVariational, FitDiagnostics]] = {}
-    fits = 0
+    fits = iterations = cold_starts = 0
+    predicting = True
 
     def solve(a: float) -> tuple[LogNormalVariational, FitDiagnostics]:
-        nonlocal fits
-        start = solved[min(solved, key=lambda b: abs(b - a))][0] if solved else q_warm
+        nonlocal fits, iterations, cold_starts
         fits += 1
-        solved[a] = fit_lcvb(a, data, model, settings, risk=risk, initial=start)
+        start, predicted = q_warm, None
+        if solved:
+            b = min(solved, key=lambda b: abs(b - a))
+            start, fit = solved[b]
+            if predicting:
+                predicted = _along_tangent(start, fit.tangent, a - b)
+                cold_starts += predicted is None
+        initial = start if predicted is None else predicted
+        try:
+            solved[a] = fit_lcvb(a, data, model, settings, risk=risk, initial=initial)
+        except NumericalError:
+            if initial is start:
+                raise
+            cold_starts += 1
+            solved[a] = fit_lcvb(a, data, model, settings, risk=risk, initial=start)
+        iterations += solved[a][1].iterations
         return solved[a]
 
     def slope(a: float) -> float:
-        return envelope_slope(a, solve(a)[0], risk, settings.node_count)
+        value = solve(a)[1].envelope_slope
+        if not math.isfinite(value):
+            raise NumericalError(f"envelope slope is {value} at a={a:.6g}")
+        return value
 
     def outer(a):
         if np.ndim(a):  # the coarse scan, an increasing array
@@ -320,6 +347,7 @@ def lcvb_decide(
     except NumericalError as exc:
         how = f"scan fallback: {exc}"
         solved.clear()  # the scan warm-starts from the plain fit alone
+        predicting = False
         action, value, _ = minimize_on_grid_then_golden(
             outer, lo, hi, LCVB_COARSE_POINTS, LCVB_OUTER_TOLERANCE
         )
@@ -327,7 +355,10 @@ def lcvb_decide(
             raise NumericalError("every outer action probe failed its inner fit") from exc
     q, diagnostics = solved[action]
     objective = calibrated_objective(action, q, data, model, grid, risk, settings.node_count)
-    logger.debug("LCVB action %.9g after %d inner fits, %s", action, fits, how)
+    logger.debug(
+        "LCVB action %.9g after %d inner fits (%d iterations, %d cold starts), %s",
+        action, fits, iterations, cold_starts, how,
+    )
     return DecisionOutcome(action, objective.value, Rule.LCVB, diagnostics, fits)
 
 

@@ -153,15 +153,13 @@ def loss(a: float, xi, model: NewsvendorModel):
 
 class Risk(Protocol):
     """An expected cost G(a, theta) and its derivatives over broadcast arrays of
-    ``a`` and ``theta``: ``theta_terms`` gives (G, theta*dG/dtheta,
-    theta*d(theta*dG/dtheta)/dtheta), the derivatives in log theta, from one
-    shared tail; ``action_slope`` gives dG/da."""
+    ``a`` and ``theta``: ``theta_terms`` gives, from one shared tail, (G,
+    theta*dG/dtheta, theta*d(theta*dG/dtheta)/dtheta, dG/da,
+    theta*d(dG/da)/dtheta), the rate derivatives taken in log theta."""
 
     def value(self, a, theta) -> np.ndarray: ...
 
-    def theta_terms(self, a, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
-
-    def action_slope(self, a, theta) -> np.ndarray: ...
+    def theta_terms(self, a, theta) -> tuple[np.ndarray, ...]: ...
 
 
 @dataclass(frozen=True)
@@ -191,10 +189,8 @@ class NewsvendorRisk:
         value = tail + self.h * a - h_theta  # the arithmetic of ``value``
         slope = h_theta - tail * (a_theta + 1.0)
         curvature = tail * (a_theta * a_theta + a_theta + 1.0) - h_theta
-        return value, slope, curvature
-
-    def action_slope(self, a, theta):
-        return self.h - (self.b + self.h) * np.exp(-a * theta)
+        tail_theta = tail * theta  # (b+h)*exp(-a*theta)
+        return value, slope, curvature, self.h - tail_theta, a_theta * tail_theta
 
 
 @dataclass(frozen=True)
@@ -206,12 +202,9 @@ class ConstantRisk:
     def value(self, a, theta):
         return np.full(np.broadcast_shapes(np.shape(a), np.shape(theta)), float(self.level))
 
-    def action_slope(self, a, theta):
-        return np.zeros(np.broadcast_shapes(np.shape(a), np.shape(theta)))
-
     def theta_terms(self, a, theta):
-        zero = self.action_slope(a, theta)  # every derivative is zero
-        return self.value(a, theta), zero, zero
+        zero = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(theta)))
+        return self.value(a, theta), zero, zero, zero, zero  # every derivative is zero
 
 
 def resolve_risk(risk: Risk | None, model: NewsvendorModel) -> Risk:
@@ -219,16 +212,26 @@ def resolve_risk(risk: Risk | None, model: NewsvendorModel) -> Risk:
     return NewsvendorRisk(model.h, model.b) if risk is None else risk
 
 
+ACTION_BLOCK = 128  # actions per pass of ``expected_risk``
+
+
 def expected_risk(a, theta, weights, model: NewsvendorModel, risk: Risk | None = None):
     """Expected risk sum_i weights[i] * G(a, theta[i]) under a discrete measure.
 
     ``a`` may be one action or an array of actions; the result has its shape.
+    Actions are taken ``ACTION_BLOCK`` at a time, which keeps a 512-action scan
+    of a 256-node grid from allocating (and page-faulting in) megabyte
+    temporaries; each action's sum is the same in any block.
     """
     validate_action(a, model)
     a = np.asarray(a, dtype=float)
-    values = resolve_risk(risk, model).value(a[..., None], theta)
-    out = np.einsum("...i,i->...", values, weights)  # same sum per action at any a.shape
-    return out if a.ndim else float(out)
+    risk = resolve_risk(risk, model)
+    actions = a.reshape(-1, 1)
+    out = np.empty(len(actions))
+    for start in range(0, len(actions), ACTION_BLOCK):
+        block = slice(start, start + ACTION_BLOCK)
+        out[block] = np.einsum("...i,i->...", risk.value(actions[block], theta), weights)
+    return out.reshape(a.shape) if a.ndim else float(out[0])
 
 
 def risk(a: float, theta, model: NewsvendorModel):

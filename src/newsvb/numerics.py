@@ -17,6 +17,7 @@ __all__ = [
     "minimize_on_grid_then_golden",
     "ascend",
     "AscentResult",
+    "newton_direction",
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -111,15 +112,19 @@ def minimize_on_grid_then_golden(f, lo, hi, coarse_points=512, tol=1e-8):
 
 @dataclass(frozen=True)
 class AscentResult:
+    """The returned point, with the Hessian and ``extra`` of its evaluation."""
+
     x: tuple[float, float]
     value: float
     gradient_norm: float
     iterations: int
     converged: bool
-    fallback_steps: int = 0
+    fallback_steps: int
+    hessian: tuple
+    extra: tuple
 
 
-def _newton_direction(gradient, hessian):
+def newton_direction(gradient, hessian):
     """-H^{-1} g for a negative definite 2x2 ``hessian``, else None."""
     (h00, h01), (_, h11) = hessian
     det = h00 * h11 - h01 * h01
@@ -137,16 +142,18 @@ def ascend(
 ) -> AscentResult:
     """Maximize a smooth objective of two parameters by damped Newton ascent.
 
-    ``objective(x) -> (f, g, H, H_fallback)`` gives the value, gradient and
-    Hessian at ``x`` plus a fallback curvature that is negative definite
-    wherever ``f`` is finite: a pair of floats ``x`` in, any pair ``g`` and
-    2x2 nestings (tuples or arrays) out. Each step solves the Newton system
-    in closed form with ``H``, or with ``H_fallback`` where ``H`` is not
-    negative definite (counted in ``fallback_steps``), and halves the step
-    until the Armijo condition holds. Stops when the gradient norm drops
-    below ``tolerance`` or the iteration cap is hit; a stalled line search,
-    or no negative definite curvature at all, ends the run with
-    ``converged=False``.
+    ``objective(x) -> (f, g, H, H_fallback, *extra)`` gives the value,
+    gradient and Hessian at ``x``, a fallback curvature that is negative
+    definite wherever ``f`` is finite, and any further values the caller
+    wants at the returned point: a pair of floats ``x`` in, any pair ``g``
+    and 2x2 nestings (tuples or arrays) out. The result carries the returned
+    point's ``H`` and ``extra`` from its own evaluation, not recomputed.
+    Each step solves the Newton system in closed form with ``H``, or with
+    ``H_fallback`` where ``H`` is not negative definite (counted in
+    ``fallback_steps``), and halves the step until the Armijo condition
+    holds. Stops when the gradient norm drops below ``tolerance`` or the
+    iteration cap is hit; a stalled line search, or no negative definite
+    curvature at all, ends the run with ``converged=False``.
 
     The Armijo test tolerates objective changes within a few ulps of the
     current value: near the optimum the analytic gradient keeps far more
@@ -155,27 +162,29 @@ def ascend(
     so the result never undercuts its own starting value.
     """
     x = (float(x0[0]), float(x0[1]))
-    value, grad, hess, fallback = objective(x)
+    current = objective(x)
+    value, grad, hess, fallback, *_ = current
     if not math.isfinite(value):
         raise NumericalError("objective is not finite at the initial point")
-    best_x, best_value, best_grad = x, value, grad
+    best_x, best = x, current
     fallback_steps = 0
 
     def result(iterations: int, *, stopped_by_tolerance: bool) -> AscentResult:
-        if stopped_by_tolerance or value >= best_value:
-            out_x, out_value, out_grad = x, value, grad
-        else:
-            out_x, out_value, out_grad = best_x, best_value, best_grad
+        out_x, out = (x, current) if stopped_by_tolerance or value >= best[0] else (best_x, best)
+        out_value, out_grad, out_hess, _, *extra = out
         norm = math.hypot(*out_grad)
-        return AscentResult(out_x, out_value, norm, iterations, norm < tolerance, fallback_steps)
+        return AscentResult(
+            out_x, out_value, norm, iterations, norm < tolerance, fallback_steps, out_hess,
+            tuple(extra),
+        )
 
     for iteration in range(max_iterations):
         if math.hypot(*grad) < tolerance:
             return result(iteration, stopped_by_tolerance=True)
-        direction = _newton_direction(grad, hess)
+        direction = newton_direction(grad, hess)
         if direction is None:
             fallback_steps += 1
-            direction = _newton_direction(grad, fallback)
+            direction = newton_direction(grad, fallback)
             if direction is None:
                 return result(iteration, stopped_by_tolerance=False)
         d0, d1 = direction
@@ -192,8 +201,8 @@ def ascend(
             step *= 0.5
         if not accepted or candidate == x:
             return result(iteration + 1, stopped_by_tolerance=False)
-        x = candidate
-        value, grad, hess, fallback = cand
-        if value > best_value:
-            best_x, best_value, best_grad = x, value, grad
+        x, current = candidate, cand
+        value, grad, hess, fallback, *_ = current
+        if value > best[0]:
+            best_x, best = x, current
     return result(max_iterations, stopped_by_tolerance=False)

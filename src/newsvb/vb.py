@@ -60,7 +60,7 @@ from .model import (
     resolve_risk,
     validate_action,
 )
-from .numerics import NumericalError, ascend, gauss_hermite_standard
+from .numerics import NumericalError, ascend, gauss_hermite_standard, newton_direction
 
 if TYPE_CHECKING:  # pragma: no cover
     from .oracle import PosteriorGrid
@@ -130,7 +130,13 @@ def variational_variance(q: LogNormalVariational) -> float:
 @dataclass(frozen=True)
 class FitDiagnostics:
     """How one ascent ended, with the value it reached: the ELBO for
-    ``fit_nvb``, ELBO + E_q[log G] (F plus the log evidence) for ``fit_lcvb``."""
+    ``fit_nvb``, ELBO + E_q[log G] (F plus the log evidence) for ``fit_lcvb``.
+
+    ``fit_lcvb`` also reports, from the evaluation at its member, the
+    envelope slope F_a (dV/da at an inner maximum) and the tangent
+    (dmu/da, drho/da) = -F_qq^{-1} F_qa of the maximizer, which is None where
+    F_qq is not negative definite or the tangent is not finite.
+    """
 
     iterations: int
     final_gradient_norm: float
@@ -139,6 +145,8 @@ class FitDiagnostics:
     # Always 0: every fit is a single ascent. Kept because the benchmark's
     # tracer (perfbench/tracing.py) reads it.
     restarts_used: int = 0
+    envelope_slope: float | None = None
+    tangent: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -238,11 +246,19 @@ def _fit(objective, x0, settings: FitSettings, kind: str):
         objective, x0, tolerance=settings.tolerance, max_iterations=settings.max_iterations
     )
     q = LogNormalVariational(mu=result.x[0], sigma=math.exp(result.x[1]))
+    slope = tangent = None
+    if result.extra:  # the calibrated objective's F_a, F_a_mu and F_a_rho
+        slope, *mixed = result.extra
+        tangent = newton_direction(mixed, result.hessian)
+        if tangent is not None and not all(map(math.isfinite, tangent)):
+            tangent = None
     diagnostics = FitDiagnostics(
         iterations=result.iterations,
         final_gradient_norm=result.gradient_norm,
         converged=result.converged,
         objective=result.value,
+        envelope_slope=slope,
+        tangent=tangent,
     )
     logger.log(
         logging.DEBUG if result.converged else logging.WARNING,
@@ -287,14 +303,16 @@ def _moment_basis(node_count: int):
 def _log_risk_term(a: float, mu: float, rho: float, risk: Risk, node_count: int):
     """E_q[log G(a, theta)] with its (mu, rho) gradient and Hessian by Gauss-Hermite.
 
-    Returns (value, gradient, hessian, clamped), the derivatives as nested
-    pairs of floats. Raises when the risk is not strictly positive at some
-    node; positive values below the floating floor are clamped and flagged.
+    Returns (value, gradient, hessian, action, clamped), the derivatives as
+    nested pairs of floats and ``action`` the triple (F_a, F_a_mu, F_a_rho)
+    of derivatives in a, then a and mu, then a and rho. Raises when the risk
+    is not strictly positive at some node; positive values below the
+    floating floor are clamped and flagged.
     """
     z, basis = _moment_basis(node_count)
     sigma = math.exp(rho)
     theta = np.exp(mu + sigma * z)
-    values, slope, curvature = risk.theta_terms(a, theta)
+    values, slope, curvature, action_slope, action_cross = risk.theta_terms(a, theta)
     lowest = values.min()  # NaN propagates, so NaN fails the test below too
     if not (lowest > 0.0 and values.max() < math.inf):
         raise NumericalError(
@@ -304,34 +322,45 @@ def _log_risk_term(a: float, mu: float, rho: float, risk: Risk, node_count: int)
     if clamped:
         logger.warning("risk values clamped at %.1e before taking logs (a=%.6g)", _RISK_FLOOR, a)
         values = np.maximum(values, _RISK_FLOOR)
-    # Rows log G, l' and l'' of l(u) = log G(a, e^u) at u = mu + sigma*z, with
-    # l' = theta*dG/dtheta / G and l'' = theta*d(theta*dG/dtheta)/dtheta / G - l'^2;
-    # one product gives each row's sums against w, w*z and w*z^2.
-    terms = np.empty((3, z.size))
+    # Rows log G, l', l'', l_a and l_a' of l(u) = log G(a, e^u) at
+    # u = mu + sigma*z, with l' = theta*dG/dtheta / G,
+    # l'' = theta*d(theta*dG/dtheta)/dtheta / G - l'^2, l_a = dG/da / G and
+    # l_a' = theta*d(dG/da)/dtheta / G - l_a*l'; one product gives each row's
+    # sums against w, w*z and w*z^2.
+    terms = np.empty((5, z.size))
     np.log(values, out=terms[0])
     np.divide(slope, values, out=terms[1])
     np.divide(curvature, values, out=terms[2])
     terms[2] -= np.square(terms[1])
-    (value, _, _), (g_mu, g_rho, _), (h_mu, h_mu_rho, h_rho) = (terms @ basis).tolist()
+    np.divide(action_slope, values, out=terms[3])
+    np.divide(action_cross, values, out=terms[4])
+    terms[4] -= terms[3] * terms[1]
+    sums = (terms @ basis).tolist()
+    (value, _, _), (g_mu, g_rho, _), (h_mu, h_mu_rho, h_rho), (f_a, _, _), (f_a_mu, f_a_rho, _) = sums
     g_rho, h_mu_rho = sigma * g_rho, sigma * h_mu_rho
     h_rho = sigma * sigma * h_rho + g_rho
-    return value, (g_mu, g_rho), ((h_mu, h_mu_rho), (h_mu_rho, h_rho)), clamped
+    hessian = ((h_mu, h_mu_rho), (h_mu_rho, h_rho))
+    return value, (g_mu, g_rho), hessian, (f_a, f_a_mu, sigma * f_a_rho), clamped
 
 
 def _lcvb_objective(
     a: float, data: Observations, model: NewsvendorModel, risk: Risk, node_count: int
 ):
     """ELBO + E_q[log G(a, .)] as an ``ascend`` objective of x = (mu, rho),
-    with the bound's own Hessian as the fallback curvature."""
+    with the bound's own Hessian as the fallback curvature and F_a, F_a_mu
+    and F_a_rho (the bound does not depend on a) as the extra values."""
 
     def objective(x):
         value, gradient, hessian = _elbo_terms(*x, data.n, data.sum_s, model.alpha, model.beta)
         if not math.isfinite(value):
             return -math.inf, gradient, hessian, hessian
-        extra, (l_mu, l_rho), ((m00, m01), (_, m11)), _ = _log_risk_term(a, *x, risk, node_count)
+        log_risk, (l_mu, l_rho), ((m00, m01), (_, m11)), action, _ = _log_risk_term(
+            a, *x, risk, node_count
+        )
         (e00, e01), (_, e11) = hessian
         total = ((e00 + m00, e01 + m01), (e01 + m01, e11 + m11))
-        return value + extra, (gradient[0] + l_mu, gradient[1] + l_rho), total, hessian
+        gradient = (gradient[0] + l_mu, gradient[1] + l_rho)
+        return value + log_risk, gradient, total, hessian, *action
 
     return objective
 
@@ -351,7 +380,7 @@ def calibrated_objective(
     oracle's own error, and checked against it.
     """
     validate_action(a, model)
-    log_risk, _, _, clamped = _log_risk_term(
+    log_risk, _, _, _, clamped = _log_risk_term(
         a, q.mu, math.log(q.sigma), resolve_risk(risk, model), node_count
     )
     kl_term = posterior_kl(q, data, model, grid)
@@ -379,6 +408,8 @@ def fit_lcvb(
     from ``initial`` (e.g. the neighbouring solution in an outer action
     loop) or else from the plain variational fit. The E_q[log G] term need
     not be concave, so the result is the maximum reached from that start.
+    The diagnostics carry the member's envelope slope and tangent, taken
+    from the ascent's evaluation there.
     """
     settings = settings or FitSettings()
     validate_action(a, model)

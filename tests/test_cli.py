@@ -344,16 +344,17 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check")
         assert code == 0
         assert re.search(r"kl-decomposition\s+residual=", out)
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 6
         assert "FAIL" not in out
 
     def test_calibrated_hessian_check_appears_and_passes(self, capsys):
         code, out, _ = run_cli(capsys, "check")
         assert code == 0
-        line = re.search(r"calibrated-hessian\s+residual=(\S+) tolerance=(\S+)\s+(\w+)", out)
-        assert line is not None
-        assert line.group(3) == "PASS"
-        assert float(line.group(1)) <= float(line.group(2)) == 1e-5
+        for name in ("calibrated-hessian", "calibrated-action-derivatives"):
+            line = re.search(name + r"\s+residual=(\S+) tolerance=(\S+)\s+(\w+)", out)
+            assert line is not None, name
+            assert line.group(3) == "PASS"
+            assert float(line.group(1)) <= float(line.group(2)) == 1e-5
 
     def test_injected_fault_fails(self, capsys, monkeypatch):
         import newsvb.cli as cli

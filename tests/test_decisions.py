@@ -29,10 +29,10 @@ from newsvb import (
     true_optimal_action,
 )
 import newsvb.decisions as decisions
-from newsvb.decisions import decide_on_measure, decide_with_variational, envelope_slope
+from newsvb.decisions import decide_on_measure, decide_with_variational
 from newsvb.model import expected_risk
 from newsvb.numerics import NumericalError, minimize_on_grid_then_golden
-from newsvb.vb import FitSettings, calibrated_objective, fit_lcvb
+from newsvb.vb import FitSettings, _lcvb_objective, calibrated_objective, fit_lcvb
 
 
 class TestExpectedRiskUnderQ:
@@ -127,7 +127,7 @@ def psi(a, theta, weights):
 
 def action_slope_sum(a, theta, weights, model):
     """H'(a) = sum_i weights[i] * dG/da(a, theta[i])."""
-    return float(weights @ NewsvendorRisk(model.h, model.b).action_slope(a, theta))
+    return float(weights @ NewsvendorRisk(model.h, model.b).theta_terms(a, theta)[3])
 
 
 def assert_first_order(outcome, theta, weights, model):
@@ -344,7 +344,7 @@ def scan_reference(data, model):
 
 
 class NaNSlope:
-    """The built-in risk with an action slope that is never finite."""
+    """The built-in risk with an action slope dG/da that is never finite."""
 
     def __init__(self, model):
         self.builtin = NewsvendorRisk(model.h, model.b)
@@ -353,10 +353,8 @@ class NaNSlope:
         return self.builtin.value(a, theta)
 
     def theta_terms(self, a, theta):
-        return self.builtin.theta_terms(a, theta)
-
-    def action_slope(self, a, theta):
-        return np.full_like(theta, math.nan)
+        value, slope, curvature, _, cross = self.builtin.theta_terms(a, theta)
+        return value, slope, curvature, np.full_like(theta, math.nan), cross
 
 
 class TestLcvbDecide:
@@ -400,7 +398,7 @@ class TestLcvbDecide:
                 return np.full_like(theta, -1.0)
 
             def theta_terms(self, a, theta):
-                return self.value(a, theta), np.zeros_like(theta), np.zeros_like(theta)
+                return self.value(a, theta), *[np.zeros_like(theta)] * 4
 
         with pytest.raises(NumericalError):
             lcvb_decide(data_n50, base_model, grid_n50, risk=Hostile())
@@ -417,9 +415,6 @@ class TestLcvbDecide:
 
             def theta_terms(self, a, theta):
                 return self.value(a, theta), *self.builtin.theta_terms(a, theta)[1:]
-
-            def action_slope(self, a, theta):
-                return self.builtin.action_slope(a, theta)
 
         outcome = lcvb_decide(data_n50, base_model, grid_n50, risk=Patchy())
         assert outcome.action <= 25.0
@@ -448,13 +443,24 @@ class TestLcvbDecide:
     def test_envelope_slope_is_the_derivative_of_the_inner_maximum(
         self, a, data_n50, base_model
     ):
-        q, _ = fit_lcvb(a, data_n50, base_model)
+        q, fit = fit_lcvb(a, data_n50, base_model)
         delta = 1e-4
         above = fit_lcvb(a + delta, data_n50, base_model, initial=q)[1].objective
         below = fit_lcvb(a - delta, data_n50, base_model, initial=q)[1].objective
         central = (above - below) / (2 * delta)
-        builtin = NewsvendorRisk(base_model.h, base_model.b)
-        assert envelope_slope(a, q, builtin) == pytest.approx(central, rel=1e-5)
+        assert fit.envelope_slope == pytest.approx(central, rel=1e-5)
+
+    @pytest.mark.parametrize("a", [1.0, 4.0, 10.0, 30.0])
+    def test_tangent_is_the_derivative_of_the_inner_maximizer(self, a, data_n50, base_model):
+        q, fit = fit_lcvb(a, data_n50, base_model)
+        delta = 1e-4
+        above = fit_lcvb(a + delta, data_n50, base_model, initial=q)[0]
+        below = fit_lcvb(a - delta, data_n50, base_model, initial=q)[0]
+        central = (
+            (above.mu - below.mu) / (2 * delta),
+            (math.log(above.sigma) - math.log(below.sigma)) / (2 * delta),
+        )
+        assert fit.tangent == pytest.approx(central, rel=1e-5)
 
     def test_local_search_agrees_with_the_global_scan(self, base_model):
         for seed in (40, 41, 42):
@@ -469,6 +475,44 @@ class TestLcvbDecide:
                     assert abs(outcome.action - action) <= 1e-4, (seed, n, h)
                     assert outcome.inner_fit.objective <= value + 1e-9, (seed, n, h)
                     assert outcome.probe_count <= 12, (seed, n, h)
+
+    def test_non_finite_objective_at_a_predicted_start_falls_back_to_the_cold_start(
+        self, data_n50, base_model, grid_n50, monkeypatch, caplog
+    ):
+        far = LogNormalVariational(800.0, 1.0)  # E_q[theta] overflows: the ELBO is -inf
+        builtin = NewsvendorRisk(base_model.h, base_model.b)
+        objective = _lcvb_objective(1.0, data_n50, base_model, builtin, 64)
+        assert objective((far.mu, math.log(far.sigma)))[0] == -math.inf
+        reference = lcvb_decide(data_n50, base_model, grid_n50)
+        monkeypatch.setattr(decisions, "_along_tangent", lambda q, tangent, step: far)
+        with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
+            outcome = lcvb_decide(data_n50, base_model, grid_n50)
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("LCVB")]
+        fits = outcome.probe_count
+        assert f"after {fits} inner fits (" in line
+        assert line.endswith(f", {fits - 1} cold starts), local")  # every fit but the first
+        assert abs(outcome.action - reference.action) <= 1e-6
+        assert outcome.inner_fit.converged
+
+    def test_debug_line_counts_iterations_and_cold_starts(
+        self, data_n50, base_model, grid_n50, monkeypatch, caplog
+    ):
+        fits = []
+
+        def recorded(*args, **kwargs):
+            result = fit_lcvb(*args, **kwargs)
+            fits.append(result[1])
+            return result
+
+        monkeypatch.setattr(decisions, "fit_lcvb", recorded)
+        with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
+            outcome = lcvb_decide(data_n50, base_model, grid_n50)
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("LCVB")]
+        iterations = sum(fit.iterations for fit in fits)
+        assert line == (
+            f"LCVB action {outcome.action:.9g} after {len(fits)} inner fits "
+            f"({iterations} iterations, 0 cold starts), local"
+        )
 
     def test_non_finite_slope_falls_back_to_the_scan(self, data_n50, base_model, grid_n50):
         outcome = lcvb_decide(data_n50, base_model, grid_n50, risk=NaNSlope(base_model))

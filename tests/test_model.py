@@ -152,22 +152,20 @@ class TestRisk:
             builtin.value(actions[:, None], thetas * (1 + eps))
             - builtin.value(actions[:, None], thetas * (1 - eps))
         ) / (2 * eps)
-        value, slope, _ = builtin.theta_terms(actions[:, None], thetas[None, :])
+        value, slope, _, slope_a, _ = builtin.theta_terms(actions[:, None], thetas[None, :])
         assert np.array_equal(value, values)  # the same arithmetic as ``value``
         assert np.allclose(slope, central, rtol=1e-6, atol=1e-9)
         central_a = (
             builtin.value(actions[:, None] + eps, thetas)
             - builtin.value(actions[:, None] - eps, thetas)
         ) / (2 * eps)
-        slope_a = builtin.action_slope(actions[:, None], thetas[None, :])
         assert slope_a.shape == (7, 11)
         assert np.allclose(slope_a, central_a, rtol=1e-6, atol=1e-9)
         constant = ConstantRisk(2.5)
         assert np.array_equal(constant.value(actions[:, None], thetas), np.full((7, 11), 2.5))
-        value, slope, curvature = constant.theta_terms(1.0, thetas)
+        value, *derivatives = constant.theta_terms(1.0, thetas)
         assert np.array_equal(value, np.full(11, 2.5))
-        assert not np.any(slope) and not np.any(curvature)
-        assert not np.any(constant.action_slope(1.0, thetas))
+        assert len(derivatives) == 4 and not np.any(derivatives)
 
     def test_theta_curvature_matches_differences_of_the_slope_in_log_theta(self):
         model = make_model(0.05, 0.4)
@@ -183,6 +181,21 @@ class TestRisk:
         assert curvature.shape == (7, 11)
         assert np.allclose(curvature, central, rtol=1e-6, atol=1e-9)
         assert not np.any(ConstantRisk(2.5).theta_terms(actions, thetas)[2])
+
+    def test_action_cross_term_matches_differences_of_the_action_slope_in_log_theta(self):
+        model = make_model(0.05, 0.4)
+        builtin = NewsvendorRisk(model.h, model.b)
+        actions = np.linspace(0.0, 20.0, 7)[:, None]
+        thetas = np.linspace(0.1, 5.0, 11)
+        eps = 1e-6
+        central = (
+            builtin.theta_terms(actions, thetas * math.exp(eps))[3]
+            - builtin.theta_terms(actions, thetas * math.exp(-eps))[3]
+        ) / (2 * eps)
+        cross = builtin.theta_terms(actions, thetas)[4]
+        assert cross.shape == (7, 11)
+        assert np.allclose(cross, central, rtol=1e-6, atol=1e-9)
+        assert not np.any(ConstantRisk(2.5).theta_terms(actions, thetas)[4])
 
 
 def risk_curve(actions, theta, model):

@@ -27,7 +27,13 @@ from newsvb import (
 from newsvb.cli import _check_dataset, probe_members
 from newsvb.model import NewsvendorRisk, log_likelihood, log_prior
 from newsvb.numerics import NumericalError, gauss_hermite_standard
-from newsvb.vb import FitSettings, _lcvb_objective, _log_risk_term, _nvb_objective
+from newsvb.vb import (
+    FitSettings,
+    _lcvb_objective,
+    _log_risk_term,
+    _nvb_objective,
+    posterior_kl,
+)
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -155,7 +161,7 @@ class TestHessians:
 
     def assert_matches_differences(self, objective, q):
         x = np.array([q.mu, math.log(q.sigma)])
-        hessian, fallback = map(np.asarray, objective(x)[2:])
+        hessian, fallback = map(np.asarray, objective(x)[2:4])
         numeric = hessian_by_differences(objective, x)
         scale = max(float(np.linalg.norm(hessian)), 1.0)
         assert float(np.linalg.norm(hessian - numeric)) <= 1e-5 * scale
@@ -260,7 +266,15 @@ def log_risk_reference(a, mu, rho, risk, node_count=64):
     rows = (np.log(value), slope, curvature)
     exact = weighted_sums(*rows, w, scaled_z)
     scale = weighted_sums(*map(np.abs, rows), w, np.abs(scaled_z))
-    return exact, scale
+    # F_a, F_a_mu and F_a_rho from l_a = dG/da / G and its derivative in log theta.
+    tail_theta = tail * theta
+    l_a = (risk.h - tail_theta) / value
+    cross = a_theta * tail_theta / value - l_a * slope
+    action = np.array([w @ l_a, w @ cross, (w * cross) @ scaled_z])
+    action_scale = np.array(
+        [w @ np.abs(l_a), w @ np.abs(cross), (w * np.abs(cross)) @ np.abs(scaled_z)]
+    )
+    return (*exact, action), (*scale, action_scale)
 
 
 class TestLogRiskTerm:
@@ -280,22 +294,23 @@ class TestLogRiskTerm:
         for i, (a, mu, sigma) in enumerate([*corners, *draws]):
             risk = NewsvendorRisk((0.001, 0.005, 0.05)[i % 3], 0.1)
             rho = math.log(sigma)
-            value, gradient, hessian, clamped = _log_risk_term(a, mu, rho, risk, 64)
+            value, gradient, hessian, action, clamped = _log_risk_term(a, mu, rho, risk, 64)
             exact, scale = log_risk_reference(a, mu, rho, risk)
             assert not clamped
             # Only the order of the sums differs: 1e-12 relative to the summed terms.
-            for got, want, size in zip((value, gradient, hessian), exact, scale):
+            for got, want, size in zip((value, gradient, hessian, action), exact, scale):
                 assert np.all(np.abs(np.subtract(got, want)) <= 1e-12 * size)
             assert hessian[0][1] == hessian[1][0]
 
     def test_constant_risk_has_zero_gradient_and_hessian(self):
         for mu, sigma in [(-3.0, 0.01), (0.0, 0.5), (1.5, 1.0)]:
-            value, gradient, hessian, clamped = _log_risk_term(
+            value, gradient, hessian, action, clamped = _log_risk_term(
                 2.0, mu, math.log(sigma), ConstantRisk(3.7), 64
             )
             assert value == pytest.approx(math.log(3.7), rel=1e-14)
             assert gradient == (0.0, 0.0)
             assert hessian == ((0.0, 0.0), (0.0, 0.0))
+            assert action == (0.0, 0.0, 0.0)
             assert not clamped
 
 
@@ -342,7 +357,7 @@ class TestCalibratedObjective:
                 return np.where(theta > 0.5, -1.0, 1.0)
 
             def theta_terms(self, a, theta):
-                return self.value(a, theta), np.zeros_like(theta), np.zeros_like(theta)
+                return self.value(a, theta), *[np.zeros_like(theta)] * 4
 
         q = LogNormalVariational(0.0, 0.5)
         with pytest.raises(NumericalError):
@@ -444,6 +459,47 @@ class TestFitLcvb:
                 "0 fallback steps, not converged",
             )
         ]
+
+
+RANDOM_CELLS = dict(
+    n=st.integers(1, 2000),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.floats(0.1, 5.0),
+    h=st.floats(1e-3, 0.5),
+    b=st.floats(0.01, 1.0),
+    alpha=st.floats(0.5, 5.0),
+    beta=st.floats(0.5, 10.0),
+    a=st.floats(0.0, 50.0),
+    offset=st.floats(-1.5, 1.5),
+    sigma=st.floats(0.05, 1.0),
+)
+
+
+def random_cell(n, seed, theta, h, b, alpha, beta, a, offset, sigma):
+    """A model, data drawn at rate ``theta``, its posterior grid and a member q
+    whose mu is ``offset`` from the log of the maximum-likelihood rate."""
+    model = NewsvendorModel(h=h, b=b, theta0=None, alpha=alpha, beta=beta)
+    data = sample_demand(theta, n, np.random.default_rng(seed))
+    q = LogNormalVariational(math.log(data.n / data.sum_s) + offset, sigma)
+    return model, data, build_posterior(data, model), q
+
+
+class TestIdentityProperties:
+    @settings(deadline=None, max_examples=50, derandomize=True, database=None)
+    @given(**RANDOM_CELLS)
+    def test_jensen_bound_holds(self, a, **cell):
+        model, data, grid, q = random_cell(a=a, **cell)
+        value = calibrated_objective(a, q, data, model, grid).value
+        assert value <= math.log(posterior_expected_risk(a, grid, model)) + 1e-8
+
+    @settings(deadline=None, max_examples=50, derandomize=True, database=None)
+    @given(**RANDOM_CELLS)
+    def test_kl_identity_holds(self, a, **cell):
+        # Both sides carry sums the size of KL(q || posterior); the 128- and
+        # 96-node quadratures of E_q[log G] agree to ~1e-6 at sigma = 1.
+        model, data, grid, q = random_cell(a=a, **cell)
+        residual = kl_decomposition_check(a, q, data, model, grid)
+        assert residual <= 1e-5 * (1.0 + posterior_kl(q, data, model, grid))
 
 
 class TestKlDecomposition:
