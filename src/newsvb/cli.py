@@ -454,9 +454,9 @@ def check_calibrated_hessian() -> tuple[float, float]:
 
 
 def check_calibrated_action_derivatives() -> tuple[float, float]:
-    """The kernel's F_a against central differences of F in a at fixed q, and
-    its F_a_mu and F_a_rho against central differences of F_a in (mu, rho),
-    on the calibrated-hessian check's members and actions."""
+    """The kernel's F_a and F_aa against central differences of F and F_a in a
+    at fixed q, and its F_a_mu and F_a_rho against central differences of F_a
+    in (mu, rho), on the calibrated-hessian check's members and actions."""
     model, data, _ = _check_dataset()
     members = probe_members(np.random.default_rng(64), data.n / data.sum_s, 50)
     actions = np.random.default_rng(65).uniform(model.action_lo, model.action_hi, size=50)
@@ -470,7 +470,13 @@ def check_calibrated_action_derivatives() -> tuple[float, float]:
         x = np.array([q.mu, math.log(q.sigma)])
         in_a = _central_differences(lambda b: kernel(b[0], x)[0], np.array([a]))
         in_q = _central_differences(lambda y: kernel(a, y)[3][0], x)
-        worst = max(worst, _relative_error(kernel(a, x)[3], np.concatenate([in_a, in_q])))
+        twice_in_a = _central_differences(lambda b: kernel(b[0], x)[3][0], np.array([a]))
+        *first, second = kernel(a, x)[3]
+        worst = max(
+            worst,
+            _relative_error(first, np.concatenate([in_a, in_q])),
+            _relative_error(second, twice_in_a[0]),
+        )
     return worst, 1e-5
 
 

@@ -4,12 +4,13 @@ The naive rule fits one variational posterior and then minimizes the
 predicted expected cost H_q(a) = E_q[G(a, theta)] over the action interval
 at the root of its first-order condition, found by Newton's method.
 The calibrated rule minimizes the inner maximum V(a) = max_q F(a, q) of the
-loss-calibrated objective by a local root search on dV/da, starting at the
+loss-calibrated objective by Newton's method on dV/da, starting at the
 naive action. Each inner fit's last kernel pass gives the search what it
-reads: dV/da = F_a at the maximizer q*(a) (the envelope theorem), and the
-tangent dq*/da = -F_qq^{-1} F_qa (the implicit function theorem), along
-which the next fit's start is predicted. A global scan over actions is the
-fallback.
+reads: dV/da = F_a at the maximizer q*(a) (the envelope theorem), the
+tangent dq*/da = -F_qq^{-1} F_qa, along which the next fit's start is
+predicted, and d^2V/da^2 = F_aa + F_aq . dq*/da (the implicit function
+theorem), whose sign certifies the minimum. A global scan over actions is
+the fallback.
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ __all__ = [
 
 LCVB_COARSE_POINTS = 33
 LCVB_OUTER_TOLERANCE = 1e-4
-LCVB_FIRST_STEP = 0.01
-LCVB_ROOT_WIDTH = 1e-6
+LCVB_MAX_NEWTON_STEPS = 50
 NVB_MAX_NEWTON_STEPS = 100
 
 logger = logging.getLogger(__name__)
@@ -229,46 +229,15 @@ def nvb_decide(
 
 
 def _along_tangent(
-    q: LogNormalVariational, tangent: tuple[float, float] | None, step: float
+    q: LogNormalVariational, tangent: tuple[float, float], step: float
 ) -> LogNormalVariational | None:
     """q moved by ``step`` in a along its tangent (dmu/da, drho/da), or None
-    when there is no tangent or the move leaves the family."""
-    if tangent is None:
-        return None
+    when the move leaves the family."""
     try:
         sigma = math.exp(math.log(q.sigma) + tangent[1] * step)
         return LogNormalVariational(q.mu + tangent[0] * step, sigma)
     except (OverflowError, ValueError):
         return None
-
-
-def _envelope_root(slope, a0: float, lo: float, hi: float) -> float:
-    """Where ``slope`` turns from negative to nonnegative next to ``a0``: doubling
-    steps downhill bracket the sign change (``NumericalError`` if lo or hi comes
-    first), then Illinois regula falsi, bisecting when an interpolate is not
-    strictly inside, narrows it to LCVB_ROOT_WIDTH. Returns the last point."""
-    b, sb, step = a0, slope(a0), LCVB_FIRST_STEP
-    rightward = sb < 0
-    while (sb >= 0) != rightward:  # no sign change yet
-        if b == (hi if rightward else lo):
-            raise NumericalError(f"no sign change of the envelope slope up to a={b:.6g}")
-        a, s = b, sb
-        b = min(a + step, hi) if rightward else max(a - step, lo)
-        sb, step = slope(b), 2 * step
-    (left, s_left), (right, s_right) = sorted([(a, s), (b, sb)])
-    last, side = b, 0
-    while right - left > LCVB_ROOT_WIDTH:
-        last = right - s_right * (right - left) / (s_right - s_left)
-        if not left < last < right:
-            last = 0.5 * (left + right)
-        s = slope(last)
-        if s < 0:  # Illinois: when one end moves twice running, halve the other's slope
-            s_right *= 0.5 if side < 0 else 1.0
-            left, s_left, side = last, s, -1
-        else:
-            s_left *= 0.5 if side > 0 else 1.0
-            right, s_right, side = last, s, 1
-    return last
 
 
 def lcvb_decide(
@@ -281,79 +250,89 @@ def lcvb_decide(
 ) -> DecisionOutcome:
     """Nested min-max rule: min_a V(a), V(a) = max_q F(a, q).
 
-    ``_envelope_root`` follows the envelope slope F_a that each inner fit
-    reports from the naive action, ``nvb_start`` (an NVB outcome with its
-    q) or else ``nvb_decide``'s. Each inner fit is one ascent from the
-    nearest solved member (the first from the plain fit), moved along that
-    member's tangent to the new action. The unmoved member is the start
-    instead, counted as a cold start, when the fit gave no tangent (F_qq
-    not negative definite, or the tangent not finite), the move leaves the
-    family, or the fit from the moved start raises (its objective is not
-    finite there, say). A local search sees one minimum only: if a fit
-    fails, the slope is not finite or no sign change lies before the
-    interval's end, a 33-point scan plus golden refinement to 1e-4 ranks
-    inner maxima instead, each fit started from the nearest member the scan
-    solved, where failed fits only void their probe. ``probe_count``
-    counts every inner fit. ``grid`` enters once, in the chosen action's
-    calibrated objective, which checks that it matches the data.
-    ``risk=None`` uses the model's newsvendor risk.
+    Newton's method on the envelope slope dV/da = F_a, from the naive
+    action (``nvb_start``, an NVB outcome with its q, or else
+    ``nvb_decide``'s): each inner fit reports F_a and the envelope curvature
+    V'' of its maximizer, and the next action is a - F_a/V'' clamped to the
+    action interval. The search stops at the fitted action once
+    |F_a|/V'' <= 1e-9*(1 + a), or once the clamped step leaves it at an
+    interval end, where F_a then points out of the interval; V'' > 0 there
+    certifies a local minimum of V. Each inner fit is one ascent from the
+    previous member moved along its tangent to the new action (the first
+    from the naive fit). The unmoved member is the start instead, counted as
+    a cold start, when the move leaves the family or the fit from the moved
+    start raises (its objective is not finite there, say). A local search
+    sees one minimum only: if a fit fails, F_a is not finite, V'' is not
+    positive and finite, or 50 steps do not stop, a 33-point scan plus
+    golden refinement to 1e-4 ranks inner maxima instead, each fit started
+    from the nearest member the scan solved, where failed fits only void
+    their probe. ``probe_count`` counts every inner fit. ``grid`` enters
+    once, in the chosen action's calibrated objective, which checks that it
+    matches the data. ``risk=None`` uses the model's newsvendor risk.
     """
     settings = settings or FitSettings()
     risk = resolve_risk(risk, model)
     nvb = nvb_decide(data, model, settings) if nvb_start is None else nvb_start
-    q_warm, a0 = nvb.q, nvb.action
-    solved: dict[float, tuple[LogNormalVariational, FitDiagnostics]] = {}
     fits = iterations = cold_starts = 0
-    predicting = True
 
-    def solve(a: float) -> tuple[LogNormalVariational, FitDiagnostics]:
+    def solve(a: float, start: LogNormalVariational, predicted=None):
+        """The inner fit at ``a`` from ``predicted``, or from ``start`` when
+        there is no prediction or the fit from it raises."""
         nonlocal fits, iterations, cold_starts
         fits += 1
-        start, predicted = q_warm, None
-        if solved:
-            b = min(solved, key=lambda b: abs(b - a))
-            start, fit = solved[b]
-            if predicting:
-                predicted = _along_tangent(start, fit.tangent, a - b)
-                cold_starts += predicted is None
         initial = start if predicted is None else predicted
         try:
-            solved[a] = fit_lcvb(a, data, model, settings, risk=risk, initial=initial)
+            q, fit = fit_lcvb(a, data, model, settings, risk=risk, initial=initial)
         except NumericalError:
-            if initial is start:
+            if predicted is None:
                 raise
             cold_starts += 1
-            solved[a] = fit_lcvb(a, data, model, settings, risk=risk, initial=start)
-        iterations += solved[a][1].iterations
-        return solved[a]
+            q, fit = fit_lcvb(a, data, model, settings, risk=risk, initial=start)
+        iterations += fit.iterations
+        return q, fit
 
-    def slope(a: float) -> float:
-        value = solve(a)[1].envelope_slope
-        if not math.isfinite(value):
-            raise NumericalError(f"envelope slope is {value} at a={a:.6g}")
-        return value
+    def newton() -> tuple[float, LogNormalVariational, FitDiagnostics]:
+        nonlocal cold_starts
+        a = nvb.action
+        q, fit = solve(a, nvb.q)
+        for _ in range(LCVB_MAX_NEWTON_STEPS):
+            slope, curvature = fit.envelope_slope, fit.envelope_curvature
+            if not math.isfinite(slope):
+                raise NumericalError(f"envelope slope is {slope} at a={a:.6g}")
+            if not (curvature is not None and 0.0 < curvature < math.inf):
+                raise NumericalError(f"envelope curvature is {curvature} at a={a:.6g}")
+            target = min(max(a - slope / curvature, lo), hi)
+            if abs(slope) <= 1e-9 * (1.0 + a) * curvature or target == a:
+                return a, q, fit
+            predicted = _along_tangent(q, fit.tangent, target - a)
+            cold_starts += predicted is None
+            a, (q, fit) = target, solve(target, q, predicted)
+        raise NumericalError(f"no envelope root in {LCVB_MAX_NEWTON_STEPS} Newton steps")
+
+    solved: dict[float, tuple[LogNormalVariational, FitDiagnostics]] = {}
 
     def outer(a):
         if np.ndim(a):  # the coarse scan, an increasing array
             return [outer(float(x)) for x in a]
+        start = solved[min(solved, key=lambda b: abs(b - a))][0] if solved else nvb.q
         try:
-            return solve(a)[1].objective
+            solved[a] = solve(a, start)
         except NumericalError:
             return math.inf  # invalid probe, never the minimum
+        return solved[a][1].objective
 
     lo, hi = model.action_interval
     try:
-        action, how = _envelope_root(slope, a0, lo, hi), "local"
+        action, q, diagnostics = newton()
+        how = "local"
     except NumericalError as exc:
         how = f"scan fallback: {exc}"
-        solved.clear()  # the scan warm-starts from the plain fit alone
-        predicting = False
         action, value, _ = minimize_on_grid_then_golden(
             outer, lo, hi, LCVB_COARSE_POINTS, LCVB_OUTER_TOLERANCE
         )
         if not math.isfinite(value):
             raise NumericalError("every outer action probe failed its inner fit") from exc
-    q, diagnostics = solved[action]
+        q, diagnostics = solved[action]
     objective = calibrated_objective(action, q, data, model, grid, risk, settings.node_count)
     logger.debug(
         "LCVB action %.9g after %d inner fits (%d iterations, %d cold starts), %s",

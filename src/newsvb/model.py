@@ -155,7 +155,8 @@ class Risk(Protocol):
     """An expected cost G(a, theta) and its derivatives over broadcast arrays of
     ``a`` and ``theta``: ``theta_terms`` gives, from one shared tail, (G,
     theta*dG/dtheta, theta*d(theta*dG/dtheta)/dtheta, dG/da,
-    theta*d(dG/da)/dtheta), the rate derivatives taken in log theta."""
+    theta*d(dG/da)/dtheta, d^2G/da^2), the rate derivatives taken in log
+    theta."""
 
     def value(self, a, theta) -> np.ndarray: ...
 
@@ -190,7 +191,8 @@ class NewsvendorRisk:
         slope = h_theta - tail * (a_theta + 1.0)
         curvature = tail * (a_theta * a_theta + a_theta + 1.0) - h_theta
         tail_theta = tail * theta  # (b+h)*exp(-a*theta)
-        return value, slope, curvature, self.h - tail_theta, a_theta * tail_theta
+        g_a, g_a_theta, g_aa = self.h - tail_theta, a_theta * tail_theta, tail_theta * theta
+        return value, slope, curvature, g_a, g_a_theta, g_aa
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,7 @@ class ConstantRisk:
 
     def theta_terms(self, a, theta):
         zero = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(theta)))
-        return self.value(a, theta), zero, zero, zero, zero  # every derivative is zero
+        return self.value(a, theta), zero, zero, zero, zero, zero  # every derivative is zero
 
 
 def resolve_risk(risk: Risk | None, model: NewsvendorModel) -> Risk:

@@ -28,24 +28,90 @@ class NumericalError(RuntimeError):
     """A numerical procedure failed to meet its accuracy contract."""
 
 
+def _legendre(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) by the three-term recurrence (n >= 1, |x| < 1)."""
+    previous, p = np.ones_like(x), x.copy()
+    for j in range(1, n):
+        previous, p = p, ((2 * j + 1) * x * p - j * previous) / (j + 1)
+    return p, n * (x * p - previous) / (x * x - 1.0)
+
+
+def _hermite(n: int, x: np.ndarray):
+    """The orthonormal Hermite polynomial p_n(x) of the weight exp(-x^2) and
+    p_n'(x) = sqrt(2n)*p_{n-1}(x), by the three-term recurrence."""
+    previous, p = np.zeros_like(x), np.full_like(x, math.pi**-0.25)
+    for j in range(1, n + 1):
+        previous, p = p, math.sqrt(2.0 / j) * x * p - math.sqrt((j - 1) / j) * previous
+    return p, math.sqrt(2.0 * n) * previous
+
+
+def _mirrored_roots(polynomial, n: int, x: np.ndarray, weight, kind: str, scale=1.0):
+    """Newton's method on ``polynomial(n, x) -> (p, p')`` from the decreasing
+    starts ``x`` of the ceil(n/2) nonnegative roots, all at once, then the
+    nodes mirrored about 0 in increasing order, times ``scale``, with
+    ``weight(x, p')``. ``NumericalError`` if Newton stalls or the roots are
+    not distinct."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below
+        for _ in range(100):
+            p, dp = polynomial(n, x)
+            step = p / dp
+            x -= step
+            if np.all(np.abs(step) <= 1e-14 * np.maximum(1.0, np.abs(x))):  # False for NaN
+                break  # Newton squares the error: the step taken was the last one needed
+        else:
+            raise NumericalError(f"{kind} nodes did not converge for {n} nodes")
+        w = weight(x, polynomial(n, x)[1])
+    distinct = np.all(np.diff(x) < 0) and x[-1] > -1e-14  # no root found twice
+    if not (distinct and np.all((w >= 0) & (w < math.inf))):  # an edge weight may underflow
+        raise NumericalError(f"{kind} nodes are not {n} distinct roots")
+    upper = slice(n % 2, None)  # an odd n's middle node appears once
+    nodes = scale * np.concatenate([-x, x[::-1][upper]])
+    weights = np.concatenate([w, w[::-1][upper]])
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre(node_count: int):
-    """Gauss-Legendre nodes/weights on [-1, 1]; cached, treat as read-only."""
-    x, w = np.polynomial.legendre.leggauss(node_count)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    """Gauss-Legendre nodes/weights on [-1, 1]; cached, treat as read-only.
+
+    Newton's method on P_n's recurrence from cos(pi*(k - 1/4)/(n + 1/2)),
+    k = 1..ceil(n/2); the weights are 2/((1 - x^2)*P_n'(x)^2).
+    """
+    n = node_count
+    k = np.arange(1, (n + 1) // 2 + 1)
+    starts = np.cos(math.pi * (k - 0.25) / (n + 0.5))
+    return _mirrored_roots(
+        _legendre, n, starts, lambda x, dp: 2.0 / ((1.0 - x * x) * dp * dp), "Gauss-Legendre"
+    )
 
 
 @lru_cache(maxsize=None)
 def gauss_hermite_standard(node_count: int):
-    """Nodes/weights for E[f(Z)], Z ~ N(0, 1): sum(w * f(z)) with sum(w) = 1."""
-    x, w = np.polynomial.hermite.hermgauss(node_count)
-    z = x * math.sqrt(2.0)
-    w = w / math.sqrt(math.pi)
-    z.setflags(write=False)
-    w.setflags(write=False)
-    return z, w
+    """Nodes/weights for E[f(Z)], Z ~ N(0, 1): sum(w * f(z)) with sum(w) = 1.
+
+    Newton's method on the orthonormal Hermite recurrence finds the nodes x
+    of the weight exp(-x^2), with weights 2/p_n'(x)^2, and z = sqrt(2)*x,
+    w/sqrt(pi) rescale them to N(0, 1). The starts are the WKB estimates
+    x = sqrt(nu)*cos(t), nu = 2n + 1, with (nu/2)*(t - sin(t)*cos(t)) =
+    pi*(k - 1/4) for the k-th largest node; Newton from t = pi/2 solves for
+    t monotonically, that function of t being convex and increasing.
+    """
+    n = node_count
+    nu = 2 * n + 1
+    phase = 2.0 * math.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / nu
+    t = np.full_like(phase, 0.5 * math.pi)
+    for _ in range(40):
+        t -= (t - np.sin(t) * np.cos(t) - phase) / (2.0 * np.sin(t) ** 2)
+    return _mirrored_roots(
+        _hermite,
+        n,
+        math.sqrt(nu) * np.cos(t),
+        lambda x, dp: 2.0 / dp / dp / math.sqrt(math.pi),
+        "Gauss-Hermite",
+        math.sqrt(2.0),
+    )
 
 
 def golden_section_minimize(f, lo: float, hi: float, tol: float):

@@ -133,9 +133,11 @@ class FitDiagnostics:
     ``fit_nvb``, ELBO + E_q[log G] (F plus the log evidence) for ``fit_lcvb``.
 
     ``fit_lcvb`` also reports, from the evaluation at its member, the
-    envelope slope F_a (dV/da at an inner maximum) and the tangent
-    (dmu/da, drho/da) = -F_qq^{-1} F_qa of the maximizer, which is None where
-    F_qq is not negative definite or the tangent is not finite.
+    envelope slope F_a (dV/da at an inner maximum), the tangent
+    (dmu/da, drho/da) = -F_qq^{-1} F_qa of the maximizer and the envelope
+    curvature d^2V/da^2 = F_aa + F_aq . tangent (the implicit function
+    theorem); the last two are None where F_qq is not negative definite or
+    the tangent is not finite.
     """
 
     iterations: int
@@ -147,6 +149,7 @@ class FitDiagnostics:
     restarts_used: int = 0
     envelope_slope: float | None = None
     tangent: tuple[float, float] | None = None
+    envelope_curvature: float | None = None
 
 
 @dataclass(frozen=True)
@@ -246,11 +249,13 @@ def _fit(objective, x0, settings: FitSettings, kind: str):
         objective, x0, tolerance=settings.tolerance, max_iterations=settings.max_iterations
     )
     q = LogNormalVariational(mu=result.x[0], sigma=math.exp(result.x[1]))
-    slope = tangent = None
-    if result.extra:  # the calibrated objective's F_a, F_a_mu and F_a_rho
-        slope, *mixed = result.extra
-        tangent = newton_direction(mixed, result.hessian)
-        if tangent is not None and not all(map(math.isfinite, tangent)):
+    slope = tangent = curvature = None
+    if result.extra:  # the calibrated objective's F_a, F_a_mu, F_a_rho and F_aa
+        slope, f_a_mu, f_a_rho, f_aa = result.extra
+        tangent = newton_direction((f_a_mu, f_a_rho), result.hessian)
+        if tangent is not None and all(map(math.isfinite, tangent)):
+            curvature = f_aa + f_a_mu * tangent[0] + f_a_rho * tangent[1]
+        else:
             tangent = None
     diagnostics = FitDiagnostics(
         iterations=result.iterations,
@@ -259,6 +264,7 @@ def _fit(objective, x0, settings: FitSettings, kind: str):
         objective=result.value,
         envelope_slope=slope,
         tangent=tangent,
+        envelope_curvature=curvature,
     )
     logger.log(
         logging.DEBUG if result.converged else logging.WARNING,
@@ -304,15 +310,15 @@ def _log_risk_term(a: float, mu: float, rho: float, risk: Risk, node_count: int)
     """E_q[log G(a, theta)] with its (mu, rho) gradient and Hessian by Gauss-Hermite.
 
     Returns (value, gradient, hessian, action, clamped), the derivatives as
-    nested pairs of floats and ``action`` the triple (F_a, F_a_mu, F_a_rho)
-    of derivatives in a, then a and mu, then a and rho. Raises when the risk
-    is not strictly positive at some node; positive values below the
-    floating floor are clamped and flagged.
+    nested pairs of floats and ``action`` the derivatives (F_a, F_a_mu,
+    F_a_rho, F_aa) in a, then a and mu, a and rho, and a twice. Raises when
+    the risk is not strictly positive at some node; positive values below
+    the floating floor are clamped and flagged.
     """
     z, basis = _moment_basis(node_count)
     sigma = math.exp(rho)
     theta = np.exp(mu + sigma * z)
-    values, slope, curvature, action_slope, action_cross = risk.theta_terms(a, theta)
+    values, slope, curvature, g_a, g_a_theta, g_aa = risk.theta_terms(a, theta)
     lowest = values.min()  # NaN propagates, so NaN fails the test below too
     if not (lowest > 0.0 and values.max() < math.inf):
         raise NumericalError(
@@ -322,33 +328,36 @@ def _log_risk_term(a: float, mu: float, rho: float, risk: Risk, node_count: int)
     if clamped:
         logger.warning("risk values clamped at %.1e before taking logs (a=%.6g)", _RISK_FLOOR, a)
         values = np.maximum(values, _RISK_FLOOR)
-    # Rows log G, l', l'', l_a and l_a' of l(u) = log G(a, e^u) at
+    # Rows log G, l', l'', l_a, l_a' and l_aa of l(u) = log G(a, e^u) at
     # u = mu + sigma*z, with l' = theta*dG/dtheta / G,
-    # l'' = theta*d(theta*dG/dtheta)/dtheta / G - l'^2, l_a = dG/da / G and
-    # l_a' = theta*d(dG/da)/dtheta / G - l_a*l'; one product gives each row's
-    # sums against w, w*z and w*z^2.
-    terms = np.empty((5, z.size))
+    # l'' = theta*d(theta*dG/dtheta)/dtheta / G - l'^2, l_a = dG/da / G,
+    # l_a' = theta*d(dG/da)/dtheta / G - l_a*l' and l_aa = d^2G/da^2 / G - l_a^2;
+    # one product gives each row's sums against w, w*z and w*z^2.
+    terms = np.empty((6, z.size))
     np.log(values, out=terms[0])
     np.divide(slope, values, out=terms[1])
     np.divide(curvature, values, out=terms[2])
     terms[2] -= np.square(terms[1])
-    np.divide(action_slope, values, out=terms[3])
-    np.divide(action_cross, values, out=terms[4])
+    np.divide(g_a, values, out=terms[3])
+    np.divide(g_a_theta, values, out=terms[4])
     terms[4] -= terms[3] * terms[1]
+    np.divide(g_aa, values, out=terms[5])
+    terms[5] -= np.square(terms[3])
     sums = (terms @ basis).tolist()
-    (value, _, _), (g_mu, g_rho, _), (h_mu, h_mu_rho, h_rho), (f_a, _, _), (f_a_mu, f_a_rho, _) = sums
+    (value, _, _), (g_mu, g_rho, _), (h_mu, h_mu_rho, h_rho), (f_a, _, _) = sums[:4]
+    (f_a_mu, f_a_rho, _), (f_aa, _, _) = sums[4:]
     g_rho, h_mu_rho = sigma * g_rho, sigma * h_mu_rho
     h_rho = sigma * sigma * h_rho + g_rho
     hessian = ((h_mu, h_mu_rho), (h_mu_rho, h_rho))
-    return value, (g_mu, g_rho), hessian, (f_a, f_a_mu, sigma * f_a_rho), clamped
+    return value, (g_mu, g_rho), hessian, (f_a, f_a_mu, sigma * f_a_rho, f_aa), clamped
 
 
 def _lcvb_objective(
     a: float, data: Observations, model: NewsvendorModel, risk: Risk, node_count: int
 ):
     """ELBO + E_q[log G(a, .)] as an ``ascend`` objective of x = (mu, rho),
-    with the bound's own Hessian as the fallback curvature and F_a, F_a_mu
-    and F_a_rho (the bound does not depend on a) as the extra values."""
+    with the bound's own Hessian as the fallback curvature and F_a, F_a_mu,
+    F_a_rho and F_aa (the bound does not depend on a) as the extra values."""
 
     def objective(x):
         value, gradient, hessian = _elbo_terms(*x, data.n, data.sum_s, model.alpha, model.beta)
@@ -408,8 +417,8 @@ def fit_lcvb(
     from ``initial`` (e.g. the neighbouring solution in an outer action
     loop) or else from the plain variational fit. The E_q[log G] term need
     not be concave, so the result is the maximum reached from that start.
-    The diagnostics carry the member's envelope slope and tangent, taken
-    from the ascent's evaluation there.
+    The diagnostics carry the member's envelope slope, tangent and envelope
+    curvature, taken from the ascent's evaluation there.
     """
     settings = settings or FitSettings()
     validate_action(a, model)

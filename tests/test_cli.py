@@ -365,7 +365,8 @@ class TestCheck:
         assert re.search(r"quantile-nearest-rank\s+residual=.*FAIL", out)
 
     def test_package_and_check_load_no_scipy(self):
-        # A jobs=1 run must not load the process pool either.
+        # A jobs=1 run must not load the process pool either, and the
+        # quadrature tables need no eigensolver from numpy.polynomial.
         script = (
             "import sys, newsvb, newsvb.cli\n"
             "assert newsvb.cli.main(['check']) == 0\n"
@@ -374,6 +375,7 @@ class TestCheck:
             "newsvb.run_experiment(config, jobs=1)\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
             "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
         )
         src = str(Path(newsvb.__file__).resolve().parents[1])
         result = subprocess.run(
@@ -383,7 +385,7 @@ class TestCheck:
             text=True,
             check=True,
         )
-        assert result.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
+        assert result.stdout.strip().splitlines()[-3:] == ["[]", "[]", "[]"]
 
 
 class TestExitCodes:

@@ -353,8 +353,25 @@ class NaNSlope:
         return self.builtin.value(a, theta)
 
     def theta_terms(self, a, theta):
-        value, slope, curvature, _, cross = self.builtin.theta_terms(a, theta)
-        return value, slope, curvature, np.full_like(theta, math.nan), cross
+        value, slope, curvature, _, cross, action_curvature = self.builtin.theta_terms(a, theta)
+        return value, slope, curvature, np.full_like(theta, math.nan), cross, action_curvature
+
+
+class ConcaveInAction:
+    """G(a, theta) = 1 + a for every rate: V(a) = log(1 + a) + const, so the
+    envelope curvature V'' = -1/(1 + a)^2 is negative everywhere."""
+
+    def value(self, a, theta):
+        return np.full(np.shape(theta), 1.0 + a)
+
+    def theta_terms(self, a, theta):
+        zero = np.zeros(np.shape(theta))
+        return self.value(a, theta), zero, zero, np.ones(np.shape(theta)), zero, zero
+
+
+def lcvb_line(caplog) -> str:
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("LCVB")]
+    return line
 
 
 class TestLcvbDecide:
@@ -398,7 +415,7 @@ class TestLcvbDecide:
                 return np.full_like(theta, -1.0)
 
             def theta_terms(self, a, theta):
-                return self.value(a, theta), *[np.zeros_like(theta)] * 4
+                return self.value(a, theta), *[np.zeros_like(theta)] * 5
 
         with pytest.raises(NumericalError):
             lcvb_decide(data_n50, base_model, grid_n50, risk=Hostile())
@@ -461,6 +478,46 @@ class TestLcvbDecide:
             (math.log(above.sigma) - math.log(below.sigma)) / (2 * delta),
         )
         assert fit.tangent == pytest.approx(central, rel=1e-5)
+
+    @pytest.mark.parametrize("a", [1.0, 4.0, 10.0, 30.0])
+    def test_envelope_curvature_is_the_derivative_of_the_envelope_slope(
+        self, a, data_n50, base_model
+    ):
+        q, fit = fit_lcvb(a, data_n50, base_model)
+        delta = 1e-4
+        above = fit_lcvb(a + delta, data_n50, base_model, initial=q)[1].envelope_slope
+        below = fit_lcvb(a - delta, data_n50, base_model, initial=q)[1].envelope_slope
+        central = (above - below) / (2 * delta)
+        assert fit.envelope_curvature == pytest.approx(central, rel=1e-5)
+
+    @pytest.mark.parametrize("end", ["upper", "lower"])
+    def test_a_root_beyond_the_interval_ends_at_the_near_end(
+        self, end, data_n50, base_model, grid_n50, caplog
+    ):
+        # V is convex near its root only (V'' < 0 past ~1.6 roots on this
+        # dataset), and an answer needs V'' > 0, so the lower end sits close.
+        root = lcvb_decide(data_n50, base_model, grid_n50).action
+        interval = (0.0, 0.5 * root) if end == "upper" else (1.2 * root, 2.0 * root)
+        model = replace(base_model, theta0=None, action_interval=interval)
+        with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
+            outcome = lcvb_decide(data_n50, model, grid_n50)
+        assert lcvb_line(caplog).endswith(", local")
+        fit = outcome.inner_fit
+        assert fit.envelope_curvature > 0
+        if end == "upper":  # V still falls at the upper end: F_a points out of it
+            assert outcome.action == interval[1] and fit.envelope_slope < 0
+        else:
+            assert outcome.action == interval[0] and fit.envelope_slope > 0
+        assert abs(outcome.action - scan_reference(data_n50, model)[0]) <= 1e-4
+
+    def test_a_non_positive_envelope_curvature_falls_back_to_the_scan(
+        self, data_n50, base_model, grid_n50, caplog
+    ):
+        with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
+            outcome = lcvb_decide(data_n50, base_model, grid_n50, risk=ConcaveInAction())
+        assert "scan fallback: envelope curvature is -" in lcvb_line(caplog)
+        assert outcome.action == base_model.action_lo  # V rises from a_lo
+        assert outcome.probe_count >= 33
 
     def test_local_search_agrees_with_the_global_scan(self, base_model):
         for seed in (40, 41, 42):

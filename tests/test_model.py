@@ -152,7 +152,7 @@ class TestRisk:
             builtin.value(actions[:, None], thetas * (1 + eps))
             - builtin.value(actions[:, None], thetas * (1 - eps))
         ) / (2 * eps)
-        value, slope, _, slope_a, _ = builtin.theta_terms(actions[:, None], thetas[None, :])
+        value, slope, _, slope_a, _, _ = builtin.theta_terms(actions[:, None], thetas[None, :])
         assert np.array_equal(value, values)  # the same arithmetic as ``value``
         assert np.allclose(slope, central, rtol=1e-6, atol=1e-9)
         central_a = (
@@ -165,7 +165,7 @@ class TestRisk:
         assert np.array_equal(constant.value(actions[:, None], thetas), np.full((7, 11), 2.5))
         value, *derivatives = constant.theta_terms(1.0, thetas)
         assert np.array_equal(value, np.full(11, 2.5))
-        assert len(derivatives) == 4 and not np.any(derivatives)
+        assert len(derivatives) == 5 and not np.any(derivatives)
 
     def test_theta_curvature_matches_differences_of_the_slope_in_log_theta(self):
         model = make_model(0.05, 0.4)
@@ -196,6 +196,21 @@ class TestRisk:
         assert cross.shape == (7, 11)
         assert np.allclose(cross, central, rtol=1e-6, atol=1e-9)
         assert not np.any(ConstantRisk(2.5).theta_terms(actions, thetas)[4])
+
+    def test_action_curvature_matches_differences_of_the_action_slope(self):
+        model = make_model(0.05, 0.4)
+        builtin = NewsvendorRisk(model.h, model.b)
+        actions = np.linspace(0.0, 20.0, 7)[:, None]
+        thetas = np.linspace(0.1, 5.0, 11)
+        eps = 1e-6
+        central = (
+            builtin.theta_terms(actions + eps, thetas)[3]
+            - builtin.theta_terms(actions - eps, thetas)[3]
+        ) / (2 * eps)
+        action_curvature = builtin.theta_terms(actions, thetas)[5]
+        assert action_curvature.shape == (7, 11)
+        assert np.allclose(action_curvature, central, rtol=1e-6, atol=1e-9)
+        assert not np.any(ConstantRisk(2.5).theta_terms(actions, thetas)[5])
 
 
 def risk_curve(actions, theta, model):

@@ -1,11 +1,91 @@
-"""Shared numerics: the coarse scan plus golden-section contract, Newton ascent."""
+"""Shared numerics: quadrature tables, the coarse scan plus golden-section
+contract, Newton ascent."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from newsvb.numerics import NumericalError, ascend, minimize_on_grid_then_golden
+from newsvb.numerics import (
+    NumericalError,
+    ascend,
+    gauss_hermite_standard,
+    gauss_legendre,
+    minimize_on_grid_then_golden,
+)
+
+
+def legendre_reference(n, start):
+    """A Gauss-Legendre node and weight in 40-digit arithmetic, by Newton
+    from ``start`` on mpmath's own P_n."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(start)
+        for _ in range(3):
+            derivative = n * (x * mpmath.legendre(n, x) - mpmath.legendre(n - 1, x)) / (x * x - 1)
+            x -= mpmath.legendre(n, x) / derivative
+        derivative = n * (x * mpmath.legendre(n, x) - mpmath.legendre(n - 1, x)) / (x * x - 1)
+        return float(x), float(2 / ((1 - x * x) * derivative**2))
+
+
+def hermite_reference(n, start):
+    """A standard-normal Gauss-Hermite node and weight in 40-digit arithmetic,
+    by Newton from ``start`` on mpmath's physicists' H_n."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(start) / mpmath.sqrt(2)
+        for _ in range(3):
+            x -= mpmath.hermite(n, x) / (2 * n * mpmath.hermite(n - 1, x))
+        weight = 2 ** (n - 1) * mpmath.factorial(n) / (n * n * mpmath.hermite(n - 1, x) ** 2)
+        return float(x * mpmath.sqrt(2)), float(weight)
+
+
+class TestQuadratureTables:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 32, 255, 256, 1024])
+    def test_legendre_matches_numpy(self, n):
+        x, w = gauss_legendre(n)
+        reference_x, reference_w = np.polynomial.legendre.leggauss(n)
+        assert np.all(np.diff(x) > 0)
+        assert np.max(np.abs(x - reference_x)) <= 2.3e-16
+        # numpy's eigensolver weights drift by ~2e-11 at 256 nodes, 1.2e-9 at 1,024.
+        assert np.max(np.abs(w - reference_w) / reference_w) <= 2e-9
+        assert abs(w.sum() - 2.0) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 65, 96, 128, 160])
+    def test_hermite_matches_numpy(self, n):
+        z, w = gauss_hermite_standard(n)
+        x, reference_w = np.polynomial.hermite.hermgauss(n)
+        reference_z = math.sqrt(2.0) * x
+        assert np.all(np.diff(z) > 0)
+        assert np.all(np.abs(z - reference_z) <= 1e-15 * np.maximum(1.0, np.abs(reference_z)))
+        assert np.max(np.abs(w - reference_w / math.sqrt(math.pi))) <= 1e-15
+        assert abs(w.sum() - 1.0) <= 2e-15
+
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_legendre_matches_40_digit_arithmetic(self, n):
+        x, w = gauss_legendre(n)
+        for i in (0, 1, n // 4, n // 2 - 1):
+            node, weight = legendre_reference(n, x[i])
+            assert abs(x[i] - node) <= 2.3e-16
+            assert abs(w[i] - weight) <= 1e-12 * weight
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_hermite_matches_40_digit_arithmetic(self, n):
+        z, w = gauss_hermite_standard(n)
+        for i in (0, 1, n // 4, n // 2 - 1):
+            node, weight = hermite_reference(n, z[i])
+            assert abs(z[i] - node) <= 1e-15 * max(1.0, abs(node))
+            assert abs(w[i] - weight) <= 1e-13 * weight
+
+    def test_tables_are_cached_and_read_only(self):
+        for table in (gauss_legendre, gauss_hermite_standard):
+            nodes, weights = table(64)
+            assert table(64)[0] is nodes
+            assert not nodes.flags.writeable and not weights.flags.writeable
+
+    def test_hermite_past_the_floating_range_raises(self):
+        # The orthonormal recurrence overflows near sqrt(2n) ~ 40 for n = 800.
+        with pytest.raises(NumericalError, match="800"):
+            gauss_hermite_standard(800)
 
 
 class TestMinimizeOnGridThenGolden:

@@ -20,6 +20,7 @@ from newsvb import (
     fit_lcvb,
     fit_nvb,
     kl_decomposition_check,
+    lcvb_decide,
     posterior_expected_risk,
     sample_demand,
     variational_variance,
@@ -266,13 +267,20 @@ def log_risk_reference(a, mu, rho, risk, node_count=64):
     rows = (np.log(value), slope, curvature)
     exact = weighted_sums(*rows, w, scaled_z)
     scale = weighted_sums(*map(np.abs, rows), w, np.abs(scaled_z))
-    # F_a, F_a_mu and F_a_rho from l_a = dG/da / G and its derivative in log theta.
+    # F_a, F_a_mu, F_a_rho and F_aa from l_a = dG/da / G, its derivative in
+    # log theta and l_aa = d^2G/da^2 / G - l_a^2.
     tail_theta = tail * theta
     l_a = (risk.h - tail_theta) / value
     cross = a_theta * tail_theta / value - l_a * slope
-    action = np.array([w @ l_a, w @ cross, (w * cross) @ scaled_z])
+    l_aa = tail_theta * theta / value - l_a * l_a
+    action = np.array([w @ l_a, w @ cross, (w * cross) @ scaled_z, w @ l_aa])
     action_scale = np.array(
-        [w @ np.abs(l_a), w @ np.abs(cross), (w * np.abs(cross)) @ np.abs(scaled_z)]
+        [
+            w @ np.abs(l_a),
+            w @ np.abs(cross),
+            (w * np.abs(cross)) @ np.abs(scaled_z),
+            w @ np.abs(l_aa),
+        ]
     )
     return (*exact, action), (*scale, action_scale)
 
@@ -310,7 +318,7 @@ class TestLogRiskTerm:
             assert value == pytest.approx(math.log(3.7), rel=1e-14)
             assert gradient == (0.0, 0.0)
             assert hessian == ((0.0, 0.0), (0.0, 0.0))
-            assert action == (0.0, 0.0, 0.0)
+            assert action == (0.0, 0.0, 0.0, 0.0)
             assert not clamped
 
 
@@ -357,7 +365,7 @@ class TestCalibratedObjective:
                 return np.where(theta > 0.5, -1.0, 1.0)
 
             def theta_terms(self, a, theta):
-                return self.value(a, theta), *[np.zeros_like(theta)] * 4
+                return self.value(a, theta), *[np.zeros_like(theta)] * 5
 
         q = LogNormalVariational(0.0, 0.5)
         with pytest.raises(NumericalError):
@@ -500,6 +508,35 @@ class TestIdentityProperties:
         model, data, grid, q = random_cell(a=a, **cell)
         residual = kl_decomposition_check(a, q, data, model, grid)
         assert residual <= 1e-5 * (1.0 + posterior_kl(q, data, model, grid))
+
+
+    @settings(deadline=None, max_examples=50, derandomize=True, database=None)
+    @given(**RANDOM_CELLS)
+    def test_lcvb_decide_ends_on_a_certified_local_minimum(self, a, offset, sigma, **cell):
+        model, data, grid, _ = random_cell(a=a, offset=offset, sigma=sigma, **cell)
+        lines = []
+        handler = logging.Handler(logging.DEBUG)
+        handler.emit = lambda record: lines.append(record.getMessage())
+        logger = logging.getLogger("newsvb.decisions")
+        level = logger.level
+        logger.addHandler(handler)
+        logger.setLevel(logging.DEBUG)
+        try:
+            outcome = lcvb_decide(data, model, grid)
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
+        assert lines[-1].endswith(", local")
+        action, fit = outcome.action, outcome.inner_fit
+        slope, curvature = fit.envelope_slope, fit.envelope_curvature
+        assert curvature > 0
+        lo, hi = model.action_interval
+        outward = slope >= 0 if action == lo else slope <= 0 if action == hi else False
+        assert outward or abs(slope) / curvature <= 1e-9 * (1.0 + action)
+        # The inner maximum V is no lower a step away inside the interval.
+        for b in (action - 1e-3, action + 1e-3):
+            if lo <= b <= hi:
+                assert fit_lcvb(b, data, model)[1].objective >= fit.objective
 
 
 class TestKlDecomposition:
