@@ -44,7 +44,7 @@ from .model import (
     sample_demand,
     true_optimal_action,
 )
-from .numerics import NumericalError
+from .numerics import NumericalError, minimize_on_grid_then_golden
 from .oracle import bayes_decision, build_posterior, mle, posterior_expected_risk
 from .vb import (
     FitSettings,
@@ -480,6 +480,39 @@ def check_calibrated_action_derivatives() -> tuple[float, float]:
     return worst, 1e-5
 
 
+def check_calibrated_saddle() -> tuple[float, float]:
+    """``lcvb_decide`` on the check dataset against the scan plus golden
+    refinement (33 points, 1e-4) over inner maxima, each fit started from
+    the nearest solved action, and its certificate at the answer: F_qq
+    negative definite, and the reported V'' positive and equal to central
+    differences of the inner fits' envelope slopes. The residual is the
+    larger of |a - a_ref| and the relative error of V'', or inf where the
+    certificate fails."""
+    model, data, grid = _check_dataset()
+    outcome = lcvb_decide(data, model, grid)
+    a, q, curvature = outcome.action, outcome.q, outcome.inner_fit.envelope_curvature
+    solved = {}
+
+    def inner(b):
+        start = solved[min(solved, key=lambda c: abs(c - b))] if solved else fit_nvb(data, model)[0]
+        solved[b], fit = fit_lcvb(b, data, model, initial=start)
+        return fit.objective
+
+    reference = minimize_on_grid_then_golden(
+        lambda b: [inner(float(c)) for c in b] if np.ndim(b) else inner(b),
+        *model.action_interval, 33, 1e-4,
+    )[0]
+    risk = NewsvendorRisk(model.h, model.b)
+    (h00, h01), (_, h11) = _lcvb_objective(a, data, model, risk, 64)((q.mu, math.log(q.sigma)))[2]
+    delta = 1e-4
+    certified = h00 < 0 < h00 * h11 - h01 * h01 and curvature is not None and curvature > 0
+    if not (certified and model.action_lo < a - delta < a + delta < model.action_hi):
+        return math.inf, 1e-4
+    above, below = (fit_lcvb(a + d, data, model, initial=q)[1] for d in (delta, -delta))
+    central = (above.envelope_slope - below.envelope_slope) / (2 * delta)
+    return max(abs(a - reference), abs(curvature - central) / abs(central)), 1e-4
+
+
 def check_quantile() -> tuple[float, float]:
     rng = np.random.default_rng(10)
     worst = 0.0
@@ -499,6 +532,7 @@ def cmd_check(args) -> int:
         ("elbo-gradient", check_elbo_gradient),
         ("calibrated-hessian", check_calibrated_hessian),
         ("calibrated-action-derivatives", check_calibrated_action_derivatives),
+        ("calibrated-saddle", check_calibrated_saddle),
         ("quantile-nearest-rank", check_quantile),
     ]
     all_ok = True

@@ -1,16 +1,15 @@
-"""Decision rules: two-stage naive VB and the nested min-max calibrated rule.
+"""Decision rules: two-stage naive VB and the calibrated saddle-point rule.
 
 The naive rule fits one variational posterior and then minimizes the
 predicted expected cost H_q(a) = E_q[G(a, theta)] over the action interval
 at the root of its first-order condition, found by Newton's method.
-The calibrated rule minimizes the inner maximum V(a) = max_q F(a, q) of the
-loss-calibrated objective by Newton's method on dV/da, starting at the
-naive action. Each inner fit's last kernel pass gives the search what it
-reads: dV/da = F_a at the maximizer q*(a) (the envelope theorem), the
-tangent dq*/da = -F_qq^{-1} F_qa, along which the next fit's start is
-predicted, and d^2V/da^2 = F_aa + F_aq . dq*/da (the implicit function
-theorem), whose sign certifies the minimum. A global scan over actions is
-the fallback.
+The calibrated rule finds the saddle point min_a max_q F(a, q) of the
+loss-calibrated objective by Newton's method on F's gradient in
+(a, mu, rho), from the naive action and member, reading every derivative
+from one kernel pass per step. Its certificate is F_qq negative definite
+and d^2V/da^2 = F_aa - F_aq F_qq^{-1} F_qa > 0 for V(a) = max_q F(a, q)
+(the implicit function theorem), or at an interval end dV/da = F_a (the
+envelope theorem) pointing outward. A global scan is the fallback.
 """
 
 from __future__ import annotations
@@ -36,11 +35,13 @@ from .numerics import (
     gauss_hermite_standard,
     golden_section_minimize,  # noqa: F401 - unused here; perfbench/tracing.py wraps this name
     minimize_on_grid_then_golden,
+    newton_direction,
 )
 from .vb import (
     FitDiagnostics,
     FitSettings,
     LogNormalVariational,
+    _lcvb_objective,
     calibrated_objective,
     fit_lcvb,
     fit_nvb,
@@ -77,7 +78,7 @@ class Rule(enum.Enum):
 
 @dataclass(frozen=True)
 class DecisionOutcome:
-    """A rule's action; for NVB, ``q`` is the plain fit it was decided with."""
+    """A rule's action; ``q`` is the member NVB or LCVB decided with."""
 
     action: float
     objective_value: float
@@ -228,18 +229,6 @@ def nvb_decide(
     return decide_with_variational(q, model, diagnostics)
 
 
-def _along_tangent(
-    q: LogNormalVariational, tangent: tuple[float, float], step: float
-) -> LogNormalVariational | None:
-    """q moved by ``step`` in a along its tangent (dmu/da, drho/da), or None
-    when the move leaves the family."""
-    try:
-        sigma = math.exp(math.log(q.sigma) + tangent[1] * step)
-        return LogNormalVariational(q.mu + tangent[0] * step, sigma)
-    except (OverflowError, ValueError):
-        return None
-
-
 def lcvb_decide(
     data: Observations,
     model: NewsvendorModel,
@@ -248,66 +237,77 @@ def lcvb_decide(
     risk: Risk | None = None,
     nvb_start: DecisionOutcome | None = None,
 ) -> DecisionOutcome:
-    """Nested min-max rule: min_a V(a), V(a) = max_q F(a, q).
+    """Calibrated rule: the saddle point min_a max_q F(a, q).
 
-    Newton's method on the envelope slope dV/da = F_a, from the naive
-    action (``nvb_start``, an NVB outcome with its q, or else
-    ``nvb_decide``'s): each inner fit reports F_a and the envelope curvature
-    V'' of its maximizer, and the next action is a - F_a/V'' clamped to the
-    action interval. The search stops at the fitted action once
-    |F_a|/V'' <= 1e-9*(1 + a), or once the clamped step leaves it at an
-    interval end, where F_a then points out of the interval; V'' > 0 there
-    certifies a local minimum of V. Each inner fit is one ascent from the
-    previous member moved along its tangent to the new action (the first
-    from the naive fit). The unmoved member is the start instead, counted as
-    a cold start, when the move leaves the family or the fit from the moved
-    start raises (its objective is not finite there, say). A local search
-    sees one minimum only: if a fit fails, F_a is not finite, V'' is not
-    positive and finite, or 50 steps do not stop, a 33-point scan plus
-    golden refinement to 1e-4 ranks inner maxima instead, each fit started
-    from the nearest member the scan solved, where failed fits only void
-    their probe. ``probe_count`` counts every inner fit. ``grid`` enters
-    once, in the chosen action's calibrated objective, which checks that it
-    matches the data. ``risk=None`` uses the model's newsvendor risk.
+    Newton's method on F's gradient in (a, mu, rho = log sigma), one kernel
+    pass per step, from the naive action and member (``nvb_start``, an NVB
+    outcome with its q, or else ``nvb_decide``'s). With s = -F_qq^{-1} F_qa
+    and V'' = F_aa + F_aq . s, the step is da = -(F_a + s . grad_q F)/V''
+    (= (F_aq . F_qq^{-1} grad_q F - F_a)/V'') and
+    dq = -F_qq^{-1} grad_q F + s*da, until |da| <= 1e-9*(1 + a) and
+    |grad_q F| < tolerance at the evaluated point, where F_qq negative
+    definite and V'' > 0 certify a local minimum of V(a) = max_q F(a, q).
+    At an interval end (the naive action's, or one a step would cross) one
+    ``fit_lcvb`` from the current member finishes, and F_a pointing
+    strictly outward certifies the end; else Newton resumes there. A
+    non-finite objective or slope, F_qq not negative definite (V'' is None
+    then), V'' <= 0, a failed end fit or 50 steps fall back to a 33-point
+    scan plus golden refinement to 1e-4 over inner maxima, where a failed
+    fit voids its probe. ``probe_count`` counts Newton steps (one cut at an
+    end too) and inner fits; ``inner_fit`` and ``q`` describe the last
+    evaluation. ``grid`` enters only the chosen action's calibrated
+    objective, which checks it against the data. ``risk=None`` uses the
+    model's newsvendor risk.
     """
     settings = settings or FitSettings()
     risk = resolve_risk(risk, model)
     nvb = nvb_decide(data, model, settings) if nvb_start is None else nvb_start
-    fits = iterations = cold_starts = 0
+    lo, hi = model.action_interval
+    steps = fits = passes = 0
 
-    def solve(a: float, start: LogNormalVariational, predicted=None):
-        """The inner fit at ``a`` from ``predicted``, or from ``start`` when
-        there is no prediction or the fit from it raises."""
-        nonlocal fits, iterations, cold_starts
+    def solve(a: float, start: LogNormalVariational):
+        nonlocal fits, passes
         fits += 1
-        initial = start if predicted is None else predicted
-        try:
-            q, fit = fit_lcvb(a, data, model, settings, risk=risk, initial=initial)
-        except NumericalError:
-            if predicted is None:
-                raise
-            cold_starts += 1
-            q, fit = fit_lcvb(a, data, model, settings, risk=risk, initial=start)
-        iterations += fit.iterations
+        q, fit = fit_lcvb(a, data, model, settings, risk=risk, initial=start)
+        passes += fit.evaluations
         return q, fit
 
-    def newton() -> tuple[float, LogNormalVariational, FitDiagnostics]:
-        nonlocal cold_starts
-        a = nvb.action
-        q, fit = solve(a, nvb.q)
-        for _ in range(LCVB_MAX_NEWTON_STEPS):
-            slope, curvature = fit.envelope_slope, fit.envelope_curvature
-            if not math.isfinite(slope):
-                raise NumericalError(f"envelope slope is {slope} at a={a:.6g}")
-            if not (curvature is not None and 0.0 < curvature < math.inf):
+    def saddle() -> tuple[float, LogNormalVariational, FitDiagnostics, str]:
+        nonlocal steps, passes
+        a, x = nvb.action, (nvb.q.mu, math.log(nvb.q.sigma))
+        end = a if a in (lo, hi) else None
+        while True:
+            if end is not None:  # a fixed at an end; one inner fit finishes
+                q, fit = solve(end, LogNormalVariational(x[0], math.exp(x[1])))
+                if fit.envelope_slope > 0 if end == lo else fit.envelope_slope < 0:
+                    return end, q, fit, "at a_lo" if end == lo else "at a_hi"
+                a, x = end, (q.mu, math.log(q.sigma))  # F_a points inward
+            passes += 1
+            objective = _lcvb_objective(a, data, model, risk, settings.node_count)
+            value, gradient, f_qq, _, *envelope = objective(x)
+            if not (math.isfinite(value) and all(map(math.isfinite, gradient))):
+                raise NumericalError(f"calibrated objective is not finite at a={a:.6g}")
+            f_a, tangent, curvature = envelope
+            if not math.isfinite(f_a):
+                raise NumericalError(f"envelope slope is {f_a} at a={a:.6g}")
+            if not (tangent is not None and 0.0 < curvature < math.inf):  # None: F_qq not < 0
                 raise NumericalError(f"envelope curvature is {curvature} at a={a:.6g}")
-            target = min(max(a - slope / curvature, lo), hi)
-            if abs(slope) <= 1e-9 * (1.0 + a) * curvature or target == a:
-                return a, q, fit
-            predicted = _along_tangent(q, fit.tangent, target - a)
-            cold_starts += predicted is None
-            a, (q, fit) = target, solve(target, q, predicted)
-        raise NumericalError(f"no envelope root in {LCVB_MAX_NEWTON_STEPS} Newton steps")
+            step = -(f_a + tangent[0] * gradient[0] + tangent[1] * gradient[1]) / curvature
+            ascent = newton_direction(gradient, f_qq)  # -F_qq^{-1} grad_q F
+            norm = math.hypot(*gradient)
+            if abs(step) <= 1e-9 * (1.0 + a) and norm < settings.tolerance:
+                fit = FitDiagnostics(
+                    steps, norm, True, value, envelope_slope=f_a, tangent=tangent,
+                    envelope_curvature=curvature, evaluations=passes,
+                )
+                return a, LogNormalVariational(x[0], math.exp(x[1])), fit, "local"
+            if steps == LCVB_MAX_NEWTON_STEPS:
+                raise NumericalError(f"no saddle point in {LCVB_MAX_NEWTON_STEPS} Newton steps")
+            steps += 1
+            end = lo if a + step < lo else hi if a + step > hi else None
+            if end is None:
+                a += step
+                x = (x[0] + ascent[0] + tangent[0] * step, x[1] + ascent[1] + tangent[1] * step)
 
     solved: dict[float, tuple[LogNormalVariational, FitDiagnostics]] = {}
 
@@ -321,10 +321,8 @@ def lcvb_decide(
             return math.inf  # invalid probe, never the minimum
         return solved[a][1].objective
 
-    lo, hi = model.action_interval
     try:
-        action, q, diagnostics = newton()
-        how = "local"
+        action, q, diagnostics, how = saddle()
     except NumericalError as exc:
         how = f"scan fallback: {exc}"
         action, value, _ = minimize_on_grid_then_golden(
@@ -335,10 +333,10 @@ def lcvb_decide(
         q, diagnostics = solved[action]
     objective = calibrated_objective(action, q, data, model, grid, risk, settings.node_count)
     logger.debug(
-        "LCVB action %.9g after %d inner fits (%d iterations, %d cold starts), %s",
-        action, fits, iterations, cold_starts, how,
+        "LCVB action %.9g after %d Newton steps (%d kernel passes), %s",
+        action, steps, passes, how,
     )
-    return DecisionOutcome(action, objective.value, Rule.LCVB, diagnostics, fits)
+    return DecisionOutcome(action, objective.value, Rule.LCVB, diagnostics, steps + fits, q)
 
 
 def optimality_gap(outcome: DecisionOutcome, model: NewsvendorModel) -> tuple[float, float]:

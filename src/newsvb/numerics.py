@@ -178,7 +178,8 @@ def minimize_on_grid_then_golden(f, lo, hi, coarse_points=512, tol=1e-8):
 
 @dataclass(frozen=True)
 class AscentResult:
-    """The returned point, with the Hessian and ``extra`` of its evaluation."""
+    """The returned point, with the ``extra`` values of its evaluation, and
+    the number of objective evaluations the run made."""
 
     x: tuple[float, float]
     value: float
@@ -186,8 +187,8 @@ class AscentResult:
     iterations: int
     converged: bool
     fallback_steps: int
-    hessian: tuple
     extra: tuple
+    evaluations: int
 
 
 def newton_direction(gradient, hessian):
@@ -213,7 +214,8 @@ def ascend(
     definite wherever ``f`` is finite, and any further values the caller
     wants at the returned point: a pair of floats ``x`` in, any pair ``g``
     and 2x2 nestings (tuples or arrays) out. The result carries the returned
-    point's ``H`` and ``extra`` from its own evaluation, not recomputed.
+    point's ``extra`` from its own evaluation, not recomputed, and counts
+    the objective evaluations.
     Each step solves the Newton system in closed form with ``H``, or with
     ``H_fallback`` where ``H`` is not negative definite (counted in
     ``fallback_steps``), and halves the step until the Armijo condition
@@ -234,14 +236,15 @@ def ascend(
         raise NumericalError("objective is not finite at the initial point")
     best_x, best = x, current
     fallback_steps = 0
+    evaluations = 1
 
     def result(iterations: int, *, stopped_by_tolerance: bool) -> AscentResult:
         out_x, out = (x, current) if stopped_by_tolerance or value >= best[0] else (best_x, best)
-        out_value, out_grad, out_hess, _, *extra = out
+        out_value, out_grad, _, _, *extra = out
         norm = math.hypot(*out_grad)
         return AscentResult(
-            out_x, out_value, norm, iterations, norm < tolerance, fallback_steps, out_hess,
-            tuple(extra),
+            out_x, out_value, norm, iterations, norm < tolerance, fallback_steps, tuple(extra),
+            evaluations,
         )
 
     for iteration in range(max_iterations):
@@ -261,6 +264,7 @@ def ascend(
         while step > 1e-20:
             candidate = (x[0] + step * d0, x[1] + step * d1)
             cand = objective(candidate)
+            evaluations += 1
             if math.isfinite(cand[0]) and cand[0] + noise >= value + _ARMIJO * step * slope:
                 accepted = True
                 break

@@ -19,7 +19,7 @@ The loss-calibrated objective for an action a is
 
 a lower bound on log E_posterior[G(a, theta)] by Jensen's inequality. The
 expectation E_q[log G] is computed with deterministic Gauss-Hermite nodes
-(theta = exp(mu + sigma*z), z ~ N(0,1)), which keeps the nested decision
+(theta = exp(mu + sigma*z), z ~ N(0,1)), which keeps the decision
 loops reproducible.
 
 Each fit is one damped Newton ascent (``numerics.ascend``) over
@@ -130,14 +130,16 @@ def variational_variance(q: LogNormalVariational) -> float:
 @dataclass(frozen=True)
 class FitDiagnostics:
     """How one ascent ended, with the value it reached: the ELBO for
-    ``fit_nvb``, ELBO + E_q[log G] (F plus the log evidence) for ``fit_lcvb``.
+    ``fit_nvb``, ELBO + E_q[log G] (F plus the log evidence) for ``fit_lcvb``,
+    and the objective evaluations it made.
 
     ``fit_lcvb`` also reports, from the evaluation at its member, the
     envelope slope F_a (dV/da at an inner maximum), the tangent
     (dmu/da, drho/da) = -F_qq^{-1} F_qa of the maximizer and the envelope
     curvature d^2V/da^2 = F_aa + F_aq . tangent (the implicit function
     theorem); the last two are None where F_qq is not negative definite or
-    the tangent is not finite.
+    the tangent is not finite. ``decisions.lcvb_decide`` reports its joint
+    Newton solve in the same fields.
     """
 
     iterations: int
@@ -150,6 +152,7 @@ class FitDiagnostics:
     envelope_slope: float | None = None
     tangent: tuple[float, float] | None = None
     envelope_curvature: float | None = None
+    evaluations: int = 0
 
 
 @dataclass(frozen=True)
@@ -249,14 +252,8 @@ def _fit(objective, x0, settings: FitSettings, kind: str):
         objective, x0, tolerance=settings.tolerance, max_iterations=settings.max_iterations
     )
     q = LogNormalVariational(mu=result.x[0], sigma=math.exp(result.x[1]))
-    slope = tangent = curvature = None
-    if result.extra:  # the calibrated objective's F_a, F_a_mu, F_a_rho and F_aa
-        slope, f_a_mu, f_a_rho, f_aa = result.extra
-        tangent = newton_direction((f_a_mu, f_a_rho), result.hessian)
-        if tangent is not None and all(map(math.isfinite, tangent)):
-            curvature = f_aa + f_a_mu * tangent[0] + f_a_rho * tangent[1]
-        else:
-            tangent = None
+    # The calibrated objective's F_a, tangent and V''; the plain one has none.
+    slope, tangent, curvature = result.extra or (None, None, None)
     diagnostics = FitDiagnostics(
         iterations=result.iterations,
         final_gradient_norm=result.gradient_norm,
@@ -265,6 +262,7 @@ def _fit(objective, x0, settings: FitSettings, kind: str):
         envelope_slope=slope,
         tangent=tangent,
         envelope_curvature=curvature,
+        evaluations=result.evaluations,
     )
     logger.log(
         logging.DEBUG if result.converged else logging.WARNING,
@@ -356,8 +354,11 @@ def _lcvb_objective(
     a: float, data: Observations, model: NewsvendorModel, risk: Risk, node_count: int
 ):
     """ELBO + E_q[log G(a, .)] as an ``ascend`` objective of x = (mu, rho),
-    with the bound's own Hessian as the fallback curvature and F_a, F_a_mu,
-    F_a_rho and F_aa (the bound does not depend on a) as the extra values."""
+    with the bound's own Hessian as the fallback curvature. The extra values
+    are F_a (the bound does not depend on a), the tangent
+    s = -F_qq^{-1} F_qa and the envelope curvature V'' = F_aa + F_aq . s,
+    the last two None where F_qq is not negative definite or s is not
+    finite."""
 
     def objective(x):
         value, gradient, hessian = _elbo_terms(*x, data.n, data.sum_s, model.alpha, model.beta)
@@ -369,7 +370,12 @@ def _lcvb_objective(
         (e00, e01), (_, e11) = hessian
         total = ((e00 + m00, e01 + m01), (e01 + m01, e11 + m11))
         gradient = (gradient[0] + l_mu, gradient[1] + l_rho)
-        return value + log_risk, gradient, total, hessian, *action
+        f_a, f_a_mu, f_a_rho, f_aa = action
+        tangent = newton_direction((f_a_mu, f_a_rho), total)
+        if tangent is None or not all(map(math.isfinite, tangent)):
+            return value + log_risk, gradient, total, hessian, f_a, None, None
+        curvature = f_aa + f_a_mu * tangent[0] + f_a_rho * tangent[1]
+        return value + log_risk, gradient, total, hessian, f_a, tangent, curvature
 
     return objective
 

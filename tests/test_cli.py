@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -344,7 +345,7 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check")
         assert code == 0
         assert re.search(r"kl-decomposition\s+residual=", out)
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == 7
         assert "FAIL" not in out
 
     def test_calibrated_hessian_check_appears_and_passes(self, capsys):
@@ -355,6 +356,39 @@ class TestCheck:
             assert line is not None, name
             assert line.group(3) == "PASS"
             assert float(line.group(1)) <= float(line.group(2)) == 1e-5
+
+    def test_calibrated_saddle_check_appears_and_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "check")
+        assert code == 0
+        line = re.search(r"calibrated-saddle\s+residual=(\S+) tolerance=(\S+)\s+(\w+)", out)
+        assert line is not None and line.group(3) == "PASS"
+        assert float(line.group(1)) <= float(line.group(2)) == 1e-4
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda o: replace(o, action=o.action + 1e-3),
+            lambda o: replace(
+                o,
+                inner_fit=replace(
+                    o.inner_fit, envelope_curvature=1.01 * o.inner_fit.envelope_curvature
+                ),
+            ),
+            lambda o: replace(o, inner_fit=replace(o.inner_fit, envelope_curvature=-1.0)),
+        ],
+        ids=["action", "curvature", "certificate"],
+    )
+    def test_calibrated_saddle_check_fails_on_a_corrupted_decide(
+        self, corrupt, capsys, monkeypatch
+    ):
+        import newsvb.cli as cli
+
+        decide = cli.lcvb_decide
+        monkeypatch.setattr(cli, "lcvb_decide", lambda *args: corrupt(decide(*args)))
+        code, out, _ = run_cli(capsys, "check")
+        assert code == 1
+        assert re.search(r"calibrated-saddle\s+residual=.*FAIL", out)
+        assert out.count("FAIL") == 1
 
     def test_injected_fault_fails(self, capsys, monkeypatch):
         import newsvb.cli as cli

@@ -1,4 +1,4 @@
-"""Decision rules: two-stage NVB, nested LCVB, gap metrics, invariances."""
+"""Decision rules: two-stage NVB, saddle-point LCVB, gap metrics, invariances."""
 
 import logging
 import math
@@ -29,6 +29,7 @@ from newsvb import (
     true_optimal_action,
 )
 import newsvb.decisions as decisions
+import newsvb.vb as vb
 from newsvb.decisions import decide_on_measure, decide_with_variational
 from newsvb.model import expected_risk
 from newsvb.numerics import NumericalError, minimize_on_grid_then_golden
@@ -490,25 +491,50 @@ class TestLcvbDecide:
         central = (above - below) / (2 * delta)
         assert fit.envelope_curvature == pytest.approx(central, rel=1e-5)
 
-    @pytest.mark.parametrize("end", ["upper", "lower"])
+    @pytest.mark.parametrize(
+        "end, interval_in_roots",
+        [("upper", (0.0, 0.5)), ("lower", (1.2, 2.0)), ("lower", (2.0, 3.0))],
+        ids=["upper", "lower", "lower-past-convexity"],
+    )
     def test_a_root_beyond_the_interval_ends_at_the_near_end(
-        self, end, data_n50, base_model, grid_n50, caplog
+        self, end, interval_in_roots, data_n50, base_model, grid_n50, caplog
     ):
-        # V is convex near its root only (V'' < 0 past ~1.6 roots on this
-        # dataset), and an answer needs V'' > 0, so the lower end sits close.
+        # An end answers once F_a points strictly out of the interval, whatever
+        # the sign of V'': V is convex near its root only (V'' < 0 past ~1.6
+        # roots on this dataset), as on the interval of (2, 3) roots.
         root = lcvb_decide(data_n50, base_model, grid_n50).action
-        interval = (0.0, 0.5 * root) if end == "upper" else (1.2 * root, 2.0 * root)
+        interval = tuple(factor * root for factor in interval_in_roots)
         model = replace(base_model, theta0=None, action_interval=interval)
         with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
             outcome = lcvb_decide(data_n50, model, grid_n50)
-        assert lcvb_line(caplog).endswith(", local")
         fit = outcome.inner_fit
-        assert fit.envelope_curvature > 0
         if end == "upper":  # V still falls at the upper end: F_a points out of it
+            assert lcvb_line(caplog).endswith("kernel passes), at a_hi")
             assert outcome.action == interval[1] and fit.envelope_slope < 0
         else:
+            assert lcvb_line(caplog).endswith("kernel passes), at a_lo")
             assert outcome.action == interval[0] and fit.envelope_slope > 0
+        assert (fit.envelope_curvature > 0) == (interval_in_roots != (2.0, 3.0))
+        assert outcome.probe_count <= 3 and fit.evaluations <= 6
         assert abs(outcome.action - scan_reference(data_n50, model)[0]) <= 1e-4
+
+    def test_an_end_with_an_inward_slope_resumes_newton_there(
+        self, data_n50, base_model, grid_n50, caplog
+    ):
+        # The NVB action lies below the LCVB root on this dataset, so an
+        # interval starting between them puts the naive start at a_lo, where
+        # F_a points into the interval: the end's fit does not answer, and
+        # Newton resumes from it to the interior root.
+        root = lcvb_decide(data_n50, base_model, grid_n50).action
+        naive = nvb_decide(data_n50, base_model).action
+        interval = (0.5 * (naive + root), 2.0 * root)
+        model = replace(base_model, theta0=None, action_interval=interval)
+        with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
+            outcome = lcvb_decide(data_n50, model, grid_n50)
+        assert naive < interval[0] < root
+        assert lcvb_line(caplog).endswith(", local")
+        assert outcome.probe_count == outcome.inner_fit.iterations + 1  # the end's one fit
+        assert abs(outcome.action - root) <= 1e-8
 
     def test_a_non_positive_envelope_curvature_falls_back_to_the_scan(
         self, data_n50, base_model, grid_n50, caplog
@@ -533,43 +559,80 @@ class TestLcvbDecide:
                     assert outcome.inner_fit.objective <= value + 1e-9, (seed, n, h)
                     assert outcome.probe_count <= 12, (seed, n, h)
 
-    def test_non_finite_objective_at_a_predicted_start_falls_back_to_the_cold_start(
+    def test_non_finite_objective_at_a_joint_iterate_falls_back_to_the_scan(
         self, data_n50, base_model, grid_n50, monkeypatch, caplog
     ):
-        far = LogNormalVariational(800.0, 1.0)  # E_q[theta] overflows: the ELBO is -inf
-        builtin = NewsvendorRisk(base_model.h, base_model.b)
-        objective = _lcvb_objective(1.0, data_n50, base_model, builtin, 64)
-        assert objective((far.mu, math.log(far.sigma)))[0] == -math.inf
-        reference = lcvb_decide(data_n50, base_model, grid_n50)
-        monkeypatch.setattr(decisions, "_along_tangent", lambda q, tangent, step: far)
+        iterates = []
+
+        def poisoned(a, *args):
+            objective = _lcvb_objective(a, *args)
+
+            def evaluate(x):
+                iterates.append(a)
+                value, gradient, hessian, fallback, *action = objective(x)
+                if len(iterates) == 2:  # the first Newton iterate
+                    return -math.inf, gradient, hessian, fallback
+                return value, gradient, hessian, fallback, *action
+
+            return evaluate
+
+        monkeypatch.setattr(decisions, "_lcvb_objective", poisoned)
         with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
             outcome = lcvb_decide(data_n50, base_model, grid_n50)
-        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("LCVB")]
-        fits = outcome.probe_count
-        assert f"after {fits} inner fits (" in line
-        assert line.endswith(f", {fits - 1} cold starts), local")  # every fit but the first
-        assert abs(outcome.action - reference.action) <= 1e-6
-        assert outcome.inner_fit.converged
+        assert len(iterates) == 2  # the scan's fits evaluate F in vb, not here
+        line = lcvb_line(caplog)
+        assert line.startswith(f"LCVB action {outcome.action:.9g} after 1 Newton steps (")
+        assert line.endswith(
+            f", scan fallback: calibrated objective is not finite at a={iterates[1]:.6g}"
+        )
+        assert outcome.action == scan_reference(data_n50, base_model)[0]
+        assert outcome.probe_count >= 33
 
-    def test_debug_line_counts_iterations_and_cold_starts(
-        self, data_n50, base_model, grid_n50, monkeypatch, caplog
+    @pytest.mark.parametrize(
+        "interval, risk, how",
+        [
+            ((0.0, 50.0), None, "local"),
+            ((0.0, 2.0), None, "at a_hi"),
+            ((8.0, 12.0), None, "at a_lo"),
+            ((0.0, 50.0), ConcaveInAction(), "scan fallback: envelope curvature is -"),
+        ],
+        ids=["local", "at-a_hi", "at-a_lo", "scan-fallback"],
+    )
+    def test_debug_line_counts_newton_steps_and_kernel_passes(
+        self, interval, risk, how, data_n50, base_model, grid_n50, monkeypatch, caplog
     ):
-        fits = []
+        passes, fits = [], []
+
+        def counted_pass(*args):
+            passes.append(args[0])
+            return log_risk_term(*args)
 
         def recorded(*args, **kwargs):
-            result = fit_lcvb(*args, **kwargs)
-            fits.append(result[1])
-            return result
+            fits.append(args[0])
+            return fit_lcvb(*args, **kwargs)
 
+        log_risk_term = vb._log_risk_term
+        monkeypatch.setattr(vb, "_log_risk_term", counted_pass)
         monkeypatch.setattr(decisions, "fit_lcvb", recorded)
+        model = replace(base_model, theta0=None, action_interval=interval)
         with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
-            outcome = lcvb_decide(data_n50, base_model, grid_n50)
-        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("LCVB")]
-        iterations = sum(fit.iterations for fit in fits)
-        assert line == (
-            f"LCVB action {outcome.action:.9g} after {len(fits)} inner fits "
-            f"({iterations} iterations, 0 cold starts), local"
+            outcome = lcvb_decide(data_n50, model, grid_n50, risk=risk)
+        kernel_passes = len(passes) - 1  # the last is the reported objective's
+        steps = outcome.probe_count - len(fits)
+        line = lcvb_line(caplog)
+        assert line.startswith(
+            f"LCVB action {outcome.action:.9g} after {steps} Newton steps "
+            f"({kernel_passes} kernel passes), {how}"
         )
+        if how == "local":
+            assert fits == [] and 1 <= steps <= 12 and kernel_passes == steps + 1
+            assert outcome.inner_fit.iterations == steps
+            assert outcome.inner_fit.evaluations == kernel_passes
+            assert outcome.inner_fit.converged
+        elif how.startswith("at"):
+            assert fits == [outcome.action] and steps == 0
+        else:
+            assert len(fits) >= 33 and steps == 0
 
     def test_non_finite_slope_falls_back_to_the_scan(self, data_n50, base_model, grid_n50):
         outcome = lcvb_decide(data_n50, base_model, grid_n50, risk=NaNSlope(base_model))
