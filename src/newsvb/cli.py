@@ -498,6 +498,9 @@ def check_calibrated_saddle() -> tuple[float, float]:
         solved[b], fit = fit_lcvb(b, data, model, initial=start)
         return fit.objective
 
+    def envelope_slope(b):
+        return fit_lcvb(float(b[0]), data, model, initial=q)[1].envelope_slope
+
     reference = minimize_on_grid_then_golden(
         lambda b: [inner(float(c)) for c in b] if np.ndim(b) else inner(b),
         *model.action_interval, 33, 1e-4,
@@ -508,8 +511,7 @@ def check_calibrated_saddle() -> tuple[float, float]:
     certified = h00 < 0 < h00 * h11 - h01 * h01 and curvature is not None and curvature > 0
     if not (certified and model.action_lo < a - delta < a + delta < model.action_hi):
         return math.inf, 1e-4
-    above, below = (fit_lcvb(a + d, data, model, initial=q)[1] for d in (delta, -delta))
-    central = (above.envelope_slope - below.envelope_slope) / (2 * delta)
+    central = float(_central_differences(envelope_slope, np.array([a]), delta)[0])
     return max(abs(a - reference), abs(curvature - central) / abs(central)), 1e-4
 
 
