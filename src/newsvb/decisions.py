@@ -123,9 +123,11 @@ def decide_on_measure(
     the rows still moving. A row stops once its step is at most
     1e-15*(1 + a); a row still moving after 100 steps gets a
     ``NumericalError`` in its place, which fails it alone.
-    ``probe_count`` counts the evaluations of psi that a row used. The
-    naive rule passes q's Gauss-Hermite nodes, and q and ``inner_fit`` to
-    record in each outcome.
+    ``probe_count`` counts the evaluations of psi that a row used, and each
+    row logs one debug line (BAYES rows excepted, for ``bayes_decision``
+    logs its own). The naive rule passes q's Gauss-Hermite nodes, and q and
+    ``inner_fit`` to record in each outcome; the Bayes oracle passes the
+    posterior grid.
     """
     first = models[0]
     fixed = vars(first) | {"h": None}  # every field but h
@@ -189,7 +191,8 @@ def decide_on_measure(
             )
             continue
         a, count, end = action[row], evaluations[row], where[row]
-        logger.debug("%s action %.9g after %d psi evaluations, %s", rule.value, a, count, end)
+        if rule is not Rule.BAYES:  # the oracle logs its root with the scan that checks it
+            logger.debug("%s action %.9g after %d psi evaluations, %s", rule.value, a, count, end)
         outcomes.append(DecisionOutcome(a, objective[row], rule, inner_fit, count, q))
     return outcomes
 

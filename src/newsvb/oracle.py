@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decisions import DecisionOutcome, Rule
+from .decisions import DecisionOutcome, Rule, decide_on_measure
 from .model import (
     NewsvendorModel,
     Observations,
@@ -27,7 +27,11 @@ from .model import (
     log_posterior_unnormalized,
     resolve_risk,
 )
-from .numerics import NumericalError, gauss_legendre, minimize_on_grid_then_golden
+from .numerics import (
+    NumericalError,
+    gauss_legendre,
+    minimize_on_grid_then_golden,  # noqa: F401 - unused here; perfbench/tracing.py wraps this name
+)
 
 __all__ = [
     "PosteriorGrid",
@@ -44,6 +48,10 @@ MIN_POSTERIOR_NODES = 32
 # The node table takes O(n^2) recurrence steps (~0.25 s at 4,096 nodes), and
 # the Bayes scan's blocks hold 128 x n floats.
 MAX_POSTERIOR_NODES = 4096
+BAYES_SCAN_POINTS = 512
+# H(root) may exceed the scan's minimum by this fraction of it, the rounding
+# of a sum whose terms h*a and h/theta cancel (~25 eps at worst measured).
+BAYES_SCAN_ROUNDING = 1e-12
 
 logger = logging.getLogger(__name__)
 
@@ -164,19 +172,37 @@ def posterior_expected_risk(
 def bayes_decision(grid: PosteriorGrid, model: NewsvendorModel) -> DecisionOutcome:
     """Exact Bayes rule: argmin over actions of the model's posterior expected risk.
 
-    A derivative-free search: a 512-point scan plus golden-section
-    refinement to a final bracket of 1e-8, ties broken toward the smaller
-    action; on flat risks the action can miss the minimizer by about
-    sqrt(eps*H/H''), ~1e-6 at the study's costs. It is the reference that
-    the naive rule's first-order root is checked against.
+    The action is the first-order root of H(a) = E_post[G(a, theta)] on the
+    grid, Newton's method on psi(a) = log E_post[exp(-a*theta)] in
+    ``decide_on_measure`` (to 1e-15*(1 + a), or an interval end where H'
+    points outward). A 512-point scan of H is its derivative-free
+    certificate: the root must lie between the neighbours of the scan's best
+    point, and H there must not exceed the scan's minimum by more than
+    rounding (1e-12 of it); otherwise ``NumericalError``. ``probe_count``
+    counts psi evaluations and scan probes. It is the reference the
+    variational rules are measured against.
     """
     nodes, weights = grid.nodes, grid.normalized_weights
     lo, hi = model.action_interval
-    action, value, probes = minimize_on_grid_then_golden(
-        lambda a: expected_risk(a, nodes, weights, model), lo, hi
+    scan = np.linspace(lo, hi, BAYES_SCAN_POINTS)
+    values = expected_risk(scan, nodes, weights, model)
+    k = int(np.argmin(values))  # first minimum = smallest action
+    (outcome,) = decide_on_measure(nodes, weights, [model], Rule.BAYES)
+    if isinstance(outcome, NumericalError):
+        raise outcome
+    a, value, evaluations = outcome.action, outcome.objective_value, outcome.probe_count
+    left, right = scan[max(k - 1, 0)], scan[min(k + 1, BAYES_SCAN_POINTS - 1)]
+    if not (left <= a <= right and value <= values[k] * (1.0 + BAYES_SCAN_ROUNDING)):
+        raise NumericalError(
+            f"root a={a:.9g} with H={value:.17g} fails the scan check: best scan cell "
+            f"[{left:.9g}, {right:.9g}], scan minimum {values[k]:.17g}"
+        )
+    where = "at a_lo" if a == lo else "at a_hi" if a == hi else "interior"
+    logger.debug(
+        "BAYES action %.9g after %d psi evaluations and %d scan probes, %s",
+        a, evaluations, BAYES_SCAN_POINTS, where,
     )
-    logger.debug("BAYES action %.9g after %d probes", action, probes)
-    return DecisionOutcome(action, value, Rule.BAYES, None, probes)
+    return DecisionOutcome(a, value, Rule.BAYES, None, evaluations + BAYES_SCAN_POINTS)
 
 
 def calibrated_posterior_density(

@@ -5,6 +5,7 @@ import logging
 import math
 import platform
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 import newsvb.decisions as decisions
 import newsvb.experiment as experiment
-from newsvb import NumericalError, Rule
+import newsvb.oracle as oracle
+from newsvb import NumericalError, Rule, build_posterior, sample_demand
 from newsvb.experiment import (
     CurvePoint,
     ExperimentConfig,
@@ -236,6 +238,32 @@ class TestSimulatePath:
             "NVB h=0.008 (plain fit), BAYES h=0.008 (plain fit)",
         ]
         assert records[1:3] == clean[1:3]  # the cells at n=10 that did not fail
+
+    def test_a_root_outside_the_best_scan_cell_fails_only_its_bayes_cell(self, monkeypatch):
+        config = tiny_config(rules=(Rule.NVB, Rule.BAYES), h_values=(0.003, 0.008))
+        clean = simulate_path(config, 1)
+        root = oracle.decide_on_measure
+
+        def root_moved_at_high_h(theta, weights, models, rule):
+            (outcome,) = root(theta, weights, models, rule)
+            if models[0].h == 0.008:  # one scan cell is 50/511 wide
+                return [replace(outcome, action=outcome.action + 1.0)]
+            return [outcome]
+
+        monkeypatch.setattr(oracle, "decide_on_measure", root_moved_at_high_h)
+        model = config.model_for(0.008)
+        grid = build_posterior(sample_demand(config.theta0, 10, np.random.default_rng(0)), model)
+        with pytest.raises(NumericalError, match="fails the scan check: best scan cell"):
+            oracle.bayes_decision(grid, model)
+        records = simulate_path(config, 1)
+        assert len(records) == len(clean)
+        for record, reference in zip(records, clean):
+            if record.h == 0.008 and record.rule is Rule.BAYES:
+                assert record.failed
+                assert record.reason.startswith("Bayes: root a=")
+                assert "fails the scan check" in record.reason
+            else:
+                assert record == reference
 
     def test_a_failed_lcvb_decide_names_its_error(self, monkeypatch):
         def failing(*args, **kwargs):

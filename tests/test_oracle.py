@@ -3,10 +3,14 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+import newsvb.oracle as oracle
 from newsvb import (
     ConstantRisk,
     NewsvendorModel,
@@ -23,6 +27,7 @@ from newsvb import (
 )
 from newsvb.decisions import Rule
 from newsvb.model import log_posterior_unnormalized
+from newsvb.numerics import NumericalError
 
 
 def sample_from_grid(grid, count, rng):
@@ -32,6 +37,34 @@ def sample_from_grid(grid, count, rng):
     cdf = cdf / cdf[-1]
     u = rng.random(count)
     return grid.nodes[np.searchsorted(cdf, u)]
+
+
+def exact_bayes_root(data, model, start):
+    """Root of (b+h)*E_post[exp(-a*theta)] = h for the exact posterior, by mpmath.
+
+    The posterior is GIG(p = n - alpha, 2S, 2beta), so
+    E_post[exp(-a*theta)] = (S/(S+a))^(p/2) K_p(2 sqrt((S+a) beta)) / K_p(2 sqrt(S beta)).
+    """
+    with mpmath.workdps(30):
+        p = mpmath.mpf(data.n) - model.alpha
+        s, beta = mpmath.mpf(data.sum_s), mpmath.mpf(model.beta)
+        level = mpmath.log(mpmath.mpf(model.h) / (mpmath.mpf(model.b) + model.h))
+
+        def log_k(a):
+            return mpmath.log(mpmath.besselk(p, 2 * mpmath.sqrt((s + a) * beta)))
+
+        base = log_k(0)
+
+        def log_laplace_minus_level(a):
+            return p / 2 * mpmath.log(s / (s + a)) + log_k(a) - base - level
+
+        return float(mpmath.findroot(log_laplace_minus_level, mpmath.mpf(start)))
+
+
+def bayes_slope(a, grid, model):
+    """H'(a) = h - (b+h)*E_post[exp(-a*theta)] on the grid."""
+    laplace = float(grid.normalized_weights @ np.exp(-a * grid.nodes))
+    return model.h - (model.b + model.h) * laplace
 
 
 class TestBuildPosterior:
@@ -157,6 +190,61 @@ class TestBayesDecision:
         probes = np.linspace(0.0, 50.0, 512)
         values = [posterior_expected_risk(a, grid_n50, base_model) for a in probes]
         assert outcome.objective_value <= min(values) + 1e-12
+
+    def test_matches_the_exact_gig_root(self, base_model):
+        stream = sample_demand(base_model.theta0, 1250, np.random.default_rng(20))
+        for n in (10, 50, 250, 1250):
+            data = stream.prefix(n)
+            for h in (0.001, 0.005, 0.05):
+                model = replace(base_model, h=h)
+                action = bayes_decision(build_posterior(data, model), model).action
+                assert abs(action - exact_bayes_root(data, model, action)) <= 1e-10
+
+    @settings(deadline=None, max_examples=50, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 2000),
+        mean_demand=st.floats(0.05, 20.0),
+        beta=st.floats(0.5, 5.0),
+        h=st.floats(1e-3, 0.5),
+        raise_by=st.floats(0.0, 0.5),
+        b=st.floats(0.01, 1.0),
+        lo=st.floats(0.0, 5.0),
+        width=st.floats(0.5, 50.0),
+    )
+    def test_root_is_certified_and_non_increasing_in_h(
+        self, n, mean_demand, beta, h, raise_by, b, lo, width
+    ):
+        low = NewsvendorModel(
+            h=h, b=b, theta0=None, alpha=1.0, beta=beta, action_interval=(lo, lo + width)
+        )
+        high = replace(low, h=h + raise_by)
+        grid = build_posterior(Observations(np.full(n, mean_demand)), low)
+        actions = []
+        for model in (low, high):
+            a = bayes_decision(grid, model).action
+            slope = bayes_slope(a, grid, model)
+            if a == lo:  # H rises from a_lo
+                assert slope >= -1e-12
+            elif a == lo + width:  # H still falls at a_hi
+                assert slope <= 1e-12
+            else:  # (b+h) E_post[exp(-a theta)] = h
+                assert abs(slope) <= 1e-12 * model.h
+            actions.append(a)
+        # Equal roots may differ by the Newton stop, 1e-15 * (1 + a).
+        assert actions[1] <= actions[0] + 1e-13
+
+    def test_root_above_the_scan_minimum_fails_the_scan_check(
+        self, grid_n50, base_model, monkeypatch
+    ):
+        root = oracle.decide_on_measure
+
+        def root_reporting_a_higher_risk(*args):
+            (outcome,) = root(*args)
+            return [replace(outcome, objective_value=2.0 * outcome.objective_value)]
+
+        monkeypatch.setattr(oracle, "decide_on_measure", root_reporting_a_higher_risk)
+        with pytest.raises(NumericalError, match="with H=.* fails the scan check"):
+            bayes_decision(grid_n50, base_model)
 
     def test_argmin_invariant_under_risk_scaling(self, grid_n50, base_model):
         # G is linear in (h, b), so scaling both costs by 5 scales G by 5.
