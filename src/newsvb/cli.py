@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .decisions import lcvb_decide, nvb_decide, optimality_gap
+from .decisions import _lcvb_scan, lcvb_decide, nvb_decide, optimality_gap
 from .experiment import (
     ExperimentConfig,
     _integer,
@@ -44,10 +44,9 @@ from .model import (
     sample_demand,
     true_optimal_action,
 )
-from .numerics import NumericalError, minimize_on_grid_then_golden
+from .numerics import NumericalError
 from .oracle import bayes_decision, build_posterior, mle, posterior_expected_risk
 from .vb import (
-    FitSettings,
     LogNormalVariational,
     _lcvb_objective,
     _log_risk_term,
@@ -262,14 +261,13 @@ def _resolve_model_and_data(args) -> tuple[NewsvendorModel, Observations, int]:
 
 def cmd_fit(args) -> int:
     model, data, _ = _resolve_model_and_data(args)
-    settings = FitSettings()
     grid = build_posterior(data, model)
     if args.calibrate is not None:
-        q, diag = fit_lcvb(args.calibrate, data, model, settings)
+        q, diag = fit_lcvb(args.calibrate, data, model)
         objective = calibrated_objective(args.calibrate, q, data, model, grid)
         rule = f"loss-calibrated fit at a={args.calibrate:.6g}"
     else:
-        q, diag = fit_nvb(data, model, settings)
+        q, diag = fit_nvb(data, model)
         objective = None
         rule = "plain variational fit"
     kl = posterior_kl(q, data, model, grid)
@@ -297,13 +295,12 @@ def cmd_fit(args) -> int:
 
 def cmd_decide(args) -> int:
     model, data, _ = _resolve_model_and_data(args)
-    settings = FitSettings()
     rule = args.rule
     if rule == "nvb":
-        outcome = nvb_decide(data, model, settings)
+        outcome = nvb_decide(data, model)
     elif rule == "lcvb":
         grid = build_posterior(data, model)
-        outcome = lcvb_decide(data, model, grid, settings)
+        outcome = lcvb_decide(data, model, grid)
     else:
         grid = build_posterior(data, model)
         outcome = bayes_decision(grid, model)
@@ -481,32 +478,26 @@ def check_calibrated_action_derivatives() -> tuple[float, float]:
 
 
 def check_calibrated_saddle() -> tuple[float, float]:
-    """``lcvb_decide`` on the check dataset against the scan plus golden
-    refinement (33 points, 1e-4) over inner maxima, each fit started from
-    the nearest solved action, and its certificate at the answer: F_qq
+    """``lcvb_decide`` on the check dataset against its own fallback, the
+    global scan over inner maxima, and its certificate at the answer: F_qq
     negative definite, and the reported V'' positive and equal to central
-    differences of the inner fits' envelope slopes. The residual is the
+    differences of F_a at the inner fits' members. The residual is the
     larger of |a - a_ref| and the relative error of V'', or inf where the
     certificate fails."""
     model, data, grid = _check_dataset()
     outcome = lcvb_decide(data, model, grid)
     a, q, curvature = outcome.action, outcome.q, outcome.inner_fit.envelope_curvature
-    solved = {}
+    risk = NewsvendorRisk(model.h, model.b)
+    reference = _lcvb_scan(data, model, None, risk, fit_nvb(data, model)[0])[0]
 
-    def inner(b):
-        start = solved[min(solved, key=lambda c: abs(c - b))] if solved else fit_nvb(data, model)[0]
-        solved[b], fit = fit_lcvb(b, data, model, initial=start)
-        return fit.objective
+    def kernel(b: float, member: LogNormalVariational):
+        return _lcvb_objective(b, data, model, risk, 64)((member.mu, math.log(member.sigma)))
 
     def envelope_slope(b):
-        return fit_lcvb(float(b[0]), data, model, initial=q)[1].envelope_slope
+        b = float(b[0])
+        return kernel(b, fit_lcvb(b, data, model, initial=q)[0])[4]  # F_a
 
-    reference = minimize_on_grid_then_golden(
-        lambda b: [inner(float(c)) for c in b] if np.ndim(b) else inner(b),
-        *model.action_interval, 33, 1e-4,
-    )[0]
-    risk = NewsvendorRisk(model.h, model.b)
-    (h00, h01), (_, h11) = _lcvb_objective(a, data, model, risk, 64)((q.mu, math.log(q.sigma)))[2]
+    (h00, h01), (_, h11) = kernel(a, q)[2]
     delta = 1e-4
     certified = h00 < 0 < h00 * h11 - h01 * h01 and curvature is not None and curvature > 0
     if not (certified and model.action_lo < a - delta < a + delta < model.action_hi):

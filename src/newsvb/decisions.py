@@ -232,6 +232,30 @@ def nvb_decide(
     return decide_with_variational(q, model, diagnostics)
 
 
+def _lcvb_scan(data: Observations, model: NewsvendorModel, settings, risk, start):
+    """The global LCVB search: a 33-point scan plus golden refinement to 1e-4
+    of the maxima ``fit_lcvb`` reaches, each fit started from the member
+    ``start`` or the nearest solved action's; a failed fit voids its probe.
+    Returns the action, its (q, diagnostics), the fits made and their kernel
+    passes, or raises ``NumericalError`` if every fit failed."""
+    solved: dict[float, tuple[LogNormalVariational, FitDiagnostics]] = {}
+
+    def inner(a: float) -> float:
+        nearest = solved[min(solved, key=lambda b: abs(b - a))][0] if solved else start
+        try:
+            solved[a] = fit_lcvb(a, data, model, settings, risk=risk, initial=nearest)
+        except NumericalError:
+            return math.inf  # invalid probe, never the minimum
+        return solved[a][1].objective
+
+    action, value, fits = minimize_on_grid_then_golden(
+        inner, *model.action_interval, LCVB_COARSE_POINTS, LCVB_OUTER_TOLERANCE
+    )
+    if not math.isfinite(value):
+        raise NumericalError("every outer action probe failed its inner fit")
+    return action, solved[action], fits, sum(fit.evaluations for _, fit in solved.values())
+
+
 def lcvb_decide(
     data: Observations,
     model: NewsvendorModel,
@@ -250,17 +274,16 @@ def lcvb_decide(
     dq = -F_qq^{-1} grad_q F + s*da, until |da| <= 1e-9*(1 + a) and
     |grad_q F| < tolerance at the evaluated point, where F_qq negative
     definite and V'' > 0 certify a local minimum of V(a) = max_q F(a, q).
-    At an interval end (the naive action's, or one a step would cross) one
-    ``fit_lcvb`` from the current member finishes, and F_a pointing
+    A step across an interval end is cut there, q moving along s. At an
+    end (that one, or the naive action's) a is held while q steps by
+    -F_qq^{-1} grad_q F to |grad_q F| < tolerance, where F_a pointing
     strictly outward certifies the end; else Newton resumes there. A
     non-finite objective or slope, F_qq not negative definite (V'' is None
-    then), V'' <= 0, a failed end fit or 50 steps fall back to a 33-point
-    scan plus golden refinement to 1e-4 over inner maxima, where a failed
-    fit voids its probe. ``probe_count`` counts Newton steps (one cut at an
-    end too) and inner fits; ``inner_fit`` and ``q`` describe the last
-    evaluation. ``grid`` enters only the chosen action's calibrated
-    objective, which checks it against the data. ``risk=None`` uses the
-    model's newsvendor risk.
+    then), V'' <= 0 off a held end or 50 steps fall back to ``_lcvb_scan``.
+    ``probe_count`` counts all steps and the scan's fits; ``inner_fit`` and
+    ``q`` describe the last evaluation. ``grid`` enters only the chosen
+    action's calibrated objective, which checks it against the data.
+    ``risk=None`` uses the model's newsvendor risk.
     """
     settings = settings or FitSettings()
     risk = resolve_risk(risk, model)
@@ -268,23 +291,11 @@ def lcvb_decide(
     lo, hi = model.action_interval
     steps = fits = passes = 0
 
-    def solve(a: float, start: LogNormalVariational):
-        nonlocal fits, passes
-        fits += 1
-        q, fit = fit_lcvb(a, data, model, settings, risk=risk, initial=start)
-        passes += fit.evaluations
-        return q, fit
-
     def saddle() -> tuple[float, LogNormalVariational, FitDiagnostics, str]:
         nonlocal steps, passes
         a, x = nvb.action, (nvb.q.mu, math.log(nvb.q.sigma))
-        end = a if a in (lo, hi) else None
+        held = a in (lo, hi)  # a fixed at an end while q climbs to its inner maximum
         while True:
-            if end is not None:  # a fixed at an end; one inner fit finishes
-                q, fit = solve(end, LogNormalVariational(x[0], math.exp(x[1])))
-                if fit.envelope_slope > 0 if end == lo else fit.envelope_slope < 0:
-                    return end, q, fit, "at a_lo" if end == lo else "at a_hi"
-                a, x = end, (q.mu, math.log(q.sigma))  # F_a points inward
             passes += 1
             objective = _lcvb_objective(a, data, model, risk, settings.node_count)
             value, gradient, f_qq, _, *envelope = objective(x)
@@ -293,47 +304,44 @@ def lcvb_decide(
             f_a, tangent, curvature = envelope
             if not math.isfinite(f_a):
                 raise NumericalError(f"envelope slope is {f_a} at a={a:.6g}")
-            if not (tangent is not None and 0.0 < curvature < math.inf):  # None: F_qq not < 0
-                raise NumericalError(f"envelope curvature is {curvature} at a={a:.6g}")
-            step = -(f_a + tangent[0] * gradient[0] + tangent[1] * gradient[1]) / curvature
-            ascent = newton_direction(gradient, f_qq)  # -F_qq^{-1} grad_q F
             norm = math.hypot(*gradient)
-            if abs(step) <= 1e-9 * (1.0 + a) and norm < settings.tolerance:
-                fit = FitDiagnostics(
-                    steps, norm, True, value, envelope_slope=f_a, tangent=tangent,
-                    envelope_curvature=curvature, evaluations=passes,
-                )
-                return a, LogNormalVariational(x[0], math.exp(x[1])), fit, "local"
+            if held and norm < settings.tolerance:
+                if f_a > 0 if a == lo else f_a < 0:  # F_a points out of the interval
+                    how = "at a_lo" if a == lo else "at a_hi"
+                    break
+                held = False  # F_a points inward: Newton resumes from the end
+            # None: F_qq not < 0; a held end needs no V''
+            if not (tangent is not None and (held or 0.0 < curvature < math.inf)):
+                raise NumericalError(f"envelope curvature is {curvature} at a={a:.6g}")
+            ascent = newton_direction(gradient, f_qq)  # -F_qq^{-1} grad_q F
+            if not held:
+                step = -(f_a + tangent[0] * gradient[0] + tangent[1] * gradient[1]) / curvature
+                if abs(step) <= 1e-9 * (1.0 + a) and norm < settings.tolerance:
+                    how = "local"
+                    break
             if steps == LCVB_MAX_NEWTON_STEPS:
                 raise NumericalError(f"no saddle point in {LCVB_MAX_NEWTON_STEPS} Newton steps")
             steps += 1
-            end = lo if a + step < lo else hi if a + step > hi else None
-            if end is None:
+            if held:
+                x = (x[0] + ascent[0], x[1] + ascent[1])
+            elif lo <= a + step <= hi:
                 a += step
                 x = (x[0] + ascent[0] + tangent[0] * step, x[1] + ascent[1] + tangent[1] * step)
-
-    solved: dict[float, tuple[LogNormalVariational, FitDiagnostics]] = {}
-
-    def outer(a):
-        if np.ndim(a):  # the coarse scan, an increasing array
-            return [outer(float(x)) for x in a]
-        start = solved[min(solved, key=lambda b: abs(b - a))][0] if solved else nvb.q
-        try:
-            solved[a] = solve(a, start)
-        except NumericalError:
-            return math.inf  # invalid probe, never the minimum
-        return solved[a][1].objective
+            else:  # cut at the end crossed, q moving along the tangent
+                end, held = (lo if a + step < lo else hi), True
+                a, x = end, (x[0] + tangent[0] * (end - a), x[1] + tangent[1] * (end - a))
+        fit = FitDiagnostics(
+            steps, norm, True, value, envelope_slope=f_a, tangent=tangent,
+            envelope_curvature=curvature, evaluations=passes,
+        )
+        return a, LogNormalVariational(x[0], math.exp(x[1])), fit, how
 
     try:
         action, q, diagnostics, how = saddle()
     except NumericalError as exc:
         how = f"scan fallback: {exc}"
-        action, value, _ = minimize_on_grid_then_golden(
-            outer, lo, hi, LCVB_COARSE_POINTS, LCVB_OUTER_TOLERANCE
-        )
-        if not math.isfinite(value):
-            raise NumericalError("every outer action probe failed its inner fit") from exc
-        q, diagnostics = solved[action]
+        action, (q, diagnostics), fits, scan_passes = _lcvb_scan(data, model, settings, risk, nvb.q)
+        passes += scan_passes
     objective = calibrated_objective(action, q, data, model, grid, risk, settings.node_count)
     logger.debug(
         "LCVB action %.9g after %d Newton steps (%d kernel passes), %s",

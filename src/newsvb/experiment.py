@@ -34,7 +34,7 @@ from .decisions import (
 from .model import NewsvendorModel, sample_demand
 from .numerics import NumericalError
 from .oracle import MAX_POSTERIOR_NODES, MIN_POSTERIOR_NODES, bayes_decision, build_posterior
-from .vb import FitSettings, fit_nvb
+from .vb import fit_nvb
 
 __all__ = [
     "ExperimentConfig",
@@ -253,7 +253,6 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
         raise ValueError(f"path_index {path_index} outside [0, {config.replications})")
     rng = np.random.default_rng(derive_path_seed(config.master_seed, path_index))
     stream = sample_demand(config.theta0, max(config.n_schedule), rng)
-    settings = FitSettings()
     models = [config.model_for(h) for h in config.h_values]
     needs_grid = Rule.LCVB in config.rules or Rule.BAYES in config.rules
     needs_fit = Rule.NVB in config.rules or Rule.LCVB in config.rules
@@ -269,7 +268,7 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
                 grid = build_posterior(data, models[0], config.posterior_nodes)
             reason = "plain fit"
             if needs_fit:
-                q_nvb, nvb_diag = fit_nvb(data, models[0], settings)
+                q_nvb, nvb_diag = fit_nvb(data, models[0])
                 nvb_outcomes = decide_across_h(q_nvb, models, nvb_diag)
         except NumericalError:
             records.extend(
@@ -280,7 +279,7 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
         else:
             for model, nvb in zip(models, nvb_outcomes):
                 records.extend(
-                    _cell(rule, n, model, data, grid, settings, nvb) for rule in config.rules
+                    _cell(rule, n, model, data, grid, nvb) for rule in config.rules
                 )
         failed = ", ".join(
             f"{r.rule.value} h={r.h:g} ({r.reason})" for r in records[first:] if r.failed
@@ -289,7 +288,7 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
     return records
 
 
-def _cell(rule: Rule, n: int, model: NewsvendorModel, data, grid, settings, nvb) -> GapRecord:
+def _cell(rule: Rule, n: int, model: NewsvendorModel, data, grid, nvb) -> GapRecord:
     """One (rule, h, n) cell's gaps, or its failure with the reason. ``nvb`` is
     the NVB decision at this h (or the error that failed it), None without one."""
 
@@ -304,7 +303,7 @@ def _cell(rule: Rule, n: int, model: NewsvendorModel, data, grid, settings, nvb)
         elif rule is Rule.NVB:
             outcome = nvb
         else:
-            outcome = lcvb_decide(data, model, grid, settings, nvb_start=nvb)
+            outcome = lcvb_decide(data, model, grid, nvb_start=nvb)
     except NumericalError as exc:
         return failure(f"{'Bayes' if rule is Rule.BAYES else 'LCVB'}: {exc}")
     return GapRecord(rule, model.h, n, *optimality_gap(outcome, model))

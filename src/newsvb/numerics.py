@@ -153,21 +153,20 @@ def golden_section_minimize(f, lo: float, hi: float, tol: float):
 def minimize_on_grid_then_golden(f, lo, hi, coarse_points=512, tol=1e-8):
     """Coarse grid scan followed by golden-section refinement.
 
-    ``f`` is first called once with the whole grid, an increasing array of
-    ``coarse_points`` abscissae, and must return one value per point; the
-    golden-section refinement of the best cell's neighbours then calls it
-    with single floats. Returns (x, f(x), evaluations) for the best of all
-    evaluations, ties broken toward the smaller abscissa. ``tol`` is the final
-    bracket width, not an accuracy: compared values stop resolving x within
-    about sqrt(eps*|f|/f'') of the minimizer, more than ``tol`` on a flat f.
+    ``f`` is called with one float at a time: on each of ``coarse_points``
+    evenly spaced abscissae, then by the golden-section refinement of the
+    best cell's neighbours. Returns (x, f(x), evaluations) for the best of
+    all evaluations, ties broken toward the smaller abscissa. ``tol`` is the
+    final bracket width, not an accuracy: compared values stop resolving x
+    within about sqrt(eps*|f|/f'') of the minimizer, more than ``tol`` on a
+    flat f.
     """
-    grid = np.linspace(lo, hi, coarse_points)
-    values = np.asarray(f(grid), dtype=float)
+    grid = np.linspace(lo, hi, coarse_points).tolist()
+    values = [f(x) for x in grid]
     k = int(np.argmin(values))  # first minimum = smallest abscissa
-    best_x, best_f = float(grid[k]), float(values[k])
+    best_x, best_f = grid[k], float(values[k])
     evaluations = coarse_points
-    bracket_lo = float(grid[max(k - 1, 0)])
-    bracket_hi = float(grid[min(k + 1, coarse_points - 1)])
+    bracket_lo, bracket_hi = grid[max(k - 1, 0)], grid[min(k + 1, coarse_points - 1)]
     if bracket_hi - bracket_lo > tol:
         gx, gf, gev = golden_section_minimize(f, bracket_lo, bracket_hi, tol)
         evaluations += gev
@@ -178,8 +177,7 @@ def minimize_on_grid_then_golden(f, lo, hi, coarse_points=512, tol=1e-8):
 
 @dataclass(frozen=True)
 class AscentResult:
-    """The returned point, with the ``extra`` values of its evaluation, and
-    the number of objective evaluations the run made."""
+    """The returned point and the number of objective evaluations the run made."""
 
     x: tuple[float, float]
     value: float
@@ -187,7 +185,6 @@ class AscentResult:
     iterations: int
     converged: bool
     fallback_steps: int
-    extra: tuple
     evaluations: int
 
 
@@ -209,13 +206,11 @@ def ascend(
 ) -> AscentResult:
     """Maximize a smooth objective of two parameters by damped Newton ascent.
 
-    ``objective(x) -> (f, g, H, H_fallback, *extra)`` gives the value,
-    gradient and Hessian at ``x``, a fallback curvature that is negative
-    definite wherever ``f`` is finite, and any further values the caller
-    wants at the returned point: a pair of floats ``x`` in, any pair ``g``
-    and 2x2 nestings (tuples or arrays) out. The result carries the returned
-    point's ``extra`` from its own evaluation, not recomputed, and counts
-    the objective evaluations.
+    ``objective(x) -> (f, g, H, H_fallback, ...)`` gives the value,
+    gradient and Hessian at ``x`` and a fallback curvature that is negative
+    definite wherever ``f`` is finite; further values are ignored. A pair
+    of floats ``x`` goes in, any pair ``g`` and 2x2 nestings (tuples or
+    arrays) come out. The result counts the objective evaluations.
     Each step solves the Newton system in closed form with ``H``, or with
     ``H_fallback`` where ``H`` is not negative definite (counted in
     ``fallback_steps``), and halves the step until the Armijo condition
@@ -240,11 +235,9 @@ def ascend(
 
     def result(iterations: int, *, stopped_by_tolerance: bool) -> AscentResult:
         out_x, out = (x, current) if stopped_by_tolerance or value >= best[0] else (best_x, best)
-        out_value, out_grad, _, _, *extra = out
-        norm = math.hypot(*out_grad)
+        norm = math.hypot(*out[1])
         return AscentResult(
-            out_x, out_value, norm, iterations, norm < tolerance, fallback_steps, tuple(extra),
-            evaluations,
+            out_x, out[0], norm, iterations, norm < tolerance, fallback_steps, evaluations
         )
 
     for iteration in range(max_iterations):

@@ -133,13 +133,11 @@ class FitDiagnostics:
     ``fit_nvb``, ELBO + E_q[log G] (F plus the log evidence) for ``fit_lcvb``,
     and the objective evaluations it made.
 
-    ``fit_lcvb`` also reports, from the evaluation at its member, the
-    envelope slope F_a (dV/da at an inner maximum), the tangent
-    (dmu/da, drho/da) = -F_qq^{-1} F_qa of the maximizer and the envelope
-    curvature d^2V/da^2 = F_aa + F_aq . tangent (the implicit function
-    theorem); the last two are None where F_qq is not negative definite or
-    the tangent is not finite. ``decisions.lcvb_decide`` reports its joint
-    Newton solve in the same fields.
+    ``decisions.lcvb_decide`` reports its joint Newton solve in the same
+    fields, with the envelope slope F_a (dV/da at an inner maximum), the
+    tangent (dmu/da, drho/da) = -F_qq^{-1} F_qa of the maximizer and the
+    envelope curvature d^2V/da^2 = F_aa + F_aq . tangent (the implicit
+    function theorem) at its member; a fit leaves these three None.
     """
 
     iterations: int
@@ -252,16 +250,8 @@ def _fit(objective, x0, settings: FitSettings, kind: str):
         objective, x0, tolerance=settings.tolerance, max_iterations=settings.max_iterations
     )
     q = LogNormalVariational(mu=result.x[0], sigma=math.exp(result.x[1]))
-    # The calibrated objective's F_a, tangent and V''; the plain one has none.
-    slope, tangent, curvature = result.extra or (None, None, None)
     diagnostics = FitDiagnostics(
-        iterations=result.iterations,
-        final_gradient_norm=result.gradient_norm,
-        converged=result.converged,
-        objective=result.value,
-        envelope_slope=slope,
-        tangent=tangent,
-        envelope_curvature=curvature,
+        result.iterations, result.gradient_norm, result.converged, result.value,
         evaluations=result.evaluations,
     )
     logger.log(
@@ -354,7 +344,8 @@ def _lcvb_objective(
     a: float, data: Observations, model: NewsvendorModel, risk: Risk, node_count: int
 ):
     """ELBO + E_q[log G(a, .)] as an ``ascend`` objective of x = (mu, rho),
-    with the bound's own Hessian as the fallback curvature. The extra values
+    with the bound's own Hessian as the fallback curvature. Three further
+    values, which ``ascend`` ignores and ``decisions.lcvb_decide`` reads,
     are F_a (the bound does not depend on a), the tangent
     s = -F_qq^{-1} F_qa and the envelope curvature V'' = F_aa + F_aq . s,
     the last two None where F_qq is not negative definite or s is not
@@ -423,8 +414,6 @@ def fit_lcvb(
     from ``initial`` (e.g. the neighbouring solution in an outer action
     loop) or else from the plain variational fit. The E_q[log G] term need
     not be concave, so the result is the maximum reached from that start.
-    The diagnostics carry the member's envelope slope, tangent and envelope
-    curvature, taken from the ascent's evaluation there.
     """
     settings = settings or FitSettings()
     validate_action(a, model)

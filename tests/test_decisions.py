@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from newsvb import (
@@ -346,11 +346,8 @@ def scan_reference(data, model):
         solved[a] = fit_lcvb(a, data, model, initial=start)
         return solved[a][1].objective
 
-    def outer(a):
-        return [inner(float(x)) for x in a] if np.ndim(a) else inner(a)
-
     lo, hi = model.action_interval
-    action, value, _ = minimize_on_grid_then_golden(outer, lo, hi, 33, 1e-4)
+    action, value, _ = minimize_on_grid_then_golden(inner, lo, hi, 33, 1e-4)
     return action, value
 
 
@@ -378,6 +375,25 @@ class ConcaveInAction:
     def theta_terms(self, a, theta):
         zero = np.zeros(np.shape(theta))
         return self.value(a, theta), zero, zero, np.ones(np.shape(theta)), zero, zero
+
+
+def envelope(a, q, data, model):
+    """F_a, the tangent s and V'' from the kernel pass at (a, q)."""
+    objective = _lcvb_objective(a, data, model, NewsvendorRisk(model.h, model.b), 64)
+    return objective((q.mu, math.log(q.sigma)))[4:]
+
+
+def recorded_passes(monkeypatch) -> list[float]:
+    """The action of each kernel pass that ``lcvb_decide`` makes itself."""
+    passes = []
+
+    def recorded(a, *args):
+        passes.append(a)
+        return objective(a, *args)
+
+    objective = decisions._lcvb_objective
+    monkeypatch.setattr(decisions, "_lcvb_objective", recorded)
+    return passes
 
 
 def lcvb_line(caplog) -> str:
@@ -471,16 +487,18 @@ class TestLcvbDecide:
     def test_envelope_slope_is_the_derivative_of_the_inner_maximum(
         self, a, data_n50, base_model
     ):
-        q, fit = fit_lcvb(a, data_n50, base_model)
+        q, _ = fit_lcvb(a, data_n50, base_model)
+        slope, _, _ = envelope(a, q, data_n50, base_model)
         delta = 1e-4
         above = fit_lcvb(a + delta, data_n50, base_model, initial=q)[1].objective
         below = fit_lcvb(a - delta, data_n50, base_model, initial=q)[1].objective
         central = (above - below) / (2 * delta)
-        assert fit.envelope_slope == pytest.approx(central, rel=1e-5)
+        assert slope == pytest.approx(central, rel=1e-5)
 
     @pytest.mark.parametrize("a", [1.0, 4.0, 10.0, 30.0])
     def test_tangent_is_the_derivative_of_the_inner_maximizer(self, a, data_n50, base_model):
-        q, fit = fit_lcvb(a, data_n50, base_model)
+        q, _ = fit_lcvb(a, data_n50, base_model)
+        _, tangent, _ = envelope(a, q, data_n50, base_model)
         delta = 1e-4
         above = fit_lcvb(a + delta, data_n50, base_model, initial=q)[0]
         below = fit_lcvb(a - delta, data_n50, base_model, initial=q)[0]
@@ -488,18 +506,21 @@ class TestLcvbDecide:
             (above.mu - below.mu) / (2 * delta),
             (math.log(above.sigma) - math.log(below.sigma)) / (2 * delta),
         )
-        assert fit.tangent == pytest.approx(central, rel=1e-5)
+        assert tangent == pytest.approx(central, rel=1e-5)
 
     @pytest.mark.parametrize("a", [1.0, 4.0, 10.0, 30.0])
     def test_envelope_curvature_is_the_derivative_of_the_envelope_slope(
         self, a, data_n50, base_model
     ):
-        q, fit = fit_lcvb(a, data_n50, base_model)
+        q, _ = fit_lcvb(a, data_n50, base_model)
+        _, _, curvature = envelope(a, q, data_n50, base_model)
         delta = 1e-4
-        above = fit_lcvb(a + delta, data_n50, base_model, initial=q)[1].envelope_slope
-        below = fit_lcvb(a - delta, data_n50, base_model, initial=q)[1].envelope_slope
-        central = (above - below) / (2 * delta)
-        assert fit.envelope_curvature == pytest.approx(central, rel=1e-5)
+        slopes = [
+            envelope(b, fit_lcvb(b, data_n50, base_model, initial=q)[0], data_n50, base_model)[0]
+            for b in (a + delta, a - delta)
+        ]
+        central = (slopes[0] - slopes[1]) / (2 * delta)
+        assert curvature == pytest.approx(central, rel=1e-5)
 
     @pytest.mark.parametrize(
         "end, interval_in_roots",
@@ -529,22 +550,84 @@ class TestLcvbDecide:
         assert abs(outcome.action - scan_reference(data_n50, model)[0]) <= 1e-4
 
     def test_an_end_with_an_inward_slope_resumes_newton_there(
-        self, data_n50, base_model, grid_n50, caplog
+        self, data_n50, base_model, grid_n50, monkeypatch, caplog
     ):
         # The NVB action lies below the LCVB root on this dataset, so an
         # interval starting between them puts the naive start at a_lo, where
-        # F_a points into the interval: the end's fit does not answer, and
-        # Newton resumes from it to the interior root.
+        # F_a points into the interval: once q reaches its inner maximum with
+        # a held at the end, the end does not answer, and Newton resumes from
+        # it to the interior root.
         root = lcvb_decide(data_n50, base_model, grid_n50).action
         naive = nvb_decide(data_n50, base_model).action
         interval = (0.5 * (naive + root), 2.0 * root)
         model = replace(base_model, theta0=None, action_interval=interval)
+        passes = recorded_passes(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
             outcome = lcvb_decide(data_n50, model, grid_n50)
         assert naive < interval[0] < root
         assert lcvb_line(caplog).endswith(", local")
-        assert outcome.probe_count == outcome.inner_fit.iterations + 1  # the end's one fit
+        held = passes.count(interval[0])  # q's steps from the first, then Newton's
+        assert held >= 2 and passes[:held] == [interval[0]] * held
+        assert outcome.probe_count == outcome.inner_fit.iterations == len(passes) - 1
         assert abs(outcome.action - root) <= 1e-8
+
+    @settings(
+        deadline=None, max_examples=50, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        n=st.integers(1, 2000),
+        seed=st.integers(0, 2**32 - 1),
+        theta=st.floats(0.1, 5.0),
+        h=st.floats(1e-3, 0.5),
+        b=st.floats(0.01, 1.0),
+        alpha=st.floats(0.5, 5.0),
+        beta=st.floats(0.5, 10.0),
+        factors=st.lists(st.floats(0.1, 3.0), min_size=2, max_size=2, unique=True),
+    )
+    def test_random_intervals_around_the_root_end_without_the_scan(
+        self, n, seed, theta, h, b, alpha, beta, factors, caplog
+    ):
+        # Intervals [f1, f2] * root put the root inside, below or above them,
+        # and the naive start inside or at either end.
+        model = NewsvendorModel(h=h, b=b, theta0=None, alpha=alpha, beta=beta)
+        data = sample_demand(theta, n, np.random.default_rng(seed))
+        grid = build_posterior(data, model)
+        root = lcvb_decide(data, model, grid).action
+        assume(model.action_lo < root < model.action_hi)
+        interval = tuple(f * root for f in sorted(factors))
+        model = replace(model, action_interval=interval)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
+            outcome = lcvb_decide(data, model, grid)
+        how = lcvb_line(caplog).rsplit("kernel passes), ", 1)[1]
+        slope = outcome.inner_fit.envelope_slope
+        assert how in ("local", "at a_lo", "at a_hi")
+        if how == "at a_lo":
+            assert outcome.action == interval[0] and slope > 0
+        elif how == "at a_hi":
+            assert outcome.action == interval[1] and slope < 0
+        assert abs(outcome.action - scan_reference(data, model)[0]) <= 1e-4
+
+    def test_a_step_across_an_end_is_cut_there_and_the_end_answers(
+        self, data_n50, base_model, grid_n50, monkeypatch, caplog
+    ):
+        # The naive action lies inside (0, cut) and the root above it: the
+        # first Newton step crosses a_hi, a stays there while q climbs, and
+        # F_a < 0 certifies the end.
+        root = lcvb_decide(data_n50, base_model, grid_n50).action
+        naive = nvb_decide(data_n50, base_model).action
+        interval = (0.0, 0.5 * (naive + root))
+        model = replace(base_model, theta0=None, action_interval=interval)
+        passes = recorded_passes(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
+            outcome = lcvb_decide(data_n50, model, grid_n50)
+        assert naive < interval[1] < root
+        assert lcvb_line(caplog).endswith(", at a_hi")
+        assert passes[0] == naive and len(passes) >= 3 and set(passes[1:]) == {interval[1]}
+        assert outcome.action == interval[1] and outcome.inner_fit.envelope_slope < 0
+        assert outcome.probe_count == len(passes) - 1
+        assert abs(outcome.action - scan_reference(data_n50, model)[0]) <= 1e-4
 
     def test_a_non_positive_envelope_curvature_falls_back_to_the_scan(
         self, data_n50, base_model, grid_n50, caplog
@@ -639,8 +722,9 @@ class TestLcvbDecide:
             assert outcome.inner_fit.iterations == steps
             assert outcome.inner_fit.evaluations == kernel_passes
             assert outcome.inner_fit.converged
-        elif how.startswith("at"):
-            assert fits == [outcome.action] and steps == 0
+        elif how.startswith("at"):  # q's steps alone, with a held at the end
+            assert fits == [] and set(passes) == {outcome.action}
+            assert 1 <= steps == kernel_passes - 1 == outcome.inner_fit.iterations
         else:
             assert len(fits) >= 33 and steps == 0
 

@@ -155,9 +155,9 @@ class TestSimulatePath:
         assert calls == [config.h_values] * len(config.n_schedule)
         assert single_calls == []
         assert len(lcvb_calls) == len(config.n_schedule) * len(config.h_values)
-        for (data, model, grid, settings), start, outcome in lcvb_calls:
+        for (data, model, grid), start, outcome in lcvb_calls:
             assert start.rule is Rule.NVB and start.q is not None
-            alone = decisions.lcvb_decide(data, model, grid, settings)  # fits its own q
+            alone = decisions.lcvb_decide(data, model, grid)  # fits its own q
             assert alone.action == outcome.action
             assert alone.objective_value == outcome.objective_value
         # Without a start, lcvb_decide decides NVB itself, and the counter sees it.

@@ -89,43 +89,41 @@ class TestQuadratureTables:
 
 
 class TestMinimizeOnGridThenGolden:
-    def test_grid_call_then_scalar_probes_and_best_of_all(self):
+    def test_one_float_per_call_and_best_of_all(self):
         def objective(x):
-            return np.cos(3.0 * np.asarray(x)) + 0.1 * np.asarray(x)
+            return math.cos(3.0 * x) + 0.1 * x
 
         calls = []
 
         def recording(x):
-            calls.append(np.copy(x))
+            calls.append(x)
             return objective(x)
 
         x, fx, evaluations = minimize_on_grid_then_golden(recording, 0.0, 4.0)
-        grid = calls[0]
-        assert grid.shape == (512,)  # the default scan size
+        assert all(type(c) is float for c in calls)
+        grid, probes = calls[:512], calls[512:]  # the default scan size
         assert np.all(np.diff(grid) > 0)
         assert grid[0] == 0.0 and grid[-1] == 4.0
-        probes = calls[1:]
-        assert probes and all(np.ndim(p) == 0 for p in probes)
-        assert evaluations == grid.size + len(probes)
-        pairs = [(float(v), float(a)) for a, v in zip(grid, objective(grid))]
-        pairs += [(float(objective(p)), float(p)) for p in probes]
+        assert probes and evaluations == len(calls)
+        pairs = [(objective(c), c) for c in calls]
         assert (fx, x) == min(pairs)
-        assert fx < min(v for v, _ in pairs[: grid.size])  # golden refined the scan
+        assert fx < min(v for v, _ in pairs[:512])  # golden refined the scan
 
     def test_ties_break_toward_smaller_abscissa(self):
         calls = []
 
         def flat(x):
-            calls.append(np.ndim(x))
-            return np.full(np.shape(x), 2.5) if np.ndim(x) else 2.5
+            calls.append(x)
+            return 2.5
 
         x, fx, evaluations = minimize_on_grid_then_golden(flat, 1.0, 3.0, 9, 1e-3)
         assert (x, fx) == (1.0, 2.5)
-        assert calls[0] == 1 and len(calls) > 1  # golden ran and found only ties
-        assert evaluations == 9 + len(calls) - 1
+        assert all(type(c) is float for c in calls)
+        assert len(calls) > 9  # golden ran and found only ties
+        assert evaluations == len(calls)
 
         def twin_minima(x):
-            return np.minimum((np.asarray(x) - 0.25) ** 2, (np.asarray(x) - 0.75) ** 2)
+            return min((x - 0.25) ** 2, (x - 0.75) ** 2)
 
         x, fx, _ = minimize_on_grid_then_golden(twin_minima, 0.0, 1.0, 9, 1e-6)
         assert (x, fx) == (0.25, 0.0)
