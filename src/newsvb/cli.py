@@ -443,7 +443,7 @@ def check_calibrated_hessian() -> tuple[float, float]:
     risk = NewsvendorRisk(model.h, model.b)
     worst = 0.0
     for a, q in zip(actions, members):
-        objective = _lcvb_objective(float(a), data, model, risk, 64)
+        objective = _lcvb_objective(float(a), data, model, risk)
         x = np.array([q.mu, math.log(q.sigma)])
         numeric = _central_differences(lambda y: objective(y)[1], x)
         worst = max(worst, _relative_error(objective(x)[2], numeric))
@@ -460,7 +460,7 @@ def check_calibrated_action_derivatives() -> tuple[float, float]:
     risk = NewsvendorRisk(model.h, model.b)
 
     def kernel(a, x):
-        return _log_risk_term(float(a), float(x[0]), float(x[1]), risk, 64)
+        return _log_risk_term(float(a), float(x[0]), float(x[1]), risk)
 
     worst = 0.0
     for a, q in zip(actions, members):
@@ -488,10 +488,10 @@ def check_calibrated_saddle() -> tuple[float, float]:
     outcome = lcvb_decide(data, model, grid)
     a, q, curvature = outcome.action, outcome.q, outcome.inner_fit.envelope_curvature
     risk = NewsvendorRisk(model.h, model.b)
-    reference = _lcvb_scan(data, model, None, risk, fit_nvb(data, model)[0])[0]
+    reference = _lcvb_scan(data, model, risk, fit_nvb(data, model)[0])[0]
 
     def kernel(b: float, member: LogNormalVariational):
-        return _lcvb_objective(b, data, model, risk, 64)((member.mu, math.log(member.sigma)))
+        return _lcvb_objective(b, data, model, risk)((member.mu, math.log(member.sigma)))
 
     def envelope_slope(b):
         b = float(b[0])

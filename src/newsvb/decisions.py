@@ -38,6 +38,8 @@ from .numerics import (
     newton_direction,
 )
 from .vb import (
+    NODE_COUNT,
+    TOLERANCE,
     FitDiagnostics,
     FitSettings,
     LogNormalVariational,
@@ -88,18 +90,18 @@ class DecisionOutcome:
     q: LogNormalVariational | None = None
 
 
-def _gauss_hermite_measure(q: LogNormalVariational, node_count: int = 64):
+def _gauss_hermite_measure(q: LogNormalVariational):
     """q as a discrete measure: (rate nodes, weights) of Gauss-Hermite quadrature."""
-    z, w = gauss_hermite_standard(node_count)
+    z, w = gauss_hermite_standard(NODE_COUNT)
     return np.exp(q.mu + q.sigma * z), w
 
 
-def expected_risk_under_q(a, q: LogNormalVariational, model: NewsvendorModel, node_count: int = 64):
+def expected_risk_under_q(a, q: LogNormalVariational, model: NewsvendorModel):
     """Predicted expected cost H_q(a) = E_q[G(a, theta)] by Gauss-Hermite.
 
     ``a`` may be one action or an array of actions; the result has its shape.
     """
-    return expected_risk(a, *_gauss_hermite_measure(q, node_count), model)
+    return expected_risk(a, *_gauss_hermite_measure(q), model)
 
 
 def decide_on_measure(
@@ -221,6 +223,8 @@ def decide_with_variational(
 def nvb_decide(
     data: Observations,
     model: NewsvendorModel,
+    # Ignored: the fits read ``vb``'s constants. Kept because the benchmark's
+    # workloads (perfbench/workloads.py) pass it.
     settings: FitSettings | None = None,
 ) -> DecisionOutcome:
     """Two-stage rule: fit q once, then minimize the predicted expected cost.
@@ -228,11 +232,11 @@ def nvb_decide(
     A fit that misses the gradient tolerance is reported in the outcome's
     diagnostics rather than raised; the best iterate still decides.
     """
-    q, diagnostics = fit_nvb(data, model, settings)
+    q, diagnostics = fit_nvb(data, model)
     return decide_with_variational(q, model, diagnostics)
 
 
-def _lcvb_scan(data: Observations, model: NewsvendorModel, settings, risk, start):
+def _lcvb_scan(data: Observations, model: NewsvendorModel, risk, start):
     """The global LCVB search: a 33-point scan plus golden refinement to 1e-4
     of the maxima ``fit_lcvb`` reaches, each fit started from the member
     ``start`` or the nearest solved action's; a failed fit voids its probe.
@@ -243,7 +247,7 @@ def _lcvb_scan(data: Observations, model: NewsvendorModel, settings, risk, start
     def inner(a: float) -> float:
         nearest = solved[min(solved, key=lambda b: abs(b - a))][0] if solved else start
         try:
-            solved[a] = fit_lcvb(a, data, model, settings, risk=risk, initial=nearest)
+            solved[a] = fit_lcvb(a, data, model, risk, nearest)
         except NumericalError:
             return math.inf  # invalid probe, never the minimum
         return solved[a][1].objective
@@ -260,7 +264,7 @@ def lcvb_decide(
     data: Observations,
     model: NewsvendorModel,
     grid: "PosteriorGrid",
-    settings: FitSettings | None = None,
+    settings: FitSettings | None = None,  # ignored, as in ``nvb_decide``
     risk: Risk | None = None,
     nvb_start: DecisionOutcome | None = None,
 ) -> DecisionOutcome:
@@ -272,11 +276,11 @@ def lcvb_decide(
     and V'' = F_aa + F_aq . s, the step is da = -(F_a + s . grad_q F)/V''
     (= (F_aq . F_qq^{-1} grad_q F - F_a)/V'') and
     dq = -F_qq^{-1} grad_q F + s*da, until |da| <= 1e-9*(1 + a) and
-    |grad_q F| < tolerance at the evaluated point, where F_qq negative
+    |grad_q F| < ``TOLERANCE`` at the evaluated point, where F_qq negative
     definite and V'' > 0 certify a local minimum of V(a) = max_q F(a, q).
     A step across an interval end is cut there, q moving along s. At an
     end (that one, or the naive action's) a is held while q steps by
-    -F_qq^{-1} grad_q F to |grad_q F| < tolerance, where F_a pointing
+    -F_qq^{-1} grad_q F to |grad_q F| < ``TOLERANCE``, where F_a pointing
     strictly outward certifies the end; else Newton resumes there. A
     non-finite objective or slope, F_qq not negative definite (V'' is None
     then), V'' <= 0 off a held end or 50 steps fall back to ``_lcvb_scan``.
@@ -285,9 +289,8 @@ def lcvb_decide(
     action's calibrated objective, which checks it against the data.
     ``risk=None`` uses the model's newsvendor risk.
     """
-    settings = settings or FitSettings()
     risk = resolve_risk(risk, model)
-    nvb = nvb_decide(data, model, settings) if nvb_start is None else nvb_start
+    nvb = nvb_decide(data, model) if nvb_start is None else nvb_start
     lo, hi = model.action_interval
     steps = fits = passes = 0
 
@@ -297,7 +300,7 @@ def lcvb_decide(
         held = a in (lo, hi)  # a fixed at an end while q climbs to its inner maximum
         while True:
             passes += 1
-            objective = _lcvb_objective(a, data, model, risk, settings.node_count)
+            objective = _lcvb_objective(a, data, model, risk)
             value, gradient, f_qq, _, *envelope = objective(x)
             if not (math.isfinite(value) and all(map(math.isfinite, gradient))):
                 raise NumericalError(f"calibrated objective is not finite at a={a:.6g}")
@@ -305,7 +308,7 @@ def lcvb_decide(
             if not math.isfinite(f_a):
                 raise NumericalError(f"envelope slope is {f_a} at a={a:.6g}")
             norm = math.hypot(*gradient)
-            if held and norm < settings.tolerance:
+            if held and norm < TOLERANCE:
                 if f_a > 0 if a == lo else f_a < 0:  # F_a points out of the interval
                     how = "at a_lo" if a == lo else "at a_hi"
                     break
@@ -316,7 +319,7 @@ def lcvb_decide(
             ascent = newton_direction(gradient, f_qq)  # -F_qq^{-1} grad_q F
             if not held:
                 step = -(f_a + tangent[0] * gradient[0] + tangent[1] * gradient[1]) / curvature
-                if abs(step) <= 1e-9 * (1.0 + a) and norm < settings.tolerance:
+                if abs(step) <= 1e-9 * (1.0 + a) and norm < TOLERANCE:
                     how = "local"
                     break
             if steps == LCVB_MAX_NEWTON_STEPS:
@@ -340,9 +343,9 @@ def lcvb_decide(
         action, q, diagnostics, how = saddle()
     except NumericalError as exc:
         how = f"scan fallback: {exc}"
-        action, (q, diagnostics), fits, scan_passes = _lcvb_scan(data, model, settings, risk, nvb.q)
+        action, (q, diagnostics), fits, scan_passes = _lcvb_scan(data, model, risk, nvb.q)
         passes += scan_passes
-    objective = calibrated_objective(action, q, data, model, grid, risk, settings.node_count)
+    objective = calibrated_objective(action, q, data, model, grid, risk)
     logger.debug(
         "LCVB action %.9g after %d Newton steps (%d kernel passes), %s",
         action, steps, passes, how,

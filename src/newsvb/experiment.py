@@ -111,20 +111,14 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "theta0": self.theta0,
-            "b": self.b,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "h_values": list(self.h_values),
-            "n_schedule": list(self.n_schedule),
-            "replications": self.replications,
-            "quantile_level": self.quantile_level,
-            "master_seed": self.master_seed,
-            "rules": [rule.value for rule in self.rules],
-            "action_interval": list(self.action_interval),
-            "posterior_nodes": self.posterior_nodes,
-        }
+        """Every field as a JSON value: tuples as lists, rules by name."""
+
+        def plain(value):
+            if isinstance(value, tuple):
+                return [plain(item) for item in value]
+            return value.value if isinstance(value, Rule) else value
+
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -104,7 +104,7 @@ class NewsvendorModel:
         if not (0 <= lo < hi < math.inf):
             raise ValueError(f"action_interval must satisfy 0 <= a_lo < a_hi < inf, got {lo, hi}")
         if self.theta0 is not None:
-            a_star = math.log((self.b + self.h) / self.h) / self.theta0
+            a_star = true_optimal_action(self)
             if not lo < a_star < hi:
                 raise ValueError(
                     f"optimal action {a_star:.6g} lies outside the action "

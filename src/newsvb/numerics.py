@@ -150,7 +150,7 @@ def golden_section_minimize(f, lo: float, hi: float, tol: float):
     return best_x, best_f, evaluations
 
 
-def minimize_on_grid_then_golden(f, lo, hi, coarse_points=512, tol=1e-8):
+def minimize_on_grid_then_golden(f, lo, hi, coarse_points: int, tol: float):
     """Coarse grid scan followed by golden-section refinement.
 
     ``f`` is called with one float at a time: on each of ``coarse_points``
@@ -198,12 +198,7 @@ def newton_direction(gradient, hessian):
     return (h01 * g1 - h11 * g0) / det, (h01 * g0 - h00 * g1) / det
 
 
-def ascend(
-    objective,
-    x0,
-    tolerance: float = 1e-8,
-    max_iterations: int = 10_000,
-) -> AscentResult:
+def ascend(objective, x0, tolerance: float, max_iterations: int) -> AscentResult:
     """Maximize a smooth objective of two parameters by damped Newton ascent.
 
     ``objective(x) -> (f, g, H, H_fallback, ...)`` gives the value,

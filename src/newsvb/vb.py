@@ -70,6 +70,9 @@ __all__ = [
     "FitDiagnostics",
     "FitSettings",
     "CalibratedObjective",
+    "TOLERANCE",
+    "MAX_ITERATIONS",
+    "NODE_COUNT",
     "elbo",
     "elbo_gradient",
     "posterior_kl",
@@ -84,6 +87,10 @@ logger = logging.getLogger(__name__)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _RISK_FLOOR = 1e-300
+
+TOLERANCE = 1e-8  # gradient norm at which an ascent, and LCVB's saddle solve, stops
+MAX_ITERATIONS = 10_000  # an ascent's step cap
+NODE_COUNT = 64  # Gauss-Hermite nodes of every E_q[.] the fits and decisions take
 
 
 @dataclass(frozen=True)
@@ -153,13 +160,16 @@ class FitDiagnostics:
     evaluations: int = 0
 
 
-@dataclass(frozen=True)
 class FitSettings:
-    """Optimizer contract shared by the NVB and LCVB fits."""
+    """The fits' constants as read-only attributes; it takes no arguments.
+    Kept because the benchmark's workloads (perfbench/workloads.py) build
+    one, read ``node_count`` and pass it to ``nvb_decide`` and
+    ``lcvb_decide``, which ignore it."""
 
-    tolerance: float = 1e-8
-    max_iterations: int = 10_000
-    node_count: int = 64
+    __slots__ = ()
+    tolerance = TOLERANCE
+    max_iterations = MAX_ITERATIONS
+    node_count = NODE_COUNT
 
 
 @dataclass(frozen=True)
@@ -243,12 +253,10 @@ def _nvb_objective(data: Observations, model: NewsvendorModel):
     return objective
 
 
-def _fit(objective, x0, settings: FitSettings, kind: str):
+def _fit(objective, x0, kind: str):
     """One Newton ascent from ``x0``, as (member, diagnostics), logged in one
     line: at debug level, or as a warning when it missed the tolerance."""
-    result = ascend(
-        objective, x0, tolerance=settings.tolerance, max_iterations=settings.max_iterations
-    )
+    result = ascend(objective, x0, TOLERANCE, MAX_ITERATIONS)
     q = LogNormalVariational(mu=result.x[0], sigma=math.exp(result.x[1]))
     diagnostics = FitDiagnostics(
         result.iterations, result.gradient_norm, result.converged, result.value,
@@ -267,9 +275,7 @@ def _fit(objective, x0, settings: FitSettings, kind: str):
 
 
 def fit_nvb(
-    data: Observations,
-    model: NewsvendorModel,
-    settings: FitSettings | None = None,
+    data: Observations, model: NewsvendorModel
 ) -> tuple[LogNormalVariational, FitDiagnostics]:
     """Fit the plain variational posterior by maximizing the bound.
 
@@ -278,11 +284,10 @@ def fit_nvb(
     its maximizer is unique. A run that fails the gradient tolerance is
     still returned, flagged in the diagnostics and logged as a warning.
     """
-    settings = settings or FitSettings()
     if data.sum_s <= 0:
         raise ValueError("degenerate data: all observed demands are zero")
     x0 = (math.log(data.n / data.sum_s), -0.5 * math.log(data.n))
-    return _fit(_nvb_objective(data, model), x0, settings, "plain fit")
+    return _fit(_nvb_objective(data, model), x0, "plain fit")
 
 
 @lru_cache(maxsize=None)
@@ -294,7 +299,7 @@ def _moment_basis(node_count: int):
     return z, basis
 
 
-def _log_risk_term(a: float, mu: float, rho: float, risk: Risk, node_count: int):
+def _log_risk_term(a: float, mu: float, rho: float, risk: Risk, node_count: int = NODE_COUNT):
     """E_q[log G(a, theta)] with its (mu, rho) gradient and Hessian by Gauss-Hermite.
 
     Returns (value, gradient, hessian, action, clamped), the derivatives as
@@ -340,9 +345,7 @@ def _log_risk_term(a: float, mu: float, rho: float, risk: Risk, node_count: int)
     return value, (g_mu, g_rho), hessian, (f_a, f_a_mu, sigma * f_a_rho, f_aa), clamped
 
 
-def _lcvb_objective(
-    a: float, data: Observations, model: NewsvendorModel, risk: Risk, node_count: int
-):
+def _lcvb_objective(a: float, data: Observations, model: NewsvendorModel, risk: Risk):
     """ELBO + E_q[log G(a, .)] as an ``ascend`` objective of x = (mu, rho),
     with the bound's own Hessian as the fallback curvature. Three further
     values, which ``ascend`` ignores and ``decisions.lcvb_decide`` reads,
@@ -355,9 +358,7 @@ def _lcvb_objective(
         value, gradient, hessian = _elbo_terms(*x, data.n, data.sum_s, model.alpha, model.beta)
         if not math.isfinite(value):
             return -math.inf, gradient, hessian, hessian
-        log_risk, (l_mu, l_rho), ((m00, m01), (_, m11)), action, _ = _log_risk_term(
-            a, *x, risk, node_count
-        )
+        log_risk, (l_mu, l_rho), ((m00, m01), (_, m11)), action, _ = _log_risk_term(a, *x, risk)
         (e00, e01), (_, e11) = hessian
         total = ((e00 + m00, e01 + m01), (e01 + m01, e11 + m11))
         gradient = (gradient[0] + l_mu, gradient[1] + l_rho)
@@ -378,7 +379,6 @@ def calibrated_objective(
     model: NewsvendorModel,
     grid: "PosteriorGrid",
     risk: Risk | None = None,
-    node_count: int = 64,
 ) -> CalibratedObjective:
     """Evaluate F(a, q) = -KL(q || posterior) + E_q[log G(a, theta)].
 
@@ -387,7 +387,7 @@ def calibrated_objective(
     """
     validate_action(a, model)
     log_risk, _, _, _, clamped = _log_risk_term(
-        a, q.mu, math.log(q.sigma), resolve_risk(risk, model), node_count
+        a, q.mu, math.log(q.sigma), resolve_risk(risk, model)
     )
     kl_term = posterior_kl(q, data, model, grid)
     return CalibratedObjective(
@@ -402,7 +402,6 @@ def fit_lcvb(
     a: float,
     data: Observations,
     model: NewsvendorModel,
-    settings: FitSettings | None = None,
     risk: Risk | None = None,
     initial: LogNormalVariational | None = None,
 ) -> tuple[LogNormalVariational, FitDiagnostics]:
@@ -415,13 +414,11 @@ def fit_lcvb(
     loop) or else from the plain variational fit. The E_q[log G] term need
     not be concave, so the result is the maximum reached from that start.
     """
-    settings = settings or FitSettings()
     validate_action(a, model)
     risk = resolve_risk(risk, model)
-    q0 = fit_nvb(data, model, settings)[0] if initial is None else initial
+    q0 = fit_nvb(data, model)[0] if initial is None else initial
     x0 = (q0.mu, math.log(q0.sigma))
-    objective = _lcvb_objective(a, data, model, risk, settings.node_count)
-    return _fit(objective, x0, settings, f"calibrated fit at a={a:.9g}")
+    return _fit(_lcvb_objective(a, data, model, risk), x0, f"calibrated fit at a={a:.9g}")
 
 
 def kl_decomposition_check(

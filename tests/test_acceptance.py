@@ -22,6 +22,7 @@ from newsvb import (
     lcvb_decide,
     loss,
     nvb_decide,
+    posterior_kl,
     risk,
     sample_demand,
     true_optimal_action,
@@ -195,6 +196,43 @@ class TestCriterion08SqrtNConcentration:
         average = float(np.mean(slopes))
         assert -1.3 <= average <= -0.7, f"average slope {average:.3f}"
         report(8, "sqrt-n-concentration", f"slope {average:.3f}")
+
+    def test_calibrated_member_concentrates_and_both_rules_approach_bayes(self):
+        # The paper's claims at the study's own h: the LCVB member's variance
+        # falls like 1/n and its KL to the posterior vanishes, and both
+        # variational actions approach the Bayes action faster than 1/n,
+        # which gaps to a* (all ~n^-1/2) cannot show.
+        model = NewsvendorModel(h=0.005, b=0.1, theta0=0.68, alpha=1.0, beta=4.1)
+        sizes = [100, 400, 1600, 6400]
+        slopes, divergences, paired = [], [], []  # paired: (seed, n, [LCVB, NVB])
+        for seed in range(20):
+            stream = sample_demand(model.theta0, sizes[-1], np.random.default_rng(6600 + seed))
+            variances, row, gaps = [], [], []
+            for n in sizes:
+                data = stream.prefix(n)
+                grid = build_posterior(data, model)
+                nvb = nvb_decide(data, model)
+                lcvb = lcvb_decide(data, model, grid, nvb_start=nvb)
+                a_bayes = bayes_decision(grid, model).action
+                variances.append(variational_variance(lcvb.q))
+                row.append(posterior_kl(lcvb.q, data, model, grid))
+                gaps.append([abs(lcvb.action - a_bayes), abs(nvb.action - a_bayes)])
+            slopes.append(float(np.polyfit(np.log(sizes), np.log(variances), 1)[0]))
+            divergences.append(row)
+            paired.append(gaps)
+        average = float(np.mean(slopes))
+        assert -1.3 <= average <= -0.7, f"average LCVB variance slope {average:.3f}"
+        kl = np.median(divergences, axis=0)
+        assert kl[0] >= 20.0 * kl[-1], f"median KL {kl[0]:.3e} -> {kl[-1]:.3e}"
+        medians = np.median(paired, axis=0)
+        towards_bayes = np.polyfit(np.log(sizes), np.log(medians), 1)[0]
+        assert np.all(towards_bayes <= -1.0), f"paired slopes (LCVB, NVB) {towards_bayes}"
+        report(
+            8,
+            "calibrated-concentration",
+            f"slope {average:.3f}, KL x{kl[0] / kl[-1]:.0f}, paired "
+            f"{towards_bayes[0]:.2f}/{towards_bayes[1]:.2f}",
+        )
 
 
 class TestCriterion09Determinism:

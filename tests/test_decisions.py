@@ -34,7 +34,7 @@ import newsvb.vb as vb
 from newsvb.decisions import decide_on_measure, decide_with_variational
 from newsvb.model import expected_risk
 from newsvb.numerics import NumericalError, minimize_on_grid_then_golden
-from newsvb.vb import FitSettings, _lcvb_objective, calibrated_objective, fit_lcvb
+from newsvb.vb import _lcvb_objective, calibrated_objective, fit_lcvb
 
 
 class TestExpectedRiskUnderQ:
@@ -165,6 +165,8 @@ class TestDecideOnMeasure:
         scan, value, _ = minimize_on_grid_then_golden(
             lambda a: posterior_expected_risk(a, grid_n50, base_model),
             *base_model.action_interval,
+            512,
+            1e-8,
         )
         assert abs(root.action - scan) <= 1e-6
         assert root.objective_value <= value + 1e-15 * abs(value)
@@ -183,7 +185,7 @@ class TestDecideOnMeasure:
         model = measure_model(h, b, lo, width)
         outcome = decide_one(theta, weights, model)
         action, _, _ = minimize_on_grid_then_golden(
-            lambda a: expected_risk(a, theta, weights, model), lo, lo + width
+            lambda a: expected_risk(a, theta, weights, model), lo, lo + width, 512, 1e-8
         )
         assert abs(outcome.action - action) <= 1e-6
 
@@ -213,7 +215,10 @@ class TestDecideOnMeasure:
                 continue
             interior += 1
             scan, value, _ = minimize_on_grid_then_golden(
-                lambda a: expected_risk(a, theta, weights, model), *model.action_interval
+                lambda a: expected_risk(a, theta, weights, model),
+                *model.action_interval,
+                512,
+                1e-8,
             )
             curvature = (model.b + model.h) * float(weights @ (theta * np.exp(-root * theta)))
             estimate = math.sqrt(np.finfo(float).eps * value / curvature)
@@ -379,7 +384,7 @@ class ConcaveInAction:
 
 def envelope(a, q, data, model):
     """F_a, the tangent s and V'' from the kernel pass at (a, q)."""
-    objective = _lcvb_objective(a, data, model, NewsvendorRisk(model.h, model.b), 64)
+    objective = _lcvb_objective(a, data, model, NewsvendorRisk(model.h, model.b))
     return objective((q.mu, math.log(q.sigma)))[4:]
 
 
@@ -416,9 +421,8 @@ class TestLcvbDecide:
 
     def test_returned_value_beats_independent_probes(self, data_n50, base_model, grid_n50):
         outcome = lcvb_decide(data_n50, base_model, grid_n50)
-        settings = FitSettings()
         for a in np.linspace(0.0, 50.0, 33):
-            q_a, _ = fit_lcvb(float(a), data_n50, base_model, settings)
+            q_a, _ = fit_lcvb(float(a), data_n50, base_model)
             value = calibrated_objective(
                 float(a), q_a, data_n50, base_model, grid_n50
             ).value

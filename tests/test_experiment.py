@@ -5,7 +5,7 @@ import logging
 import math
 import platform
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +71,14 @@ class TestConfig:
     def test_dict_round_trip(self):
         config = tiny_config()
         assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+    def test_dict_keys_are_the_fields(self):
+        # Every field, defaulted ones included, so --paper-defaults drops none.
+        config = tiny_config(action_interval=(1.0, 40.0), posterior_nodes=512)
+        raw = config.to_dict()
+        assert list(raw) == [f.name for f in fields(ExperimentConfig)]
+        assert json.loads(json.dumps(raw)) == raw
+        assert ExperimentConfig.from_dict(raw) == config
 
     def test_from_dict_rejects_unknown_key(self):
         raw = tiny_config().to_dict()

@@ -99,9 +99,9 @@ class TestMinimizeOnGridThenGolden:
             calls.append(x)
             return objective(x)
 
-        x, fx, evaluations = minimize_on_grid_then_golden(recording, 0.0, 4.0)
+        x, fx, evaluations = minimize_on_grid_then_golden(recording, 0.0, 4.0, 512, 1e-8)
         assert all(type(c) is float for c in calls)
-        grid, probes = calls[:512], calls[512:]  # the default scan size
+        grid, probes = calls[:512], calls[512:]
         assert np.all(np.diff(grid) > 0)
         assert grid[0] == 0.0 and grid[-1] == 4.0
         assert probes and evaluations == len(calls)
@@ -145,7 +145,7 @@ class TestAscend:
     def test_concave_quadratic_converges_in_one_step(self):
         center = np.array([1.5, -0.25])
         objective = concave_quadratic(center, [[4.0, 1.0], [1.0, 3.0]])
-        result = ascend(objective, [-2.0, 3.0])
+        result = ascend(objective, [-2.0, 3.0], 1e-8, 10_000)
         assert result.converged and result.iterations == 1
         assert result.fallback_steps == 0
         assert np.allclose(result.x, center, rtol=0.0, atol=1e-12)
@@ -162,7 +162,7 @@ class TestAscend:
             return -math.log(s) - x1 * x1, gradient, hessian, fallback
 
         assert objective(np.array([3.0, 1.0]))[2][0, 0] > 0.0
-        result = ascend(objective, [3.0, 1.0])
+        result = ascend(objective, [3.0, 1.0], 1e-8, 10_000)
         assert result.converged and result.fallback_steps > 0
         assert np.allclose(result.x, 0.0, rtol=0.0, atol=1e-8)
 
@@ -171,7 +171,7 @@ class TestAscend:
             return -math.inf, np.zeros(2), -np.eye(2), -np.eye(2)
 
         with pytest.raises(NumericalError, match="initial point"):
-            ascend(objective, [0.0, 0.0])
+            ascend(objective, [0.0, 0.0], 1e-8, 10_000)
 
     def test_result_never_falls_below_its_start(self):
         rng = np.random.default_rng(5)
@@ -179,7 +179,7 @@ class TestAscend:
             root = rng.normal(size=(2, 2))
             objective = concave_quadratic(rng.normal(size=2), root @ root.T + 0.1 * np.eye(2))
             start = rng.normal(scale=5.0, size=2)
-            result = ascend(objective, start)
+            result = ascend(objective, start, 1e-8, 10_000)
             assert result.converged
             assert result.value >= objective(start)[0]
 
@@ -189,7 +189,7 @@ class TestAscend:
             return value, -gradient, hessian, fallback
 
         start = np.array([0.5, -1.0])
-        result = ascend(misleading, start)
+        result = ascend(misleading, start, 1e-8, 10_000)
         assert not result.converged
         assert result.value == misleading(start)[0]
         assert np.array_equal(result.x, start)

@@ -2,12 +2,14 @@
 
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import newsvb.vb as vb
 from newsvb import (
     ConstantRisk,
     LogNormalVariational,
@@ -27,8 +29,11 @@ from newsvb import (
 )
 from newsvb.cli import _check_dataset, probe_members
 from newsvb.model import NewsvendorRisk, log_likelihood, log_prior
-from newsvb.numerics import NumericalError, gauss_hermite_standard
+from newsvb.numerics import NumericalError, ascend, gauss_hermite_standard
 from newsvb.vb import (
+    MAX_ITERATIONS,
+    NODE_COUNT,
+    TOLERANCE,
     FitSettings,
     _lcvb_objective,
     _log_risk_term,
@@ -181,10 +186,24 @@ class TestHessians:
         actions = np.random.default_rng(65).uniform(0.0, 50.0, size=len(self.members))
         elbo_only = _nvb_objective(self.data, self.model)
         for a, q in zip(actions, self.members):
-            objective = _lcvb_objective(float(a), self.data, self.model, builtin, 64)
+            objective = _lcvb_objective(float(a), self.data, self.model, builtin)
             _, fallback = self.assert_matches_differences(objective, q)
             x = np.array([q.mu, math.log(q.sigma)])
             assert np.array_equal(fallback, np.asarray(elbo_only(x)[2]))
+
+
+class TestFitSettings:
+    def test_reads_the_constants_and_takes_no_arguments(self):
+        settings = FitSettings()
+        values = (settings.tolerance, settings.max_iterations, settings.node_count)
+        assert values == (TOLERANCE, MAX_ITERATIONS, NODE_COUNT) == (1e-8, 10_000, 64)
+        for name, value in zip(("tolerance", "max_iterations", "node_count"), values):
+            with pytest.raises(TypeError):
+                FitSettings(**{name: value})
+            with pytest.raises(AttributeError):
+                setattr(settings, name, value)
+        with pytest.raises(TypeError):
+            FitSettings(1e-8)
 
 
 class TestFitNvb:
@@ -195,7 +214,7 @@ class TestFitNvb:
         q, diagnostics = fit_nvb(data_n50, base_model)
         assert elbo(q, data_n50, base_model) >= elbo(q_init, data_n50, base_model)
         assert diagnostics.converged
-        assert diagnostics.final_gradient_norm <= FitSettings().tolerance
+        assert diagnostics.final_gradient_norm <= TOLERANCE
 
     def test_kl_gap_nonnegative_and_below_random_members(self, base_model):
         # One ascent per fit must reach the global optimum at every sample
@@ -345,19 +364,16 @@ class TestCalibratedObjective:
             bound = math.log(posterior_expected_risk(float(a), grid_n50, base_model))
             assert value <= bound + 1e-8
 
-    def test_log_risk_term_stable_under_node_doubling(self, data_n50, base_model, grid_n50):
+    def test_log_risk_term_stable_under_node_doubling(self, data_n50, base_model):
         rng = np.random.default_rng(10)
         center = math.log(data_n50.n / data_n50.sum_s)
         members = random_members(rng, center, 50, sigma_range=(0.05, 0.6))
         actions = rng.uniform(0.0, 50.0, size=50)
+        risk = NewsvendorRisk(base_model.h, base_model.b)
         for a, q in zip(actions, members):
-            coarse = calibrated_objective(
-                float(a), q, data_n50, base_model, grid_n50, node_count=64
-            )
-            fine = calibrated_objective(
-                float(a), q, data_n50, base_model, grid_n50, node_count=128
-            )
-            assert abs(coarse.log_risk_term - fine.log_risk_term) < 1e-8
+            point = (float(a), q.mu, math.log(q.sigma), risk)
+            coarse, fine = (_log_risk_term(*point, count)[0] for count in (NODE_COUNT, 128))
+            assert abs(coarse - fine) < 1e-8
 
     def test_nonpositive_risk_raises(self, data_n50, base_model, grid_n50):
         class SignFlip:
@@ -433,12 +449,23 @@ class TestFitLcvb:
         model = NewsvendorModel(h=h, b=0.1, theta0=None, alpha=alpha, beta=beta)
         data = sample_demand(0.68, n, np.random.default_rng(seed))
         q0, _ = fit_nvb(data, model)
-        q, diagnostics = fit_lcvb(a, data, model, initial=q0)
-        objective = _lcvb_objective(a, data, model, NewsvendorRisk(h, 0.1), 64)
+        ends = []
+
+        def recorded(*args):
+            result = ascend(*args)
+            ends.append(result.x)
+            return result
+
+        with mock.patch.object(vb, "ascend", recorded):
+            q, diagnostics = fit_lcvb(a, data, model, initial=q0)
+        objective = _lcvb_objective(a, data, model, NewsvendorRisk(h, 0.1))
         at_start = objective(np.array([q0.mu, math.log(q0.sigma)]))[0]
         assert diagnostics.converged
         assert diagnostics.objective >= at_start
-        assert diagnostics.objective == objective(np.array([q.mu, math.log(q.sigma)]))[0]
+        # The value at the ascent's own point: log(exp(rho)) may miss rho by an ulp.
+        (x,) = ends
+        assert (q.mu, q.sigma) == (x[0], math.exp(x[1]))
+        assert diagnostics.objective == objective(np.array(x))[0]
 
     def test_one_debug_line_per_fit(self, data_n50, base_model, caplog):
         with caplog.at_level(logging.DEBUG, logger="newsvb.vb"):
@@ -456,9 +483,12 @@ class TestFitLcvb:
         )
 
 
-    def test_a_fit_short_of_the_tolerance_logs_one_warning(self, data_n50, base_model, caplog):
+    def test_a_fit_short_of_the_tolerance_logs_one_warning(
+        self, data_n50, base_model, caplog, monkeypatch
+    ):
+        monkeypatch.setattr(vb, "MAX_ITERATIONS", 1)
         with caplog.at_level(logging.DEBUG, logger="newsvb.vb"):
-            _, diagnostics = fit_nvb(data_n50, base_model, FitSettings(max_iterations=1))
+            _, diagnostics = fit_nvb(data_n50, base_model)
         assert not diagnostics.converged
         assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
             (
