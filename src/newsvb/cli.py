@@ -298,16 +298,20 @@ def cmd_decide(args) -> int:
     rule = args.rule
     if rule == "nvb":
         outcome = nvb_decide(data, model)
+        value = outcome.objective_value
     elif rule == "lcvb":
+        outcome = lcvb_decide(data, model)
+        # The decide needs no evidence; the F it reports subtracts the grid's.
         grid = build_posterior(data, model)
-        outcome = lcvb_decide(data, model, grid)
+        value = calibrated_objective(outcome.action, outcome.q, data, model, grid).value
     else:
         grid = build_posterior(data, model)
         outcome = bayes_decision(grid, model)
+        value = outcome.objective_value
     print(f"rule                {outcome.rule.value}")
     print(f"n                   {data.n}")
     print(f"action              {outcome.action:.10g}")
-    print(f"objective value     {outcome.objective_value:.10g}")
+    print(f"objective value     {value:.10g}")
     print(f"probes              {outcome.probe_count}")
     if outcome.inner_fit is not None:
         print(
@@ -484,8 +488,8 @@ def check_calibrated_saddle() -> tuple[float, float]:
     differences of F_a at the inner fits' members. The residual is the
     larger of |a - a_ref| and the relative error of V'', or inf where the
     certificate fails."""
-    model, data, grid = _check_dataset()
-    outcome = lcvb_decide(data, model, grid)
+    model, data, _ = _check_dataset()
+    outcome = lcvb_decide(data, model)
     a, q, curvature = outcome.action, outcome.q, outcome.inner_fit.envelope_curvature
     risk = NewsvendorRisk(model.h, model.b)
     reference = _lcvb_scan(data, model, risk, fit_nvb(data, model)[0])[0]

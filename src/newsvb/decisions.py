@@ -18,7 +18,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,13 +44,10 @@ from .vb import (
     FitSettings,
     LogNormalVariational,
     _lcvb_objective,
-    calibrated_objective,
+    calibrated_objective,  # noqa: F401 - unused here; perfbench/tracing.py wraps this name
     fit_lcvb,
     fit_nvb,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .oracle import PosteriorGrid
 
 __all__ = [
     "Rule",
@@ -263,7 +260,9 @@ def _lcvb_scan(data: Observations, model: NewsvendorModel, risk, start):
 def lcvb_decide(
     data: Observations,
     model: NewsvendorModel,
-    grid: "PosteriorGrid",
+    # Ignored, as ``settings``: the decide needs no evidence. Kept because the
+    # benchmark's workloads (perfbench/workloads.py) pass it.
+    grid=None,
     settings: FitSettings | None = None,  # ignored, as in ``nvb_decide``
     risk: Risk | None = None,
     nvb_start: DecisionOutcome | None = None,
@@ -285,8 +284,8 @@ def lcvb_decide(
     non-finite objective or slope, F_qq not negative definite (V'' is None
     then), V'' <= 0 off a held end or 50 steps fall back to ``_lcvb_scan``.
     ``probe_count`` counts all steps and the scan's fits; ``inner_fit`` and
-    ``q`` describe the last evaluation. ``grid`` enters only the chosen
-    action's calibrated objective, which checks it against the data.
+    ``q`` describe the last evaluation, and ``objective_value`` is its
+    ELBO + E_q[log G] (= F + log p(X), which needs no evidence).
     ``risk=None`` uses the model's newsvendor risk.
     """
     risk = resolve_risk(risk, model)
@@ -345,12 +344,11 @@ def lcvb_decide(
         how = f"scan fallback: {exc}"
         action, (q, diagnostics), fits, scan_passes = _lcvb_scan(data, model, risk, nvb.q)
         passes += scan_passes
-    objective = calibrated_objective(action, q, data, model, grid, risk)
     logger.debug(
         "LCVB action %.9g after %d Newton steps (%d kernel passes), %s",
         action, steps, passes, how,
     )
-    return DecisionOutcome(action, objective.value, Rule.LCVB, diagnostics, steps + fits, q)
+    return DecisionOutcome(action, diagnostics.objective, Rule.LCVB, diagnostics, steps + fits, q)
 
 
 def optimality_gap(outcome: DecisionOutcome, model: NewsvendorModel) -> tuple[float, float]:

@@ -236,45 +236,40 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
 
     One stream of max(n_schedule) demands is drawn; each n reuses its
     prefix and each holding cost sees the same prefix. The posterior grid
-    and the plain variational fit depend only on the prefix and the prior,
-    so they are shared across holding costs, and NVB decides every holding
-    cost of an n in one ``decide_across_h`` call. Each NVB decision is also
-    its LCVB cell's start, and its failure fails both cells. Rule failures
-    mark their cell with a reason and never abort the path; one debug line
-    per n names the failed cells and their reasons.
+    (built only for Bayes) and the plain variational fit depend only on the
+    prefix and the prior, so they are shared across holding costs, and NVB
+    decides every holding cost of an n in one ``decide_across_h`` call.
+    Each NVB decision is also its LCVB cell's start, and its failure fails
+    both cells; a failed grid fails only the Bayes cells, and a failed plain
+    fit only the NVB and LCVB cells. Rule failures mark their cell with a
+    reason and never abort the path; one debug line per n names the failed
+    cells and their reasons.
     """
     if not 0 <= path_index < config.replications:
         raise ValueError(f"path_index {path_index} outside [0, {config.replications})")
     rng = np.random.default_rng(derive_path_seed(config.master_seed, path_index))
     stream = sample_demand(config.theta0, max(config.n_schedule), rng)
     models = [config.model_for(h) for h in config.h_values]
-    needs_grid = Rule.LCVB in config.rules or Rule.BAYES in config.rules
-    needs_fit = Rule.NVB in config.rules or Rule.LCVB in config.rules
 
     records: list[GapRecord] = []
     for n in config.n_schedule:
         data = stream.prefix(n)
         first = len(records)
+        # A shared step that fails leaves its reason in place of its result.
         grid, nvb_outcomes = None, [None] * len(models)
-        try:
-            reason = "posterior grid"
-            if needs_grid:
+        if Rule.BAYES in config.rules:
+            try:
                 grid = build_posterior(data, models[0], config.posterior_nodes)
-            reason = "plain fit"
-            if needs_fit:
+            except NumericalError:
+                grid = "posterior grid"
+        if Rule.NVB in config.rules or Rule.LCVB in config.rules:
+            try:
                 q_nvb, nvb_diag = fit_nvb(data, models[0])
                 nvb_outcomes = decide_across_h(q_nvb, models, nvb_diag)
-        except NumericalError:
-            records.extend(
-                GapRecord(rule, h, n, math.nan, math.nan, failed=True, reason=reason)
-                for h in config.h_values
-                for rule in config.rules
-            )
-        else:
-            for model, nvb in zip(models, nvb_outcomes):
-                records.extend(
-                    _cell(rule, n, model, data, grid, nvb) for rule in config.rules
-                )
+            except NumericalError:
+                nvb_outcomes = ["plain fit"] * len(models)
+        for model, nvb in zip(models, nvb_outcomes):
+            records.extend(_cell(rule, n, model, data, grid, nvb) for rule in config.rules)
         failed = ", ".join(
             f"{r.rule.value} h={r.h:g} ({r.reason})" for r in records[first:] if r.failed
         )
@@ -283,13 +278,17 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
 
 
 def _cell(rule: Rule, n: int, model: NewsvendorModel, data, grid, nvb) -> GapRecord:
-    """One (rule, h, n) cell's gaps, or its failure with the reason. ``nvb`` is
-    the NVB decision at this h (or the error that failed it), None without one."""
+    """One (rule, h, n) cell's gaps, or its failure with the reason. ``grid``
+    (None without Bayes) and ``nvb``, the NVB decision at this h or the error
+    that failed it (None without one), are a reason where their step failed."""
 
     def failure(reason: str) -> GapRecord:
         return GapRecord(rule, model.h, n, math.nan, math.nan, failed=True, reason=reason)
 
-    if rule is not Rule.BAYES and isinstance(nvb, NumericalError):
+    needed = grid if rule is Rule.BAYES else nvb
+    if isinstance(needed, str):
+        return failure(needed)
+    if isinstance(needed, NumericalError):
         return failure("NVB root not reached")
     try:
         if rule is Rule.BAYES:
@@ -297,7 +296,7 @@ def _cell(rule: Rule, n: int, model: NewsvendorModel, data, grid, nvb) -> GapRec
         elif rule is Rule.NVB:
             outcome = nvb
         else:
-            outcome = lcvb_decide(data, model, grid, nvb_start=nvb)
+            outcome = lcvb_decide(data, model, nvb_start=nvb)
     except NumericalError as exc:
         return failure(f"{'Bayes' if rule is Rule.BAYES else 'LCVB'}: {exc}")
     return GapRecord(rule, model.h, n, *optimality_gap(outcome, model))

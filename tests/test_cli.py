@@ -130,6 +130,47 @@ class TestDecide:
         action = float(parse_report(out)["action"])
         assert 0.0 <= action <= 50.0
 
+    def test_lcvb_report_prints_the_action_and_computes_its_objective(
+        self, capsys, monkeypatch
+    ):
+        # F = ELBO + E_q[log G] - log p(X) for the decided member, computed
+        # here because the decide needs no evidence. The reference values are
+        # those of the decide that subtracted the grid's evidence itself; the
+        # member's log(exp(rho)) round trip may move F by one ulp.
+        import newsvb.cli as cli
+
+        reported = []
+        report = cli.calibrated_objective
+
+        def recorded(*args):
+            reported.append(report(*args))
+            return reported[-1]
+
+        monkeypatch.setattr(cli, "calibrated_objective", recorded)
+        code, out, _ = run_cli(
+            capsys, "decide", "--rule", "lcvb", "--n", "200", "--theta0", "0.68", "--seed", "5"
+        )
+        assert code == 0
+        values = parse_report(out)
+        assert values["action"] == "4.633039215"
+        (objective,) = reported
+        assert objective.value == pytest.approx(-3.7607700959076116, rel=1e-12, abs=0.0)
+        assert values["objective value"] == f"{objective.value:.10g}" == "-3.760770096"
+
+    def test_lcvb_report_checks_its_grid_against_the_data(self, capsys, monkeypatch):
+        import numpy as np
+
+        import newsvb.cli as cli
+
+        other = newsvb.sample_demand(0.68, 2000, np.random.default_rng(3))
+        build = cli.build_posterior
+        monkeypatch.setattr(cli, "build_posterior", lambda data, model: build(other, model))
+        code, out, err = run_cli(
+            capsys, "decide", "--rule", "lcvb", "--n", "200", "--theta0", "0.68", "--seed", "5"
+        )
+        assert code == 3
+        assert "does not match" in err and out == ""
+
     def test_unknown_rule_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["decide", "--rule", "magic", "--n", "10", "--theta0", "0.68"])

@@ -17,7 +17,6 @@ from newsvb import (
     NewsvendorModel,
     NewsvendorRisk,
     Rule,
-    build_posterior,
     bayes_decision,
     expected_risk_under_q,
     fit_nvb,
@@ -407,40 +406,37 @@ def lcvb_line(caplog) -> str:
 
 
 class TestLcvbDecide:
-    def test_constant_risk_returns_lower_endpoint(self, data_n50, base_model, grid_n50):
-        outcome = lcvb_decide(data_n50, base_model, grid_n50, risk=ConstantRisk(1.5))
+    def test_constant_risk_returns_lower_endpoint(self, data_n50, base_model):
+        outcome = lcvb_decide(data_n50, base_model, risk=ConstantRisk(1.5))
         assert outcome.rule is Rule.LCVB
         assert outcome.action == base_model.action_lo
 
     def test_large_sample_recovers_optimum(self):
         model = NewsvendorModel(h=0.005, b=0.1, theta0=0.68, alpha=1.0, beta=4.1)
         data = sample_demand(model.theta0, 100_000, np.random.default_rng(32))
-        grid = build_posterior(data, model)
-        outcome = lcvb_decide(data, model, grid)
+        outcome = lcvb_decide(data, model)
         assert abs(outcome.action - true_optimal_action(model)) < 0.05
 
-    def test_returned_value_beats_independent_probes(self, data_n50, base_model, grid_n50):
-        outcome = lcvb_decide(data_n50, base_model, grid_n50)
+    def test_returned_value_beats_independent_probes(self, data_n50, base_model):
+        # Both sides are ELBO + E_q[log G], the inner maximum without evidence.
+        outcome = lcvb_decide(data_n50, base_model)
         for a in np.linspace(0.0, 50.0, 33):
-            q_a, _ = fit_lcvb(float(a), data_n50, base_model)
-            value = calibrated_objective(
-                float(a), q_a, data_n50, base_model, grid_n50
-            ).value
+            value = fit_lcvb(float(a), data_n50, base_model)[1].objective
             assert outcome.objective_value <= value + 1e-6
 
-    def test_argmin_invariant_under_risk_scaling(self, data_n50, base_model, grid_n50):
+    def test_argmin_invariant_under_risk_scaling(self, data_n50, base_model):
         # G is linear in (h, b), so scaling both costs scales G by ``scale``.
         scale = 5.0
         scaled = replace(base_model, h=scale * base_model.h, b=scale * base_model.b)
-        plain = lcvb_decide(data_n50, base_model, grid_n50)
-        rescaled = lcvb_decide(data_n50, scaled, grid_n50)
+        plain = lcvb_decide(data_n50, base_model)
+        rescaled = lcvb_decide(data_n50, scaled)
         assert abs(plain.action - rescaled.action) < 1e-6
         # inner values shift by the additive constant log(scale)
         assert rescaled.objective_value - plain.objective_value == pytest.approx(
             math.log(scale), abs=1e-6
         )
 
-    def test_every_probe_failing_is_a_hard_error(self, data_n50, base_model, grid_n50):
+    def test_every_probe_failing_is_a_hard_error(self, data_n50, base_model):
         class Hostile:
             def value(self, a, theta):
                 return np.full_like(theta, -1.0)
@@ -449,9 +445,9 @@ class TestLcvbDecide:
                 return self.value(a, theta), *[np.zeros_like(theta)] * 5
 
         with pytest.raises(NumericalError):
-            lcvb_decide(data_n50, base_model, grid_n50, risk=Hostile())
+            lcvb_decide(data_n50, base_model, risk=Hostile())
 
-    def test_partial_probe_failures_are_excluded(self, data_n50, base_model, grid_n50):
+    def test_partial_probe_failures_are_excluded(self, data_n50, base_model):
         # Probes beyond a=25 violate positivity and must be skipped, not fatal.
         class Patchy:
             builtin = NewsvendorRisk(base_model.h, base_model.b)
@@ -464,28 +460,38 @@ class TestLcvbDecide:
             def theta_terms(self, a, theta):
                 return self.value(a, theta), *self.builtin.theta_terms(a, theta)[1:]
 
-        outcome = lcvb_decide(data_n50, base_model, grid_n50, risk=Patchy())
+        outcome = lcvb_decide(data_n50, base_model, risk=Patchy())
         assert outcome.action <= 25.0
-        reference = lcvb_decide(data_n50, base_model, grid_n50)
+        reference = lcvb_decide(data_n50, base_model)
         assert abs(outcome.action - reference.action) < 1e-6
 
     def test_grid_from_other_data_is_reported_as_a_mismatch(
-        self, data_n50, base_model, grid_n2000
+        self, data_n50, base_model, grid_n50, grid_n2000
     ):
+        # The check lives where the grid is used: the F reported for the
+        # decided action, as ``newsvb decide --rule lcvb`` prints it.
+        outcome = lcvb_decide(data_n50, base_model)
+        report = calibrated_objective(outcome.action, outcome.q, data_n50, base_model, grid_n50)
+        assert report.value == pytest.approx(
+            outcome.objective_value - grid_n50.log_evidence, abs=1e-9
+        )
         with pytest.raises(NumericalError, match="does not match"):
-            lcvb_decide(data_n50, base_model, grid_n2000)
+            calibrated_objective(outcome.action, outcome.q, data_n50, base_model, grid_n2000)
 
-    def test_grid_only_shifts_the_reported_objective(self, data_n50, base_model, grid_n50):
-        # The argmin never reads the grid: a coarser grid changes only the
-        # log evidence subtracted from the chosen action's objective.
-        coarse_grid = build_posterior(data_n50, base_model, node_count=64)
-        coarse = lcvb_decide(data_n50, base_model, coarse_grid)
-        fine = lcvb_decide(data_n50, base_model, grid_n50)
-        assert coarse.action == fine.action
-        assert coarse.probe_count == fine.probe_count
-        assert coarse.inner_fit == fine.inner_fit
-        shift = grid_n50.log_evidence - coarse_grid.log_evidence
-        assert fine.objective_value - coarse.objective_value == pytest.approx(-shift, abs=1e-9)
+    def test_grid_never_enters_lcvb_decide(
+        self, data_n50, base_model, grid_n50, grid_n2000, monkeypatch
+    ):
+        # Passed or not, from this dataset or another, the grid changes
+        # nothing, and the decide evaluates no evidence.
+        def unused(*args, **kwargs):
+            raise AssertionError("lcvb_decide used the posterior grid")
+
+        monkeypatch.setattr(decisions, "calibrated_objective", unused)
+        monkeypatch.setattr(vb, "posterior_kl", unused)
+        alone = lcvb_decide(data_n50, base_model)
+        for grid in (grid_n50, grid_n2000):
+            assert lcvb_decide(data_n50, base_model, grid) == alone
+        assert alone.objective_value == alone.inner_fit.objective
 
     @pytest.mark.parametrize("a", [1.0, 4.0, 10.0, 30.0])
     def test_envelope_slope_is_the_derivative_of_the_inner_maximum(
@@ -532,16 +538,16 @@ class TestLcvbDecide:
         ids=["upper", "lower", "lower-past-convexity"],
     )
     def test_a_root_beyond_the_interval_ends_at_the_near_end(
-        self, end, interval_in_roots, data_n50, base_model, grid_n50, caplog
+        self, end, interval_in_roots, data_n50, base_model, caplog
     ):
         # An end answers once F_a points strictly out of the interval, whatever
         # the sign of V'': V is convex near its root only (V'' < 0 past ~1.6
         # roots on this dataset), as on the interval of (2, 3) roots.
-        root = lcvb_decide(data_n50, base_model, grid_n50).action
+        root = lcvb_decide(data_n50, base_model).action
         interval = tuple(factor * root for factor in interval_in_roots)
         model = replace(base_model, theta0=None, action_interval=interval)
         with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
-            outcome = lcvb_decide(data_n50, model, grid_n50)
+            outcome = lcvb_decide(data_n50, model)
         fit = outcome.inner_fit
         if end == "upper":  # V still falls at the upper end: F_a points out of it
             assert lcvb_line(caplog).endswith("kernel passes), at a_hi")
@@ -554,20 +560,20 @@ class TestLcvbDecide:
         assert abs(outcome.action - scan_reference(data_n50, model)[0]) <= 1e-4
 
     def test_an_end_with_an_inward_slope_resumes_newton_there(
-        self, data_n50, base_model, grid_n50, monkeypatch, caplog
+        self, data_n50, base_model, monkeypatch, caplog
     ):
         # The NVB action lies below the LCVB root on this dataset, so an
         # interval starting between them puts the naive start at a_lo, where
         # F_a points into the interval: once q reaches its inner maximum with
         # a held at the end, the end does not answer, and Newton resumes from
         # it to the interior root.
-        root = lcvb_decide(data_n50, base_model, grid_n50).action
+        root = lcvb_decide(data_n50, base_model).action
         naive = nvb_decide(data_n50, base_model).action
         interval = (0.5 * (naive + root), 2.0 * root)
         model = replace(base_model, theta0=None, action_interval=interval)
         passes = recorded_passes(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
-            outcome = lcvb_decide(data_n50, model, grid_n50)
+            outcome = lcvb_decide(data_n50, model)
         assert naive < interval[0] < root
         assert lcvb_line(caplog).endswith(", local")
         held = passes.count(interval[0])  # q's steps from the first, then Newton's
@@ -596,14 +602,13 @@ class TestLcvbDecide:
         # and the naive start inside or at either end.
         model = NewsvendorModel(h=h, b=b, theta0=None, alpha=alpha, beta=beta)
         data = sample_demand(theta, n, np.random.default_rng(seed))
-        grid = build_posterior(data, model)
-        root = lcvb_decide(data, model, grid).action
+        root = lcvb_decide(data, model).action
         assume(model.action_lo < root < model.action_hi)
         interval = tuple(f * root for f in sorted(factors))
         model = replace(model, action_interval=interval)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
-            outcome = lcvb_decide(data, model, grid)
+            outcome = lcvb_decide(data, model)
         how = lcvb_line(caplog).rsplit("kernel passes), ", 1)[1]
         slope = outcome.inner_fit.envelope_slope
         assert how in ("local", "at a_lo", "at a_hi")
@@ -614,18 +619,18 @@ class TestLcvbDecide:
         assert abs(outcome.action - scan_reference(data, model)[0]) <= 1e-4
 
     def test_a_step_across_an_end_is_cut_there_and_the_end_answers(
-        self, data_n50, base_model, grid_n50, monkeypatch, caplog
+        self, data_n50, base_model, monkeypatch, caplog
     ):
         # The naive action lies inside (0, cut) and the root above it: the
         # first Newton step crosses a_hi, a stays there while q climbs, and
         # F_a < 0 certifies the end.
-        root = lcvb_decide(data_n50, base_model, grid_n50).action
+        root = lcvb_decide(data_n50, base_model).action
         naive = nvb_decide(data_n50, base_model).action
         interval = (0.0, 0.5 * (naive + root))
         model = replace(base_model, theta0=None, action_interval=interval)
         passes = recorded_passes(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
-            outcome = lcvb_decide(data_n50, model, grid_n50)
+            outcome = lcvb_decide(data_n50, model)
         assert naive < interval[1] < root
         assert lcvb_line(caplog).endswith(", at a_hi")
         assert passes[0] == naive and len(passes) >= 3 and set(passes[1:]) == {interval[1]}
@@ -634,10 +639,10 @@ class TestLcvbDecide:
         assert abs(outcome.action - scan_reference(data_n50, model)[0]) <= 1e-4
 
     def test_a_non_positive_envelope_curvature_falls_back_to_the_scan(
-        self, data_n50, base_model, grid_n50, caplog
+        self, data_n50, base_model, caplog
     ):
         with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
-            outcome = lcvb_decide(data_n50, base_model, grid_n50, risk=ConcaveInAction())
+            outcome = lcvb_decide(data_n50, base_model, risk=ConcaveInAction())
         assert "scan fallback: envelope curvature is -" in lcvb_line(caplog)
         assert outcome.action == base_model.action_lo  # V rises from a_lo
         assert outcome.probe_count >= 33
@@ -647,17 +652,16 @@ class TestLcvbDecide:
             stream = sample_demand(base_model.theta0, 1250, np.random.default_rng(seed))
             for n in (10, 250, 1250):
                 data = stream.prefix(n)
-                grid = build_posterior(data, base_model)
                 for h in (0.001, 0.005, 0.009):
                     model = replace(base_model, h=h)
-                    outcome = lcvb_decide(data, model, grid)
+                    outcome = lcvb_decide(data, model)
                     action, value = scan_reference(data, model)
                     assert abs(outcome.action - action) <= 1e-4, (seed, n, h)
                     assert outcome.inner_fit.objective <= value + 1e-9, (seed, n, h)
                     assert outcome.probe_count <= 12, (seed, n, h)
 
     def test_non_finite_objective_at_a_joint_iterate_falls_back_to_the_scan(
-        self, data_n50, base_model, grid_n50, monkeypatch, caplog
+        self, data_n50, base_model, monkeypatch, caplog
     ):
         iterates = []
 
@@ -675,7 +679,7 @@ class TestLcvbDecide:
 
         monkeypatch.setattr(decisions, "_lcvb_objective", poisoned)
         with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
-            outcome = lcvb_decide(data_n50, base_model, grid_n50)
+            outcome = lcvb_decide(data_n50, base_model)
         assert len(iterates) == 2  # the scan's fits evaluate F in vb, not here
         line = lcvb_line(caplog)
         assert line.startswith(f"LCVB action {outcome.action:.9g} after 1 Newton steps (")
@@ -696,7 +700,7 @@ class TestLcvbDecide:
         ids=["local", "at-a_hi", "at-a_lo", "scan-fallback"],
     )
     def test_debug_line_counts_newton_steps_and_kernel_passes(
-        self, interval, risk, how, data_n50, base_model, grid_n50, monkeypatch, caplog
+        self, interval, risk, how, data_n50, base_model, monkeypatch, caplog
     ):
         passes, fits = [], []
 
@@ -713,8 +717,8 @@ class TestLcvbDecide:
         monkeypatch.setattr(decisions, "fit_lcvb", recorded)
         model = replace(base_model, theta0=None, action_interval=interval)
         with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
-            outcome = lcvb_decide(data_n50, model, grid_n50, risk=risk)
-        kernel_passes = len(passes) - 1  # the last is the reported objective's
+            outcome = lcvb_decide(data_n50, model, risk=risk)
+        kernel_passes = len(passes)
         steps = outcome.probe_count - len(fits)
         line = lcvb_line(caplog)
         assert line.startswith(
@@ -732,17 +736,17 @@ class TestLcvbDecide:
         else:
             assert len(fits) >= 33 and steps == 0
 
-    def test_non_finite_slope_falls_back_to_the_scan(self, data_n50, base_model, grid_n50):
-        outcome = lcvb_decide(data_n50, base_model, grid_n50, risk=NaNSlope(base_model))
+    def test_non_finite_slope_falls_back_to_the_scan(self, data_n50, base_model):
+        outcome = lcvb_decide(data_n50, base_model, risk=NaNSlope(base_model))
         assert outcome.action == scan_reference(data_n50, base_model)[0]
         assert outcome.probe_count >= 33
 
     def test_debug_line_names_the_fallback_reason(
-        self, data_n50, base_model, grid_n50, caplog
+        self, data_n50, base_model, caplog
     ):
         with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
-            lcvb_decide(data_n50, base_model, grid_n50, risk=NaNSlope(base_model))
-            lcvb_decide(data_n50, base_model, grid_n50)
+            lcvb_decide(data_n50, base_model, risk=NaNSlope(base_model))
+            lcvb_decide(data_n50, base_model)
         lines = [r.getMessage() for r in caplog.records]
         fallback, local = [line for line in lines if line.startswith("LCVB action")]
         assert "scan fallback: envelope slope is nan" in fallback
@@ -824,10 +828,9 @@ class TestMonotoneConsistency:
             )
             for n in sizes:
                 data = stream.prefix(n)
-                grid = build_posterior(data, base_model)
                 q, diag = fit_nvb(data, base_model)
                 nvb = decide_with_variational(q, base_model, diag)
-                lcvb = lcvb_decide(data, base_model, grid, nvb_start=nvb)
+                lcvb = lcvb_decide(data, base_model, nvb_start=nvb)
                 gaps[Rule.NVB][n].append(optimality_gap(nvb, base_model)[0])
                 gaps[Rule.LCVB][n].append(optimality_gap(lcvb, base_model)[0])
         for rule in (Rule.NVB, Rule.LCVB):

@@ -163,9 +163,9 @@ class TestSimulatePath:
         assert calls == [config.h_values] * len(config.n_schedule)
         assert single_calls == []
         assert len(lcvb_calls) == len(config.n_schedule) * len(config.h_values)
-        for (data, model, grid), start, outcome in lcvb_calls:
+        for (data, model), start, outcome in lcvb_calls:
             assert start.rule is Rule.NVB and start.q is not None
-            alone = decisions.lcvb_decide(data, model, grid)  # fits its own q
+            alone = decisions.lcvb_decide(data, model)  # fits its own q
             assert alone.action == outcome.action
             assert alone.objective_value == outcome.objective_value
         # Without a start, lcvb_decide decides NVB itself, and the counter sees it.
@@ -242,10 +242,61 @@ class TestSimulatePath:
         assert [record.getMessage() for record in caplog.records] == [
             "path 1, n=10: failed cells: NVB h=0.003 (NVB root not reached), "
             "BAYES h=0.008 (Bayes: synthetic Bayes failure)",
-            "path 1, n=30: failed cells: NVB h=0.003 (plain fit), BAYES h=0.003 (plain fit), "
-            "NVB h=0.008 (plain fit), BAYES h=0.008 (plain fit)",
+            "path 1, n=30: failed cells: NVB h=0.003 (plain fit), NVB h=0.008 (plain fit), "
+            "BAYES h=0.008 (Bayes: synthetic Bayes failure)",
         ]
-        assert records[1:3] == clean[1:3]  # the cells at n=10 that did not fail
+        # The cells that did not fail: BAYES h=0.003 at n=10 and n=30, NVB h=0.008 at n=10.
+        assert [records[i] for i in (1, 2, 5)] == [clean[i] for i in (1, 2, 5)]
+
+    @pytest.mark.parametrize(
+        "target, reason, failed_rules",
+        [
+            ("build_posterior", "posterior grid", {Rule.BAYES}),
+            ("fit_nvb", "plain fit", {Rule.NVB, Rule.LCVB}),
+        ],
+        ids=["grid", "plain-fit"],
+    )
+    def test_a_failed_shared_step_fails_only_the_cells_that_need_it(
+        self, target, reason, failed_rules, monkeypatch
+    ):
+        config = tiny_config(rules=(Rule.NVB, Rule.LCVB, Rule.BAYES), h_values=(0.003, 0.008))
+        clean = simulate_path(config, 1)
+        original = getattr(experiment, target)
+
+        def failing_at_30(data, *args):
+            if data.n == 30:
+                raise NumericalError(f"synthetic {reason} failure")
+            return original(data, *args)
+
+        monkeypatch.setattr(experiment, target, failing_at_30)
+        records = simulate_path(config, 1)
+        assert len(records) == len(clean)
+        for record, reference in zip(records, clean):
+            if record.n == 30 and record.rule in failed_rules:
+                assert record.failed and record.reason == reason
+                assert math.isnan(record.gap_action) and math.isnan(record.gap_regret)
+            else:
+                assert record == reference
+
+    @pytest.mark.parametrize(
+        "rules, grids_per_n",
+        [((Rule.NVB, Rule.LCVB), 0), ((Rule.NVB, Rule.BAYES), 1), ((Rule.LCVB, Rule.BAYES), 1)],
+        ids=["nvb-lcvb", "nvb-bayes", "lcvb-bayes"],
+    )
+    def test_the_posterior_grid_is_built_once_per_n_for_bayes_only(
+        self, rules, grids_per_n, monkeypatch
+    ):
+        config = tiny_config(rules=rules, h_values=(0.003, 0.008))
+        built = []
+
+        def counted(data, *args):
+            built.append(data.n)
+            return build_posterior(data, *args)
+
+        monkeypatch.setattr(experiment, "build_posterior", counted)
+        records = simulate_path(config, 1)
+        assert not any(record.failed for record in records)
+        assert built == [n for n in config.n_schedule for _ in range(grids_per_n)]
 
     def test_a_root_outside_the_best_scan_cell_fails_only_its_bayes_cell(self, monkeypatch):
         config = tiny_config(rules=(Rule.NVB, Rule.BAYES), h_values=(0.003, 0.008))

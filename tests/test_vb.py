@@ -543,7 +543,7 @@ class TestIdentityProperties:
     @settings(deadline=None, max_examples=50, derandomize=True, database=None)
     @given(**RANDOM_CELLS)
     def test_lcvb_decide_ends_on_a_certified_local_minimum(self, a, offset, sigma, **cell):
-        model, data, grid, _ = random_cell(a=a, offset=offset, sigma=sigma, **cell)
+        model, data, _, _ = random_cell(a=a, offset=offset, sigma=sigma, **cell)
         lines = []
         handler = logging.Handler(logging.DEBUG)
         handler.emit = lambda record: lines.append(record.getMessage())
@@ -552,7 +552,7 @@ class TestIdentityProperties:
         logger.addHandler(handler)
         logger.setLevel(logging.DEBUG)
         try:
-            outcome = lcvb_decide(data, model, grid)
+            outcome = lcvb_decide(data, model)
         finally:
             logger.removeHandler(handler)
             logger.setLevel(level)
