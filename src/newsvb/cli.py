@@ -387,8 +387,30 @@ def probe_members(rng, theta_hat: float, count: int):
     return [LogNormalVariational(float(m), float(s)) for m, s in zip(mus, sigmas)]
 
 
+# Cells whose divergence-identity residual outgrows an absolute 1e-6: a
+# large KL(q || posterior) at n = 755 (KL ~1,700), and a wide member at a
+# large action and small h at n = 1, where the 128- and 96-node sums of
+# E_q[log G] differ. Fields: n, demand seed, data rate, h, b, alpha, beta,
+# action, mu's offset from the log MLE, sigma.
+HARD_KL_CELLS = (
+    (755, 3, 0.2, 0.001, 0.3, 4.7, 8.0, 23.1, 0.95, 1.0),
+    (1, 6, 1.0, 0.001, 0.3, 1.0, 1.0, 32.1, -0.5, 1.0),
+)
+
+
+def hard_kl_cell(n, seed, rate, h, b, alpha, beta, a, offset, sigma):
+    """(a, q, data, model, grid) of one ``HARD_KL_CELLS`` entry."""
+    model = NewsvendorModel(h=h, b=b, theta0=None, alpha=alpha, beta=beta)
+    data = sample_demand(rate, n, np.random.default_rng(seed))
+    q = LogNormalVariational(math.log(mle(data)) + offset, sigma)
+    return a, q, data, model, build_posterior(data, model)
+
+
 # Each check returns (worst residual, tolerance); acceptance criteria 4, 3, 6 call these three.
 def check_kl_decomposition() -> tuple[float, float]:
+    """The identity's residual on the check dataset's 100 random members,
+    within 1e-6, and on ``HARD_KL_CELLS`` within 1e-5*(1 + KL(q || posterior)),
+    each of those scaled to the 1e-6 gate."""
     model, data, grid = _check_dataset()
     rng = np.random.default_rng(62)
     members = probe_members(rng, data.n / data.sum_s, 100)
@@ -397,6 +419,10 @@ def check_kl_decomposition() -> tuple[float, float]:
         kl_decomposition_check(float(a), q, data, model, grid)
         for a, q in zip(actions, members)
     )
+    for cell in HARD_KL_CELLS:
+        a, q, data, model, grid = hard_kl_cell(*cell)
+        tolerance = 1e-5 * (1.0 + posterior_kl(q, data, model, grid))
+        residual = max(residual, kl_decomposition_check(a, q, data, model, grid) * 1e-6 / tolerance)
     return residual, 1e-6
 
 

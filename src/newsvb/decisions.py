@@ -27,6 +27,7 @@ from .model import (
     Observations,
     Risk,
     expected_risk,
+    newsvendor_expected_risk,
     resolve_risk,
     true_optimal_action,
 )
@@ -171,14 +172,9 @@ def decide_on_measure(
         rows = list(moving)
         values, tilted_means = psi([action[row] for row in rows])
         moving = dict(zip(rows, zip(values, tilted_means)))
-    # NewsvendorRisk.value's arithmetic with one h per row, summed as in expected_risk.
-    actions = np.array(action)[:, None]
-    h = np.array([model.h for model in models])[:, None]
-    log_scale = np.array([math.log(first.b + model.h) for model in models])[:, None]
-    values = np.exp((log_scale - np.log(theta)) - actions * theta)
-    values += h * actions
-    values -= h / theta
-    objective = np.einsum("...i,i->...", values, weights).tolist()
+    # expected_risk's own sum, one h per row.
+    hs = np.array([model.h for model in models])
+    objective = newsvendor_expected_risk(np.array(action), hs, first.b, theta, weights).tolist()
     outcomes: list[DecisionOutcome | NumericalError] = []
     for row, model in enumerate(models):
         if row in moving:  # still moving after the last step

@@ -155,6 +155,27 @@ COSTS = dict(
 )
 
 
+class TestExpectedRisk:
+    @PROPERTY_SETTINGS
+    @given(measure=measures(), **COSTS)
+    def test_matches_the_node_by_node_sum_at_the_scan_actions(self, measure, h, b, lo, width):
+        # sum_i w_i * G(a, theta_i) with G = h*a - h/theta + (b+h)*exp(-a*theta)/theta,
+        # each term rounded once and the terms summed exactly: expected_risk
+        # regroups them, so it may differ by a few ulps of the terms' magnitude.
+        theta, weights = measure
+        model = measure_model(h, b, lo, width)
+        actions = np.linspace(lo, lo + width, 512)  # the Bayes scan's points
+        values = expected_risk(actions, theta, weights, model)
+        for a, value in zip(actions, values):
+            terms = [
+                term
+                for t, w in zip(theta, weights)
+                for term in (w * (h * a), -w * (h / t), w * ((b + h) * math.exp(-a * t) / t))
+            ]
+            reference = math.fsum(terms)
+            assert abs(value - reference) <= 8 * np.finfo(float).eps * math.fsum(map(abs, terms))
+
+
 class TestDecideOnMeasure:
     def test_posterior_grid_measure_is_the_bayes_rule(self, grid_n50, base_model):
         # Two independent searches of the same posterior expected risk: the
@@ -225,14 +246,26 @@ class TestDecideOnMeasure:
         assert interior >= 190
 
     def test_zero_weights_raise_no_warning(self, base_model):
-        theta = np.array([0.5, 0.7, 0.9])
-        weights = np.array([0.0, 1.0, 0.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            outcome = decide_one(theta, weights, base_model)
-        assert outcome.action == pytest.approx(
-            math.log((base_model.b + base_model.h) / base_model.h) / 0.7, rel=1e-14
-        )
+        # The second zero-weight node's G overflows (exp(-log theta) and
+        # h/theta past the range), which 0 * inf would turn into nan.
+        cases = [
+            ([0.5, 0.7, 0.9], [0.0, 1.0, 0.0], base_model),
+            ([1e-310, 1.0], [0.0, 1.0], measure_model(0.5, 1.0, 0.0, 50.0)),
+        ]
+        for theta, weights, model in cases:
+            theta, weights = np.array(theta), np.array(weights)
+            rate = float(theta[weights > 0][0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                outcome = decide_one(theta, weights, model)
+                at_lo = expected_risk(model.action_lo, theta, weights, model)
+            assert outcome.action == pytest.approx(
+                math.log((model.b + model.h) / model.h) / rate, rel=1e-14
+            )
+            assert outcome.objective_value == pytest.approx(
+                risk(outcome.action, rate, model), rel=1e-14
+            )
+            assert at_lo == pytest.approx(risk(model.action_lo, rate, model), rel=1e-14)
 
     def test_one_debug_line_per_decide(self, grid_n50, base_model, data_n50, caplog):
         q, _ = fit_nvb(data_n50, base_model)

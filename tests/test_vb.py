@@ -556,10 +556,12 @@ class TestIdentityProperties:
         finally:
             logger.removeHandler(handler)
             logger.setLevel(level)
-        assert lines[-1].endswith(", local")
+        # A local minimum, or an end whose slope points out (no scan fallback).
+        how = lines[-1].rsplit(", ", 1)[1]
+        assert how in ("local", "at a_lo", "at a_hi")
         action, fit = outcome.action, outcome.inner_fit
         slope, curvature = fit.envelope_slope, fit.envelope_curvature
-        assert curvature > 0
+        assert how != "local" or curvature > 0  # an accepted end needs no V'' > 0
         lo, hi = model.action_interval
         outward = slope >= 0 if action == lo else slope <= 0 if action == hi else False
         assert outward or abs(slope) / curvature <= 1e-9 * (1.0 + action)
