@@ -19,6 +19,7 @@ import sys
 import time
 from dataclasses import fields
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -387,30 +388,31 @@ def probe_members(rng, theta_hat: float, count: int):
     return [LogNormalVariational(float(m), float(s)) for m, s in zip(mus, sigmas)]
 
 
-# Cells whose divergence-identity residual outgrows an absolute 1e-6: a
-# large KL(q || posterior) at n = 755 (KL ~1,700), and a wide member at a
-# large action and small h at n = 1, where the 128- and 96-node sums of
-# E_q[log G] differ. Fields: n, demand seed, data rate, h, b, alpha, beta,
-# action, mu's offset from the log MLE, sigma.
+# Cells whose divergence-identity residual outgrows an absolute 1e-6, each
+# checked on its own line within 1e-5*(1 + KL(q || posterior)): a large KL
+# at n = 755 (~1,700), and a wide member at a large action and small h at
+# n = 1, where the 128- and 96-node sums of E_q[log G] differ. Each entry is
+# an action and the ``posterior_cell`` it is checked on.
 HARD_KL_CELLS = (
-    (755, 3, 0.2, 0.001, 0.3, 4.7, 8.0, 23.1, 0.95, 1.0),
-    (1, 6, 1.0, 0.001, 0.3, 1.0, 1.0, 32.1, -0.5, 1.0),
+    (23.1, dict(n=755, seed=3, theta=0.2, h=0.001, b=0.3, alpha=4.7, beta=8.0,
+                offset=0.95, sigma=1.0)),
+    (32.1, dict(n=1, seed=6, theta=1.0, h=0.001, b=0.3, alpha=1.0, beta=1.0,
+                offset=-0.5, sigma=1.0)),
 )
 
 
-def hard_kl_cell(n, seed, rate, h, b, alpha, beta, a, offset, sigma):
-    """(a, q, data, model, grid) of one ``HARD_KL_CELLS`` entry."""
+def posterior_cell(n, seed, theta, h, b, alpha, beta, offset, sigma):
+    """A model, ``n`` demands drawn at rate ``theta`` from ``seed``, their
+    posterior grid and a member q whose mu is ``offset`` from the log of the
+    maximum-likelihood rate."""
     model = NewsvendorModel(h=h, b=b, theta0=None, alpha=alpha, beta=beta)
-    data = sample_demand(rate, n, np.random.default_rng(seed))
+    data = sample_demand(theta, n, np.random.default_rng(seed))
     q = LogNormalVariational(math.log(mle(data)) + offset, sigma)
-    return a, q, data, model, build_posterior(data, model)
+    return model, data, build_posterior(data, model), q
 
 
 # Each check returns (worst residual, tolerance); acceptance criteria 4, 3, 6 call these three.
 def check_kl_decomposition() -> tuple[float, float]:
-    """The identity's residual on the check dataset's 100 random members,
-    within 1e-6, and on ``HARD_KL_CELLS`` within 1e-5*(1 + KL(q || posterior)),
-    each of those scaled to the 1e-6 gate."""
     model, data, grid = _check_dataset()
     rng = np.random.default_rng(62)
     members = probe_members(rng, data.n / data.sum_s, 100)
@@ -419,11 +421,15 @@ def check_kl_decomposition() -> tuple[float, float]:
         kl_decomposition_check(float(a), q, data, model, grid)
         for a, q in zip(actions, members)
     )
-    for cell in HARD_KL_CELLS:
-        a, q, data, model, grid = hard_kl_cell(*cell)
-        tolerance = 1e-5 * (1.0 + posterior_kl(q, data, model, grid))
-        residual = max(residual, kl_decomposition_check(a, q, data, model, grid) * 1e-6 / tolerance)
     return residual, 1e-6
+
+
+def check_hard_kl_cell(a: float, cell: dict) -> tuple[float, float]:
+    """The identity's residual at action ``a`` on one ``HARD_KL_CELLS`` cell,
+    and its tolerance 1e-5*(1 + KL(q || posterior))."""
+    model, data, grid, q = posterior_cell(**cell)
+    tolerance = 1e-5 * (1.0 + posterior_kl(q, data, model, grid))
+    return kl_decomposition_check(a, q, data, model, grid), tolerance
 
 
 def check_jensen_bound() -> tuple[float, float]:
@@ -551,6 +557,8 @@ def check_quantile() -> tuple[float, float]:
 def cmd_check(args) -> int:
     checks = [
         ("kl-decomposition", check_kl_decomposition),
+        *((f"kl-decomposition-n{c['n']}", partial(check_hard_kl_cell, a, c))
+          for a, c in HARD_KL_CELLS),
         ("jensen-bound", check_jensen_bound),
         ("elbo-gradient", check_elbo_gradient),
         ("calibrated-hessian", check_calibrated_hessian),

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import newsvb.vb as vb
@@ -27,7 +27,7 @@ from newsvb import (
     sample_demand,
     variational_variance,
 )
-from newsvb.cli import _check_dataset, probe_members
+from newsvb.cli import _check_dataset, posterior_cell, probe_members
 from newsvb.model import NewsvendorRisk, log_likelihood, log_prior
 from newsvb.numerics import NumericalError, ascend, gauss_hermite_standard
 from newsvb.vb import (
@@ -513,20 +513,17 @@ RANDOM_CELLS = dict(
 )
 
 
-def random_cell(n, seed, theta, h, b, alpha, beta, a, offset, sigma):
-    """A model, data drawn at rate ``theta``, its posterior grid and a member q
-    whose mu is ``offset`` from the log of the maximum-likelihood rate."""
-    model = NewsvendorModel(h=h, b=b, theta0=None, alpha=alpha, beta=beta)
-    data = sample_demand(theta, n, np.random.default_rng(seed))
-    q = LogNormalVariational(math.log(data.n / data.sum_s) + offset, sigma)
-    return model, data, build_posterior(data, model), q
+# n = 1 data whose saddle solve is cut at a_hi = 50 and held there, F_a < 0.
+END_CELL = dict(
+    n=1, seed=0, theta=0.125, h=2**-8, b=1.0, alpha=4.0, beta=0.5, offset=0.0, sigma=0.5
+)
 
 
 class TestIdentityProperties:
     @settings(deadline=None, max_examples=50, derandomize=True, database=None)
     @given(**RANDOM_CELLS)
     def test_jensen_bound_holds(self, a, **cell):
-        model, data, grid, q = random_cell(a=a, **cell)
+        model, data, grid, q = posterior_cell(**cell)
         value = calibrated_objective(a, q, data, model, grid).value
         assert value <= math.log(posterior_expected_risk(a, grid, model)) + 1e-8
 
@@ -535,15 +532,16 @@ class TestIdentityProperties:
     def test_kl_identity_holds(self, a, **cell):
         # Both sides carry sums the size of KL(q || posterior); the 128- and
         # 96-node quadratures of E_q[log G] agree to ~1e-6 at sigma = 1.
-        model, data, grid, q = random_cell(a=a, **cell)
+        model, data, grid, q = posterior_cell(**cell)
         residual = kl_decomposition_check(a, q, data, model, grid)
         assert residual <= 1e-5 * (1.0 + posterior_kl(q, data, model, grid))
 
 
     @settings(deadline=None, max_examples=50, derandomize=True, database=None)
     @given(**RANDOM_CELLS)
-    def test_lcvb_decide_ends_on_a_certified_local_minimum(self, a, offset, sigma, **cell):
-        model, data, _, _ = random_cell(a=a, offset=offset, sigma=sigma, **cell)
+    @example(**END_CELL, a=0.0)  # ends at a_hi
+    def test_lcvb_decide_ends_on_a_certified_local_minimum(self, a, **cell):
+        model, data, _, _ = posterior_cell(**cell)
         lines = []
         handler = logging.Handler(logging.DEBUG)
         handler.emit = lambda record: lines.append(record.getMessage())
@@ -556,15 +554,17 @@ class TestIdentityProperties:
         finally:
             logger.removeHandler(handler)
             logger.setLevel(level)
-        # A local minimum, or an end whose slope points out (no scan fallback).
         how = lines[-1].rsplit(", ", 1)[1]
-        assert how in ("local", "at a_lo", "at a_hi")
         action, fit = outcome.action, outcome.inner_fit
         slope, curvature = fit.envelope_slope, fit.envelope_curvature
-        assert how != "local" or curvature > 0  # an accepted end needs no V'' > 0
         lo, hi = model.action_interval
-        outward = slope >= 0 if action == lo else slope <= 0 if action == hi else False
-        assert outward or abs(slope) / curvature <= 1e-9 * (1.0 + action)
+        outward = slope > 0 if action == lo else slope < 0 if action == hi else False
+        if how == "local":
+            assert curvature > 0
+            assert outward or abs(slope) / curvature <= 1e-9 * (1.0 + action)
+        else:  # an end held by the saddle solve is certified by F_a pointing out
+            assert (how, action) in (("at a_lo", lo), ("at a_hi", hi))
+            assert outward
         # The inner maximum V is no lower a step away inside the interval.
         for b in (action - 1e-3, action + 1e-3):
             if lo <= b <= hi:
