@@ -329,8 +329,8 @@ def lcvb_decide(
                 end, held = (lo if a + step < lo else hi), True
                 a, x = end, (x[0] + tangent[0] * (end - a), x[1] + tangent[1] * (end - a))
         fit = FitDiagnostics(
-            steps, norm, True, value, envelope_slope=f_a, tangent=tangent,
-            envelope_curvature=curvature, evaluations=passes,
+            steps, norm, True, value, envelope_slope=f_a, envelope_curvature=curvature,
+            evaluations=passes,
         )
         return a, LogNormalVariational(x[0], math.exp(x[1])), fit, how
 

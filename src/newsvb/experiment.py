@@ -33,7 +33,7 @@ from .decisions import (
 )
 from .model import NewsvendorModel, sample_demand
 from .numerics import NumericalError
-from .oracle import MAX_POSTERIOR_NODES, MIN_POSTERIOR_NODES, bayes_decision, build_posterior
+from .oracle import bayes_decision, build_posterior
 from .vb import fit_nvb
 
 __all__ = [
@@ -71,7 +71,6 @@ class ExperimentConfig:
     master_seed: int
     rules: tuple[Rule, ...]
     action_interval: tuple[float, float] = (0.0, 50.0)
-    posterior_nodes: int = 256
 
     def __post_init__(self):
         if not self.h_values or not all(0 < h < math.inf for h in self.h_values):
@@ -92,10 +91,6 @@ class ExperimentConfig:
             raise ValueError("rules must be distinct")
         if len(self.action_interval) != 2:
             raise ValueError("action_interval must hold exactly [a_lo, a_hi]")
-        if not MIN_POSTERIOR_NODES <= self.posterior_nodes <= MAX_POSTERIOR_NODES:
-            raise ValueError(
-                f"posterior_nodes must lie in [{MIN_POSTERIOR_NODES}, {MAX_POSTERIOR_NODES}]"
-            )
         # Validate the model once per holding cost; raises on a bad interval.
         for h in self.h_values:
             self.model_for(h)
@@ -259,7 +254,7 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
         grid, nvb_outcomes = None, [None] * len(models)
         if Rule.BAYES in config.rules:
             try:
-                grid = build_posterior(data, models[0], config.posterior_nodes)
+                grid = build_posterior(data, models[0])
             except NumericalError:
                 grid = "posterior grid"
         if Rule.NVB in config.rules or Rule.LCVB in config.rules:

@@ -1,19 +1,17 @@
 """Quadrature-grade reference computations for the rate posterior.
 
-The posterior pi(theta | X) over the exponential rate concentrates around
-the maximum-likelihood estimate at rate sqrt(n), so a fixed integration
-domain wastes nodes as n grows. Instead, Gauss-Legendre nodes are placed
-on an MLE-centered window that widens automatically until the posterior
-density at both edges is negligible relative to its peak. The resulting
-grid yields the evidence, posterior moments, posterior expected risk, the
-exact Bayes decision, and the risk-tilted (calibrated) posterior density -
-the ground truth the variational machinery is validated against.
+Gauss-Legendre nodes in log(theta) around the posterior's closed-form mode
+(``build_posterior``) give the evidence, posterior moments, posterior
+expected risk, the exact Bayes decision, and the risk-tilted (calibrated)
+posterior density - the ground truth the variational machinery is
+validated against.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,12 +40,12 @@ __all__ = [
     "calibrated_posterior_density",
 ]
 
-BOUNDARY_DENSITY_RATIO = 1e-12
+POSTERIOR_NODES = 256
+WINDOW_STANDARD_DEVIATIONS = 12.0
+LOG_BOUNDARY_RATIO = math.log(1e-12)  # edge density against the peak
 MAX_WINDOW_EXPANSIONS = 20
-MIN_POSTERIOR_NODES = 32
-# The node table takes O(n^2) recurrence steps (~0.25 s at 4,096 nodes), and
-# the Bayes scan's blocks hold 128 x n floats.
-MAX_POSTERIOR_NODES = 4096
+# Window edges in u = log(theta) whose e^u is a finite normal float.
+LOG_THETA_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 BAYES_SCAN_POINTS = 512
 # H(root) may exceed the scan's minimum by this fraction of it, the rounding
 # of a sum whose terms h*a and h/theta cancel (~25 eps at worst measured).
@@ -58,13 +56,14 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True, eq=False)
 class PosteriorGrid:
-    """Normalized posterior on Gauss-Legendre nodes over a finite window.
+    """Normalized posterior on Gauss-Legendre nodes u_i in log(theta).
 
-    ``log_weights[i]`` is log(quadrature weight x unnormalized posterior
-    density) at node i, and ``log_evidence`` their log-sum-exp, so
-    ``exp(log_weights - log_evidence)`` are probabilities summing to one.
-    The grid keeps a handle on the data it was built from, which lets the
-    posterior density be evaluated off-grid.
+    ``nodes`` are the rates theta_i = e^u_i and ``window`` the rates at the
+    window's edges. ``log_weights[i]`` is log(weight in u x theta_i x
+    unnormalized posterior density at theta_i), and ``log_evidence`` their
+    log-sum-exp, so ``exp(log_weights - log_evidence)`` are probabilities
+    summing to one. The grid keeps a handle on the data it was built from,
+    which lets the posterior density be evaluated off-grid.
     """
 
     nodes: np.ndarray
@@ -98,32 +97,37 @@ def mle(data: Observations) -> float:
     return data.n / data.sum_s
 
 
-def build_posterior(
-    data: Observations, model: NewsvendorModel, node_count: int = 256
-) -> PosteriorGrid:
-    """Quadrature posterior on an adaptive MLE-centered window.
+def build_posterior(data: Observations, model: NewsvendorModel) -> PosteriorGrid:
+    """Quadrature posterior on ``POSTERIOR_NODES`` nodes in u = log(theta).
 
-    The initial window is theta_hat * [max(1 - 12/sqrt(n), 1e-3),
-    1 + 12/sqrt(n)] + 10/n on the right, then each edge is pushed outward
-    (left halved, right extended by the current width) until the density
-    there falls below 1e-12 of the peak. More than 20 expansions on either
-    side aborts with a numerical error.
+    There the posterior GIG(p = n - alpha, 2S, 2beta) has the strictly
+    concave log density p*u - S*e^u - beta*e^-u, whose mode e^u* = t is the
+    positive root of S*t^2 - p*t - beta. The window starts 12 Laplace
+    standard deviations, 12/sqrt(S*t + beta/t), either side of u*; an edge
+    where the density is not below 1e-12 of the peak moves out by the
+    window's width. More than 20 expansions, or an e^u outside the normal
+    floats, is a numerical error.
     """
-    if not MIN_POSTERIOR_NODES <= node_count <= MAX_POSTERIOR_NODES:
-        bounds = f"[{MIN_POSTERIOR_NODES}, {MAX_POSTERIOR_NODES}]"
-        raise ValueError(f"node_count (posterior_nodes) must lie in {bounds}")
-    theta_hat = mle(data)
-    spread = 12.0 / math.sqrt(data.n)
-    lo = theta_hat * max(1.0 - spread, 1e-3)
-    hi = theta_hat * (1.0 + spread) + 10.0 / data.n
+    s, p, beta = data.sum_s, data.n - model.alpha, model.beta
+    if s <= 0:
+        raise ValueError("degenerate data: all observed demands are zero")
+    root = math.sqrt(p * p + 4.0 * s * beta)
+    # The root of S*t^2 - p*t - beta in the form free of cancellation.
+    mode = (p + root) / (2.0 * s) if p >= 0 else 2.0 * beta / (root - p)
+    if not sys.float_info.min <= mode <= sys.float_info.max:
+        raise NumericalError(f"posterior mode {mode:.3g} leaves the normal float range")
 
-    def log_density(theta):
-        return log_posterior_unnormalized(theta, data, model)
+    def log_density(u):
+        return p * u - s * math.exp(u) - beta * math.exp(-u)
 
-    peak = log_density(theta_hat)
+    center = math.log(mode)
+    peak = log_density(center)
+    half = WINDOW_STANDARD_DEVIATIONS / math.sqrt(s * mode + beta / mode)
+    lo, hi = center - half, center + half
     for expansion in range(MAX_WINDOW_EXPANSIONS + 1):
-        lo_ok = log_density(lo) - peak < math.log(BOUNDARY_DENSITY_RATIO)
-        hi_ok = log_density(hi) - peak < math.log(BOUNDARY_DENSITY_RATIO)
+        if not (LOG_THETA_RANGE[0] <= lo and hi <= LOG_THETA_RANGE[1]):
+            raise NumericalError(f"posterior window e^[{lo:.6g}, {hi:.6g}] leaves the float range")
+        lo_ok, hi_ok = (log_density(edge) - peak < LOG_BOUNDARY_RATIO for edge in (lo, hi))
         if lo_ok and hi_ok:
             break
         if expansion == MAX_WINDOW_EXPANSIONS:
@@ -131,15 +135,14 @@ def build_posterior(
                 "posterior window failed to localize the density after "
                 f"{MAX_WINDOW_EXPANSIONS} expansions"
             )
-        if not lo_ok:
-            lo = lo / 2.0
-        if not hi_ok:
-            hi = hi + (hi - lo)
+        width = hi - lo
+        lo, hi = (lo if lo_ok else lo - width), (hi if hi_ok else hi + width)
 
-    x, w = gauss_legendre(node_count)
+    x, w = gauss_legendre(POSTERIOR_NODES)
     half = 0.5 * (hi - lo)
-    nodes = 0.5 * (hi + lo) + half * x
-    log_weights = np.log(w * half) + log_density(nodes)
+    u = 0.5 * (hi + lo) + half * x
+    nodes = np.exp(u)
+    log_weights = np.log(w * half) + u + log_posterior_unnormalized(nodes, data, model)
     # Log-sum-exp about the largest term, which becomes the 1 inside log1p.
     k = int(np.argmax(log_weights))
     shifted = log_weights - log_weights[k]
@@ -151,7 +154,7 @@ def build_posterior(
         nodes=nodes,
         log_weights=log_weights,
         log_evidence=log_evidence,
-        window=(lo, hi),
+        window=(math.exp(lo), math.exp(hi)),
         data=data,
     )
 

@@ -141,10 +141,9 @@ class FitDiagnostics:
     and the objective evaluations it made.
 
     ``decisions.lcvb_decide`` reports its joint Newton solve in the same
-    fields, with the envelope slope F_a (dV/da at an inner maximum), the
-    tangent (dmu/da, drho/da) = -F_qq^{-1} F_qa of the maximizer and the
-    envelope curvature d^2V/da^2 = F_aa + F_aq . tangent (the implicit
-    function theorem) at its member; a fit leaves these three None.
+    fields, with the envelope slope F_a = dV/da and curvature
+    V'' = F_aa + F_aq . s (s = -F_qq^{-1} F_qa) at its member; a fit leaves
+    both None.
     """
 
     iterations: int
@@ -155,7 +154,6 @@ class FitDiagnostics:
     # tracer (perfbench/tracing.py) reads it.
     restarts_used: int = 0
     envelope_slope: float | None = None
-    tangent: tuple[float, float] | None = None
     envelope_curvature: float | None = None
     evaluations: int = 0
 
@@ -258,9 +256,13 @@ def _fit(objective, x0, kind: str):
     line: at debug level, or as a warning when it missed the tolerance."""
     result = ascend(objective, x0, TOLERANCE, MAX_ITERATIONS)
     q = LogNormalVariational(mu=result.x[0], sigma=math.exp(result.x[1]))
+    # The value at the returned member: log(exp(rho)) can miss rho by an ulp.
+    x = (q.mu, math.log(q.sigma))
+    missed = x != result.x
     diagnostics = FitDiagnostics(
-        result.iterations, result.gradient_norm, result.converged, result.value,
-        evaluations=result.evaluations,
+        result.iterations, result.gradient_norm, result.converged,
+        objective(x)[0] if missed else result.value,
+        evaluations=result.evaluations + int(missed),
     )
     logger.log(
         logging.DEBUG if result.converged else logging.WARNING,

@@ -52,9 +52,9 @@ class TestFit:
         assert abs(value - (-kl_term + log_risk_term)) <= 1e-9
 
     def test_unresolved_posterior_is_a_numerical_failure(self, capsys):
-        code, _, err = run_cli(capsys, "fit", "--values", "1e12,2e12")
+        code, _, err = run_cli(capsys, "fit", "--values", "1e-300")
         assert code == 3
-        assert "does not match or does not resolve this dataset" in err
+        assert "posterior window e^[" in err and "leaves the float range" in err
 
     def test_overflowing_demand_sum_is_a_config_error(self, capsys):
         with warnings.catch_warnings():
@@ -306,7 +306,7 @@ class TestExperimentCommand:
             ("replications", "3"),
             ("replications", True),
             ("master_seed", 1.5),
-            ("posterior_nodes", "256"),
+            ("rules", ["NVB", "NVB"]),
             ("quantile_level", "0.5"),
             ("h_values", [math.inf]),
             ("b", math.inf),
@@ -316,7 +316,6 @@ class TestExperimentCommand:
             ("action_interval", [0.0, math.inf]),
             ("posterior_nodes", 16),
             ("h_values", [0.005, 0.005]),
-            ("posterior_nodes", 10_000_000),
         ],
     )
     def test_bad_config_value_exits_2_naming_the_key(
@@ -480,6 +479,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "fit", "--n", "10", "--theta0", "0.68")
         assert code == 3
         assert "numerical failure" in err
+
+    # A subnormal demand sum: the posterior's mode and the plain fit's start
+    # both leave the float range, so every command fails the same way.
+    @pytest.mark.parametrize(
+        "argv",
+        [["fit"], ["decide", "--rule", "nvb"], ["decide", "--rule", "lcvb"],
+         ["decide", "--rule", "bayes"]],
+        ids=["fit", "nvb", "lcvb", "bayes"],
+    )
+    def test_a_subnormal_sum_is_a_numerical_failure_under_every_rule(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--values", "0,1e-320")
+        assert code == 3
+        assert "numerical failure" in err and out == ""
 
     # Sizes that malloc refuses at once; never a size that could be allocated.
     @pytest.mark.parametrize(

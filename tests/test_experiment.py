@@ -74,7 +74,7 @@ class TestConfig:
 
     def test_dict_keys_are_the_fields(self):
         # Every field, defaulted ones included, so --paper-defaults drops none.
-        config = tiny_config(action_interval=(1.0, 40.0), posterior_nodes=512)
+        config = tiny_config(action_interval=(1.0, 40.0))
         raw = config.to_dict()
         assert list(raw) == [f.name for f in fields(ExperimentConfig)]
         assert json.loads(json.dumps(raw)) == raw
