@@ -390,14 +390,16 @@ def probe_members(rng, theta_hat: float, count: int):
 
 # Cells whose divergence-identity residual outgrows an absolute 1e-6, each
 # checked on its own line within 1e-5*(1 + KL(q || posterior)): a large KL
-# at n = 755 (~1,700), and a wide member at a large action and small h at
-# n = 1, where the 128- and 96-node sums of E_q[log G] differ. Each entry is
-# an action and the ``posterior_cell`` it is checked on.
+# at n = 755 (~1,700), and wide members at a large action and small h at
+# n = 1, where E_q[log G] needs the check's 256- and 192-node sums (b = 0.9
+# failed at 128 and 96). Each entry is an action and its ``posterior_cell``.
 HARD_KL_CELLS = (
     (23.1, dict(n=755, seed=3, theta=0.2, h=0.001, b=0.3, alpha=4.7, beta=8.0,
                 offset=0.95, sigma=1.0)),
     (32.1, dict(n=1, seed=6, theta=1.0, h=0.001, b=0.3, alpha=1.0, beta=1.0,
                 offset=-0.5, sigma=1.0)),
+    (32.1, dict(n=1, seed=11, theta=1.0, h=0.001, b=0.9, alpha=1.0, beta=1.0,
+                offset=0.0, sigma=1.0)),
 )
 
 
@@ -557,7 +559,7 @@ def check_quantile() -> tuple[float, float]:
 def cmd_check(args) -> int:
     checks = [
         ("kl-decomposition", check_kl_decomposition),
-        *((f"kl-decomposition-n{c['n']}", partial(check_hard_kl_cell, a, c))
+        *((f"kl-decomposition-n{c['n']}-b{c['b']:g}", partial(check_hard_kl_cell, a, c))
           for a, c in HARD_KL_CELLS),
         ("jensen-bound", check_jensen_bound),
         ("elbo-gradient", check_elbo_gradient),

@@ -45,6 +45,7 @@ from .vb import (
     FitSettings,
     LogNormalVariational,
     _lcvb_objective,
+    _member,
     calibrated_objective,  # noqa: F401 - unused here; perfbench/tracing.py wraps this name
     fit_lcvb,
     fit_nvb,
@@ -220,11 +221,7 @@ def nvb_decide(
     # workloads (perfbench/workloads.py) pass it.
     settings: FitSettings | None = None,
 ) -> DecisionOutcome:
-    """Two-stage rule: fit q once, then minimize the predicted expected cost.
-
-    A fit that misses the gradient tolerance is reported in the outcome's
-    diagnostics rather than raised; the best iterate still decides.
-    """
+    """Two-stage rule: fit q once, then minimize the predicted expected cost."""
     q, diagnostics = fit_nvb(data, model)
     return decide_with_variational(q, model, diagnostics)
 
@@ -280,8 +277,8 @@ def lcvb_decide(
     non-finite objective or slope, F_qq not negative definite (V'' is None
     then), V'' <= 0 off a held end or 50 steps fall back to ``_lcvb_scan``.
     ``probe_count`` counts all steps and the scan's fits; ``inner_fit`` and
-    ``q`` describe the last evaluation, and ``objective_value`` is its
-    ELBO + E_q[log G] (= F + log p(X), which needs no evidence).
+    ``q`` describe the last evaluation, and ``objective_value`` is
+    ELBO + E_q[log G] (= F + log p(X), which needs no evidence) at ``q``.
     ``risk=None`` uses the model's newsvendor risk.
     """
     risk = resolve_risk(risk, model)
@@ -328,11 +325,11 @@ def lcvb_decide(
             else:  # cut at the end crossed, q moving along the tangent
                 end, held = (lo if a + step < lo else hi), True
                 a, x = end, (x[0] + tangent[0] * (end - a), x[1] + tangent[1] * (end - a))
-        fit = FitDiagnostics(
-            steps, norm, True, value, envelope_slope=f_a, envelope_curvature=curvature,
-            evaluations=passes,
-        )
-        return a, LogNormalVariational(x[0], math.exp(x[1])), fit, how
+        q, value, missed = _member(objective, x, value)  # F at the returned member
+        passes += missed
+        fit = FitDiagnostics(steps, norm, True, value, envelope_slope=f_a,
+                             envelope_curvature=curvature, evaluations=passes)
+        return a, q, fit, how
 
     try:
         action, q, diagnostics, how = saddle()

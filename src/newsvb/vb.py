@@ -22,9 +22,10 @@ expectation E_q[log G] is computed with deterministic Gauss-Hermite nodes
 (theta = exp(mu + sigma*z), z ~ N(0,1)), which keeps the decision
 loops reproducible.
 
-Each fit is one damped Newton ascent (``numerics.ascend``) over
-(mu, rho = log sigma) from its start. With A = S*exp(mu + v/2),
-B = beta*exp(-mu + v/2) and v = sigma^2, the bound's Hessian is
+The plain fit is one scalar root (``fit_nvb``); the calibrated fit is one
+damped Newton ascent (``numerics.ascend``) over (mu, rho = log sigma) from
+its start. With A = S*exp(mu + v/2), B = beta*exp(-mu + v/2) and
+v = sigma^2, the bound's Hessian is
 
     H_mumu = -(A + B),  H_murho = v*(B - A),  H_rhorho = -v*(A + B)*(2 + v),
 
@@ -33,9 +34,7 @@ The calibrated fit adds the Gauss-Hermite Hessian of E_q[log G], which
 needs the risk's second derivative in log theta (``Risk.theta_terms``);
 where that sum is not negative definite, the step uses the bound's Hessian
 alone. Newton steps take the likelihood curvature in mu, which grows like
-n, in their stride. One ascent suffices for the plain fit: the ELBO is
-strictly concave in (mu, sigma^2) (a sum of negated exponentials of linear
-forms, linear terms and 0.5*log(sigma^2)), so its maximizer is unique.
+n, in their stride.
 
 The risk G enters through a ``Risk`` object (``model.Risk``); passing
 ``risk=None`` selects the model's own newsvendor risk.
@@ -89,7 +88,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _RISK_FLOOR = 1e-300
 
 TOLERANCE = 1e-8  # gradient norm at which an ascent, and LCVB's saddle solve, stops
-MAX_ITERATIONS = 10_000  # an ascent's step cap
+MAX_ITERATIONS = 10_000  # the step cap of an ascent and of the plain fit's root
 NODE_COUNT = 64  # Gauss-Hermite nodes of every E_q[.] the fits and decisions take
 
 
@@ -136,9 +135,9 @@ def variational_variance(q: LogNormalVariational) -> float:
 
 @dataclass(frozen=True)
 class FitDiagnostics:
-    """How one ascent ended, with the value it reached: the ELBO for
-    ``fit_nvb``, ELBO + E_q[log G] (F plus the log evidence) for ``fit_lcvb``,
-    and the objective evaluations it made.
+    """How one fit ended, with the value at its member (the ELBO for
+    ``fit_nvb``, whose root always converges; ELBO + E_q[log G], F plus the
+    log evidence, for ``fit_lcvb``) and the objective evaluations it made.
 
     ``decisions.lcvb_decide`` reports its joint Newton solve in the same
     fields, with the envelope slope F_a = dV/da and curvature
@@ -150,7 +149,7 @@ class FitDiagnostics:
     final_gradient_norm: float
     converged: bool
     objective: float
-    # Always 0: every fit is a single ascent. Kept because the benchmark's
+    # Always 0: every fit is a single solve. Kept because the benchmark's
     # tracer (perfbench/tracing.py) reads it.
     restarts_used: int = 0
     envelope_slope: float | None = None
@@ -241,55 +240,50 @@ def posterior_kl(
     return max(kl, 0.0)
 
 
-def _nvb_objective(data: Observations, model: NewsvendorModel):
-    """The bound as an ``ascend`` objective of x = (mu, rho)."""
-
-    def objective(x):
-        value, gradient, hessian = _elbo_terms(*x, data.n, data.sum_s, model.alpha, model.beta)
-        return value, gradient, hessian, hessian
-
-    return objective
-
-
-def _fit(objective, x0, kind: str):
-    """One Newton ascent from ``x0``, as (member, diagnostics), logged in one
-    line: at debug level, or as a warning when it missed the tolerance."""
-    result = ascend(objective, x0, TOLERANCE, MAX_ITERATIONS)
-    q = LogNormalVariational(mu=result.x[0], sigma=math.exp(result.x[1]))
-    # The value at the returned member: log(exp(rho)) can miss rho by an ulp.
-    x = (q.mu, math.log(q.sigma))
-    missed = x != result.x
-    diagnostics = FitDiagnostics(
-        result.iterations, result.gradient_norm, result.converged,
-        objective(x)[0] if missed else result.value,
-        evaluations=result.evaluations + int(missed),
-    )
-    logger.log(
-        logging.DEBUG if result.converged else logging.WARNING,
-        "%s: %d iterations, gradient norm %.3e, %d fallback steps%s",
-        kind,
-        result.iterations,
-        result.gradient_norm,
-        result.fallback_steps,
-        "" if result.converged else ", not converged",
-    )
-    return q, diagnostics
+def _member(objective, x, value: float):
+    """Member at x = (mu, rho), its value (re-evaluated where log(exp(rho)) != rho) and if it was."""
+    q = LogNormalVariational(x[0], math.exp(x[1]))
+    at = (q.mu, math.log(q.sigma))
+    return q, (value if at == x else objective(at)[0]), at != x
 
 
 def fit_nvb(
     data: Observations, model: NewsvendorModel
 ) -> tuple[LogNormalVariational, FitDiagnostics]:
-    """Fit the plain variational posterior by maximizing the bound.
+    """The plain variational posterior: the (strictly concave) bound's maximizer.
 
-    One ascent from mu = log of the maximum-likelihood rate and
-    sigma = 1/sqrt(n); the bound is strictly concave in (mu, sigma^2), so
-    its maximizer is unique. A run that fails the gradient tolerance is
-    still returned, flagged in the diagnostics and logged as a warning.
+    With p = n - alpha, A = S*E_q[theta], B = beta*E_q[1/theta] and
+    w = 1/sigma^2 its gradient vanishes where A - B = p, A + B = w and
+    A*B = S*beta*exp(1/w): x = min(A, B) is the root of the increasing,
+    concave phi(x) = log x + log(x + |p|) - 1/(2x + |p|) - log(S*beta).
+    Newton from the root x0 of x*(x + |p|) = S*beta (phi < 0 there) rises
+    to it monotonically, stopping before the first rise of at most 4 ulps.
+    ``NumericalError`` where S*beta leaves the normal floats or the bound
+    at the member is not finite.
     """
     if data.sum_s <= 0:
         raise ValueError("degenerate data: all observed demands are zero")
-    x0 = (math.log(data.n / data.sum_s), -0.5 * math.log(data.n))
-    return _fit(_nvb_objective(data, model), x0, "plain fit")
+    total, beta, p = data.sum_s, model.beta, data.n - model.alpha
+    gap, product = abs(p), total * beta
+    if not np.finfo(float).tiny <= product < math.inf:
+        raise NumericalError(f"S*beta = {product:.3g} leaves the normal floats")
+    log_product = math.log(total) + math.log(beta)
+    x = product / (0.5 * gap + math.sqrt(0.25 * gap * gap + product))
+    for steps in range(MAX_ITERATIONS):
+        w = 2.0 * x + gap
+        phi = math.log(x) + math.log(x + gap) - 1.0 / w - log_product
+        rise = -phi / (1.0 / x + 1.0 / (x + gap) + 2.0 / (w * w))
+        if rise <= 4.0 * math.ulp(x):
+            break
+        x += rise
+    ratio = (x + gap if p >= 0 else x) / total  # A/S = exp(mu + 1/(2w))
+    mu, sigma = (math.log(ratio) if ratio > 0.0 else -math.inf) - 0.5 / w, w**-0.5
+    value, gradient, _ = _elbo_terms(mu, math.log(sigma), data.n, total, model.alpha, beta)
+    if not math.isfinite(value):
+        raise NumericalError(f"the bound is {value} at its stationary point")
+    norm = math.hypot(*gradient)
+    logger.debug("plain fit: %d Newton steps, gradient norm %.3e", steps, norm)
+    return LogNormalVariational(mu, sigma), FitDiagnostics(steps, norm, True, value, evaluations=1)
 
 
 @lru_cache(maxsize=None)
@@ -411,16 +405,23 @@ def fit_lcvb(
 
     The -log p(X) part of F is constant in q, so the ascent maximizes
     ELBO + E_q[log G], needs no evidence, and reports that maximum as the
-    diagnostics' ``objective``. One ascent, stopped as in ``fit_nvb``,
-    from ``initial`` (e.g. the neighbouring solution in an outer action
-    loop) or else from the plain variational fit. The E_q[log G] term need
-    not be concave, so the result is the maximum reached from that start.
+    diagnostics' ``objective`` at the returned member. One ascent to the
+    gradient norm ``TOLERANCE`` from ``initial`` (e.g. the neighbouring
+    solution in an outer action loop) or else the plain fit; a run short of
+    it is returned, flagged and logged as a warning. E_q[log G] need not be
+    concave, so the result is the maximum reached from that start.
     """
     validate_action(a, model)
-    risk = resolve_risk(risk, model)
+    objective = _lcvb_objective(a, data, model, resolve_risk(risk, model))
     q0 = fit_nvb(data, model)[0] if initial is None else initial
-    x0 = (q0.mu, math.log(q0.sigma))
-    return _fit(_lcvb_objective(a, data, model, risk), x0, f"calibrated fit at a={a:.9g}")
+    result = ascend(objective, (q0.mu, math.log(q0.sigma)), TOLERANCE, MAX_ITERATIONS)
+    q, value, missed = _member(objective, result.x, result.value)
+    logger.log(logging.DEBUG if result.converged else logging.WARNING,
+               "calibrated fit at a=%.9g: %d iterations, gradient norm %.3e, %d fallback steps%s",
+               a, result.iterations, result.gradient_norm, result.fallback_steps,
+               "" if result.converged else ", not converged")
+    return q, FitDiagnostics(result.iterations, result.gradient_norm, result.converged, value,
+                             evaluations=result.evaluations + missed)
 
 
 def kl_decomposition_check(
@@ -430,8 +431,8 @@ def kl_decomposition_check(
     model: NewsvendorModel,
     grid: "PosteriorGrid",
     risk: Risk | None = None,
-    node_count: int = 128,
-    reference_node_count: int = 96,
+    node_count: int = 256,
+    reference_node_count: int = 192,
 ) -> float:
     """Residual of the divergence identity against the risk-tilted posterior.
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from newsvb import (
@@ -147,6 +147,10 @@ def assert_first_order(outcome, theta, weights, model):
 
 
 PROPERTY_SETTINGS = settings(deadline=None, max_examples=50, derandomize=True, database=None)
+# Two rates with equal weights on [1, 3] at b = 0.1: the root sits at a_hi for
+# h = 0.005 and at a_lo for h = 0.2 (``TestDecideAcrossH``'s measure).
+END_MEASURE = (np.array([0.5, 1.0]), np.array([0.5, 0.5]))
+AT_A_HI = dict(measure=END_MEASURE, h=0.005, b=0.1, lo=1.0, width=2.0)
 COSTS = dict(
     h=st.floats(1e-3, 0.5),
     b=st.floats(0.01, 1.0),
@@ -158,6 +162,7 @@ COSTS = dict(
 class TestExpectedRisk:
     @PROPERTY_SETTINGS
     @given(measure=measures(), **COSTS)
+    @example(**AT_A_HI)
     def test_matches_the_node_by_node_sum_at_the_scan_actions(self, measure, h, b, lo, width):
         # sum_i w_i * G(a, theta_i) with G = h*a - h/theta + (b+h)*exp(-a*theta)/theta,
         # each term rounded once and the terms summed exactly: expected_risk
@@ -193,6 +198,8 @@ class TestDecideOnMeasure:
 
     @PROPERTY_SETTINGS
     @given(measure=measures(), **COSTS)
+    @example(**AT_A_HI)
+    @example(**{**AT_A_HI, "h": 0.2})  # at a_lo
     def test_root_solves_the_first_order_condition(self, measure, h, b, lo, width):
         theta, weights = measure
         model = measure_model(h, b, lo, width)
@@ -200,6 +207,8 @@ class TestDecideOnMeasure:
 
     @PROPERTY_SETTINGS
     @given(measure=measures(), **COSTS)
+    @example(**AT_A_HI)
+    @example(**{**AT_A_HI, "h": 0.2})  # at a_lo
     def test_root_agrees_with_the_scan(self, measure, h, b, lo, width):
         theta, weights = measure
         model = measure_model(h, b, lo, width)
@@ -211,6 +220,7 @@ class TestDecideOnMeasure:
 
     @PROPERTY_SETTINGS
     @given(measure=measures(), raise_by=st.floats(0.0, 0.5), **COSTS)
+    @example(**AT_A_HI, raise_by=0.195)  # from a_hi to a_lo
     def test_action_is_non_increasing_in_h(self, measure, raise_by, h, b, lo, width):
         theta, weights = measure
         low = decide_one(theta, weights, measure_model(h, b, lo, width))
@@ -291,9 +301,8 @@ class TestDecideOnMeasure:
 
 
 class TestDecideAcrossH:
-    # Two rates with equal weights on [1, 3] at b = 0.1: h = 0.2 sits at a_lo,
-    # 0.005 at a_hi, and 0.09, 0.03 and 0.016 between them.
-    THETA, WEIGHTS = np.array([0.5, 1.0]), np.array([0.5, 0.5])
+    # On [1, 3] at b = 0.1, h = 0.09, 0.03 and 0.016 sit between the ends.
+    THETA, WEIGHTS = END_MEASURE
 
     @staticmethod
     def models(hs, b=0.1, interval=(1.0, 3.0)):
@@ -307,6 +316,7 @@ class TestDecideAcrossH:
         lo=COSTS["lo"],
         width=COSTS["width"],
     )
+    @example(measure=END_MEASURE, hs=[0.2, 0.03, 0.005], b=0.1, lo=1.0, width=2.0)  # both ends
     def test_every_row_is_its_own_decide(self, measure, hs, b, lo, width):
         theta, weights = measure
         models = [measure_model(h, b, lo, width) for h in hs]
@@ -526,6 +536,18 @@ class TestLcvbDecide:
             assert lcvb_decide(data_n50, base_model, grid) == alone
         assert alone.objective_value == alone.inner_fit.objective
 
+    # n = 1 draws at rate 0.68 under IG(1, 4.1) and b = 0.1 where F at the
+    # saddle solve's (mu, rho) and at (q.mu, log q.sigma) differ in the last
+    # bit: seed 10, and seed 43 from a damped-ascent NVB start.
+    @pytest.mark.parametrize("seed, h", [(43, 0.009), (10, 0.02)])
+    def test_objective_value_is_f_at_the_returned_member(self, seed, h):
+        model = NewsvendorModel(h=h, b=0.1, theta0=None, alpha=1.0, beta=4.1)
+        data = sample_demand(0.68, 1, np.random.default_rng(seed))
+        outcome = lcvb_decide(data, model)
+        kernel = _lcvb_objective(outcome.action, data, model, NewsvendorRisk(h, 0.1))
+        q = outcome.q
+        assert outcome.objective_value == kernel((q.mu, math.log(q.sigma)))[0]
+
     @pytest.mark.parametrize("a", [1.0, 4.0, 10.0, 30.0])
     def test_envelope_slope_is_the_derivative_of_the_inner_maximum(
         self, a, data_n50, base_model
@@ -628,6 +650,8 @@ class TestLcvbDecide:
         beta=st.floats(0.5, 10.0),
         factors=st.lists(st.floats(0.1, 3.0), min_size=2, max_size=2, unique=True),
     )
+    # The tests' n = 50 dataset on the interval of (2, 3) roots: a_lo, with V'' < 0.
+    @example(n=50, seed=20, theta=0.68, h=0.005, b=0.1, alpha=1.0, beta=4.1, factors=[2.0, 3.0])
     def test_random_intervals_around_the_root_end_without_the_scan(
         self, n, seed, theta, h, b, alpha, beta, factors, caplog
     ):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import newsvb.decisions as decisions
@@ -473,6 +473,10 @@ def curve_sets(draw):
 class TestPersistence:
     @settings(deadline=None, max_examples=50, derandomize=True, database=None)
     @given(curves=curve_sets())
+    # Every field at an end of its range, and a missing quantile.
+    @example(
+        curves=[QuantileCurve(Rule.BAYES, 10.0, 0.99, (CurvePoint(10**9, None, 1e6, 0, 10**6),))]
+    )
     def test_curves_round_trip_through_the_csv(self, curves):
         with tempfile.TemporaryDirectory() as directory:
             csv_path, _ = write_results(curves, Path(directory) / "run", tiny_config())

@@ -6,7 +6,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -266,6 +266,8 @@ class TestBayesDecision:
         lo=st.floats(0.0, 5.0),
         width=st.floats(0.5, 50.0),
     )
+    # The root at a_hi for h = 0.005 and at a_lo for h = 0.305.
+    @example(n=5, mean_demand=2.0, beta=1.0, h=0.005, raise_by=0.3, b=0.1, lo=0.5, width=1.0)
     def test_root_is_certified_and_non_increasing_in_h(
         self, n, mean_demand, beta, h, raise_by, b, lo, width
     ):

@@ -35,9 +35,9 @@ from newsvb.vb import (
     NODE_COUNT,
     TOLERANCE,
     FitSettings,
+    _elbo_terms,
     _lcvb_objective,
     _log_risk_term,
-    _nvb_objective,
     posterior_kl,
 )
 
@@ -149,6 +149,16 @@ class TestElbo:
             assert float(np.linalg.norm(analytic - numeric)) <= 1e-5 * scale
 
 
+def bound_objective(data, model):
+    """The bound as an ``ascend`` objective of x = (mu, rho), its own fallback."""
+
+    def objective(x):
+        value, gradient, hessian = _elbo_terms(*x, data.n, data.sum_s, model.alpha, model.beta)
+        return value, gradient, hessian, hessian
+
+    return objective
+
+
 def hessian_by_differences(objective, x, step=1e-6):
     """Central differences of ``objective``'s analytic gradient, column by column."""
     columns = []
@@ -176,7 +186,7 @@ class TestHessians:
         return hessian, fallback
 
     def test_elbo_hessian_matches_differences_of_its_gradient(self):
-        objective = _nvb_objective(self.data, self.model)
+        objective = bound_objective(self.data, self.model)
         for q in self.members:
             hessian, fallback = self.assert_matches_differences(objective, q)
             assert np.array_equal(hessian, fallback)
@@ -184,7 +194,7 @@ class TestHessians:
     def test_calibrated_hessian_matches_differences_of_its_gradient(self):
         builtin = NewsvendorRisk(self.model.h, self.model.b)
         actions = np.random.default_rng(65).uniform(0.0, 50.0, size=len(self.members))
-        elbo_only = _nvb_objective(self.data, self.model)
+        elbo_only = bound_objective(self.data, self.model)
         for a, q in zip(actions, self.members):
             objective = _lcvb_objective(float(a), self.data, self.model, builtin)
             _, fallback = self.assert_matches_differences(objective, q)
@@ -206,7 +216,75 @@ class TestFitSettings:
             FitSettings(1e-8)
 
 
+@st.composite
+def plain_fit_cells(draw):
+    """(n, S, alpha, beta): n up to 50,000, and the mean demand, alpha and beta
+    log-uniform over eight, three and six decades."""
+    n = draw(st.integers(1, 50_000))
+    mean, alpha, beta = (10.0 ** draw(st.floats(lo, hi)) for lo, hi in ((-4, 4), (-1, 2), (-3, 3)))
+    return n, n * mean, alpha, beta
+
+
+# Inputs on which the damped ascent from (log(n/S), -log(n)/2) stalls short
+# of the gradient tolerance: 1,250 demands of 0.36576845185177836, and
+# n = 50,000 with S = 18461.28441697861.
+STALL_CELLS = (
+    (1250, 457.21056481472294, 7.551009874824191, 7.339745453129197),
+    (50_000, 18461.28441697861, 4.020536218762695, 0.1917277670156741),
+)
+
+
+def plain_fit_problem(n, total, alpha, beta):
+    """A model and ``n`` demands summing to exactly ``total``."""
+    model = NewsvendorModel(h=0.005, b=0.1, theta0=None, alpha=alpha, beta=beta)
+    return Observations([total] + [0.0] * (n - 1)), model
+
+
 class TestFitNvb:
+    @settings(deadline=None, max_examples=50, derandomize=True, database=None)
+    @given(cell=plain_fit_cells())
+    @example(cell=(3, 1.5, 40.0, 2.0))  # n < alpha: x = A, the root's p < 0 branch
+    @example(cell=(1, 1e-4, 1.0, 1e-3))  # S*beta = 1e-7
+    @example(cell=(50_000, 5e8, 1.0, 1e3))  # S*beta = 5e11
+    @example(cell=STALL_CELLS[0])
+    @example(cell=STALL_CELLS[1])
+    def test_matches_the_damped_ascent_and_meets_the_gradient_tolerance(self, cell):
+        data, model = plain_fit_problem(*cell)
+        q, diagnostics = fit_nvb(data, model)
+        gradient = elbo_gradient(q, data, model)
+        assert diagnostics.converged
+        assert diagnostics.final_gradient_norm == float(np.hypot(*gradient)) < TOLERANCE
+        assert diagnostics.objective == elbo(q, data, model)
+        # The ascent's gradient stop, scaled by the bound's least curvature
+        # at q, puts its end within ~1e-8 of the maximizer.
+        at_q = bound_objective(data, model)((q.mu, math.log(q.sigma)))
+        curvature = float(np.linalg.eigvalsh(-np.array(at_q[2])).min())
+        x0 = (math.log(data.n / data.sum_s), -0.5 * math.log(data.n))
+        tolerance = TOLERANCE * min(1.0, curvature)
+        reference = ascend(bound_objective(data, model), x0, tolerance, MAX_ITERATIONS)
+        if reference.converged:
+            assert abs(q.mu - reference.x[0]) <= 1e-8
+            assert abs(q.sigma - math.exp(reference.x[1])) <= 1e-8 * q.sigma
+
+    @pytest.mark.parametrize("cell", STALL_CELLS, ids=["n1250", "n50000"])
+    def test_ends_converged_where_the_damped_ascent_stalls(self, cell):
+        data, model = plain_fit_problem(*cell)
+        x0 = (math.log(data.n / data.sum_s), -0.5 * math.log(data.n))
+        assert not ascend(bound_objective(data, model), x0, TOLERANCE, MAX_ITERATIONS).converged
+        q, diagnostics = fit_nvb(data, model)
+        assert diagnostics.converged and diagnostics.final_gradient_norm <= 1e-12
+        assert float(np.hypot(*elbo_gradient(q, data, model))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "values, beta, match",
+        [([1e-300], 1e-10, "leaves the normal floats"), ([0.0, 1e-320], 1e20, "the bound is")],
+        ids=["product-below-the-normal-floats", "member-past-the-floats"],
+    )
+    def test_a_problem_past_the_floats_is_a_numerical_error(self, values, beta, match):
+        model = NewsvendorModel(h=0.005, b=0.1, theta0=None, alpha=1.0, beta=beta)
+        with pytest.raises(NumericalError, match=match):
+            fit_nvb(Observations(values), model)
+
     def test_improves_on_initialization(self, data_n50, base_model):
         q_init = LogNormalVariational(
             math.log(data_n50.n / data_n50.sum_s), 1.0 / math.sqrt(data_n50.n)
@@ -475,8 +553,8 @@ class TestFitLcvb:
         lines = [record.getMessage() for record in caplog.records]
         assert len(lines) == 3
         assert lines[0] == lines[1] == (
-            f"plain fit: {plain.iterations} iterations, "
-            f"gradient norm {plain.final_gradient_norm:.3e}, 0 fallback steps"
+            f"plain fit: {plain.iterations} Newton steps, "
+            f"gradient norm {plain.final_gradient_norm:.3e}"
         )
         assert lines[2] == (
             f"calibrated fit at a=2: {calibrated.iterations} iterations, "
@@ -487,14 +565,16 @@ class TestFitLcvb:
     def test_a_fit_short_of_the_tolerance_logs_one_warning(
         self, data_n50, base_model, caplog, monkeypatch
     ):
+        q0, _ = fit_nvb(data_n50, base_model)
         monkeypatch.setattr(vb, "MAX_ITERATIONS", 1)
         with caplog.at_level(logging.DEBUG, logger="newsvb.vb"):
-            _, diagnostics = fit_nvb(data_n50, base_model)
+            _, diagnostics = fit_lcvb(2.0, data_n50, base_model, initial=q0)
         assert not diagnostics.converged
         assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
             (
                 logging.WARNING,
-                f"plain fit: 1 iterations, gradient norm {diagnostics.final_gradient_norm:.3e}, "
+                "calibrated fit at a=2: 1 iterations, "
+                f"gradient norm {diagnostics.final_gradient_norm:.3e}, "
                 "0 fallback steps, not converged",
             )
         ]
@@ -518,11 +598,17 @@ RANDOM_CELLS = dict(
 END_CELL = dict(
     n=1, seed=0, theta=0.125, h=2**-8, b=1.0, alpha=4.0, beta=0.5, offset=0.0, sigma=0.5
 )
+# A wide member at a large action and small h (``newsvb check``'s
+# kl-decomposition-n1-b0.9 cell), where E_q[log G] converges slowly.
+WIDE_CELL = dict(
+    n=1, seed=11, theta=1.0, h=0.001, b=0.9, alpha=1.0, beta=1.0, offset=0.0, sigma=1.0
+)
 
 
 class TestIdentityProperties:
     @settings(deadline=None, max_examples=50, derandomize=True, database=None)
     @given(**RANDOM_CELLS)
+    @example(**END_CELL, a=50.0)  # at a_hi
     def test_jensen_bound_holds(self, a, **cell):
         model, data, grid, q = posterior_cell(**cell)
         value = calibrated_objective(a, q, data, model, grid).value
@@ -530,9 +616,11 @@ class TestIdentityProperties:
 
     @settings(deadline=None, max_examples=50, derandomize=True, database=None)
     @given(**RANDOM_CELLS)
+    @example(**END_CELL, a=50.0)  # at a_hi
+    @example(**WIDE_CELL, a=32.1)
     def test_kl_identity_holds(self, a, **cell):
-        # Both sides carry sums the size of KL(q || posterior); the 128- and
-        # 96-node quadratures of E_q[log G] agree to ~1e-6 at sigma = 1.
+        # Both sides carry sums the size of KL(q || posterior); the 256- and
+        # 192-node quadratures of E_q[log G] agree to ~1e-7 at sigma = 1.
         model, data, grid, q = posterior_cell(**cell)
         residual = kl_decomposition_check(a, q, data, model, grid)
         assert residual <= 1e-5 * (1.0 + posterior_kl(q, data, model, grid))
