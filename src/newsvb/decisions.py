@@ -2,7 +2,8 @@
 
 The naive rule fits one variational posterior and then minimizes the
 predicted expected cost H_q(a) = E_q[G(a, theta)] over the action interval
-at the root of its first-order condition, found by Newton's method.
+at the root of its first-order condition, found by Newton's method from
+Jensen's plug-in action.
 The calibrated rule finds the saddle point min_a max_q F(a, q) of the
 loss-calibrated objective by Newton's method on F's gradient in
 (a, mu, rho), from the naive action and member, reading every derivative
@@ -117,25 +118,32 @@ def decide_on_measure(
     newsvendor H'(a) = h*W - (b+h)*exp(psi(a)), with W = sum(weights) and
     psi(a) = log sum_i weights[i]*exp(-a*theta[i]); H is convex, so its
     minimizer is a_lo if psi(a_lo) <= c_h = log(h*W/(b+h)), a_hi if
-    psi(a_hi) >= c_h, and otherwise the root of psi(a) = c_h. psi is
-    convex, decreasing and the same for every h, so one pass gives every row
-    psi(a_lo) and psi(a_hi), and Newton's iterates from a_lo rise to each
-    row's root without overshooting, in one (rows, nodes) pass per step over
-    the rows still moving. A row stops once its step is at most
-    1e-15*(1 + a); a row still moving after 100 steps gets a
-    ``NumericalError`` in its place, which fails it alone.
-    ``probe_count`` counts the evaluations of psi that a row used, and each
-    row logs one debug line (BAYES rows excepted, for ``bayes_decision``
-    logs its own). The naive rule passes q's Gauss-Hermite nodes, and q and
-    ``inner_fit`` to record in each outcome; the Bayes oracle passes the
-    posterior grid.
+    psi(a_hi) >= c_h, and otherwise the root of psi(a) = c_h. psi is convex
+    and decreasing, so by Jensen psi(a) >= log W - a*m for the mean rate
+    m = sum_i weights[i]*theta[i] / W, and the plug-in action
+    s_h = log((b+h)/h)/m (Newton's first iterate from a = 0) lies at or left
+    of row h's root. A row with s_h >= a_hi is at a_hi; every other row
+    starts at max(s_h, a_lo), and one starting at a_lo is at a_lo if
+    psi(a_lo) <= c_h. One (rows + 1, nodes) pass gives psi at every start
+    and at a_hi; Newton's iterates then rise to each row's root without
+    overshooting, in one (rows, nodes) pass per step over the rows still
+    moving. A row stops once its step is at most 1e-15*(1 + a), so a start
+    where psi rounds a hair below c_h is its own root; a row still moving
+    after 100 steps gets a ``NumericalError`` in its place, which fails it
+    alone. ``probe_count`` counts the evaluations of psi that a row used:
+    none where s_h >= a_hi, one at a_lo, and otherwise two (its start and
+    a_hi) plus one per Newton step. Each row logs one debug line (BAYES
+    rows excepted, for ``bayes_decision`` logs its own).
+    The naive rule passes q's Gauss-Hermite nodes, and q and ``inner_fit``
+    to record in each outcome; the Bayes oracle passes the posterior grid.
     """
     first = models[0]
     fixed = vars(first) | {"h": None}  # every field but h
     if any(vars(model) | {"h": None} != fixed for model in models):
         raise ValueError("models decided on one measure must differ only in h")
     keep = weights > 0  # zero weights drop out of psi
-    nodes, log_weights = theta[keep], np.log(weights[keep])
+    nodes, kept = theta[keep], weights[keep]
+    log_weights = np.log(kept)
 
     def psi(actions: list[float]) -> tuple[list[float], list[float]]:
         """psi and -psi', the mean of theta under the tilted weights, at each
@@ -150,16 +158,30 @@ def decide_on_measure(
 
     lo, hi = (float(end) for end in first.action_interval)
     total_weight = weights.sum()
+    mean_rate = float(np.add.reduce(kept * nodes) / total_weight)
     levels = [math.log(model.h * total_weight / (model.b + model.h)) for model in models]
-    (value_lo, value_hi), (mean_lo, _) = psi([lo, hi])  # one pass; a row at a_lo uses one
-    where = [
-        "at a_lo" if value_lo <= level else "at a_hi" if value_hi >= level else "interior"
-        for level in levels
+    # s_h clamped to [a_lo, a_hi]; a zero mean rate puts s_h at infinity.
+    start = [
+        min(max(math.log((model.b + model.h) / model.h) / mean_rate, lo), hi)
+        if mean_rate > 0
+        else hi
+        for model in models
     ]
-    action = [hi if w == "at a_hi" else lo for w in where]
-    evaluations = [1 if w == "at a_lo" else 2 for w in where]
-    # The rows still moving, with psi and the tilted mean at their action.
-    moving = {row: (value_lo, mean_lo) for row, w in enumerate(where) if w == "interior"}
+    action = list(start)
+    where = ["at a_hi" if a == hi else "interior" for a in start]
+    evaluations = [0] * len(models)
+    moving: dict[int, tuple[float, float]] = {}  # rows still moving: psi, tilted mean
+    rows = [row for row, a in enumerate(start) if a < hi]
+    if rows:
+        values, tilted_means = psi([start[row] for row in rows] + [hi])
+        value_hi = values.pop()
+        for row, value, tilted_mean in zip(rows, values, tilted_means):
+            if start[row] == lo and value <= levels[row]:
+                where[row], evaluations[row] = "at a_lo", 1
+            elif value_hi >= levels[row]:
+                where[row], action[row], evaluations[row] = "at a_hi", hi, 2
+            else:
+                evaluations[row], moving[row] = 2, (value, tilted_mean)
     for _ in range(NVB_MAX_NEWTON_STEPS):
         for row, (value, tilted_mean) in list(moving.items()):
             step = (value - levels[row]) / tilted_mean

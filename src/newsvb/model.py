@@ -190,7 +190,15 @@ class NewsvendorRisk:
         tail, h_theta = self._tail(a, theta), self.h / theta
         value = tail + self.h * a - h_theta  # the arithmetic of ``value``
         slope = h_theta - tail * (a_theta + 1.0)
-        curvature = tail * (a_theta * a_theta + a_theta + 1.0) - h_theta
+        # tail*(a_theta^2 + a_theta + 1) - h_theta in place, a_theta capped at
+        # 1e154 in the square: past it the tail is 0, so the cap changes no
+        # finite value and keeps the square from overflowing into 0 * inf.
+        curvature = np.minimum(a_theta, 1e154)
+        curvature *= curvature
+        curvature += a_theta
+        curvature += 1.0
+        curvature *= tail
+        curvature -= h_theta
         tail_theta = tail * theta  # (b+h)*exp(-a*theta)
         g_a, g_a_theta, g_aa = self.h - tail_theta, a_theta * tail_theta, tail_theta * theta
         return value, slope, curvature, g_a, g_a_theta, g_aa

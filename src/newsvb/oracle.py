@@ -106,7 +106,10 @@ def build_posterior(data: Observations, model: NewsvendorModel) -> PosteriorGrid
     standard deviations, 12/sqrt(S*t + beta/t), either side of u*; an edge
     where the density is not below 1e-12 of the peak moves out by the
     window's width. More than 20 expansions, or an e^u outside the normal
-    floats, is a numerical error.
+    floats, is a numerical error. Node u_i's log weight is that closed form
+    plus the prior's normalizer, log(w_i * half-width) + p*u_i - S*e^u_i -
+    beta*e^-u_i + alpha*log(beta) - lgamma(alpha), which is
+    log p(X | theta) + log pi(theta) + u at theta = e^u_i.
     """
     s, p, beta = data.sum_s, data.n - model.alpha, model.beta
     if s <= 0:
@@ -142,7 +145,9 @@ def build_posterior(data: Observations, model: NewsvendorModel) -> PosteriorGrid
     half = 0.5 * (hi - lo)
     u = 0.5 * (hi + lo) + half * x
     nodes = np.exp(u)
-    log_weights = np.log(w * half) + u + log_posterior_unnormalized(nodes, data, model)
+    log_weights = np.log(w * half) + (p * u - s * nodes - beta / nodes) + (
+        model.alpha * math.log(beta) - math.lgamma(model.alpha)
+    )
     # Log-sum-exp about the largest term, which becomes the 1 inside log1p.
     k = int(np.argmax(log_weights))
     shifted = log_weights - log_weights[k]
@@ -182,7 +187,9 @@ def bayes_decision(grid: PosteriorGrid, model: NewsvendorModel) -> DecisionOutco
     certificate: the root must lie between the neighbours of the scan's best
     point, and H there must not exceed the scan's minimum by more than
     rounding (1e-12 of it); otherwise ``NumericalError``. ``probe_count``
-    counts psi evaluations and scan probes. It is the reference the
+    counts the 512 scan probes and the psi evaluations: two, at Jensen's
+    plug-in action and at a_hi, then one per Newton step (one alone at a_lo,
+    none where the plug-in action is past a_hi). It is the reference the
     variational rules are measured against.
     """
     nodes, weights = grid.nodes, grid.normalized_weights

@@ -158,6 +158,21 @@ class TestDecide:
         assert objective.value == pytest.approx(-3.7607700959076116, rel=1e-12, abs=0.0)
         assert values["objective value"] == f"{objective.value:.10g}" == "-3.760770096"
 
+    def test_lcvb_scan_fallback_on_one_demand_warns_nothing(self, capsys):
+        # The scan fallback's ascent reaches members whose nodes put a*theta
+        # past 1e154, where ``NewsvendorRisk.theta_terms`` squares it past the
+        # float range against a zero tail; that nan curvature must stay silent.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "decide", "--rule", "lcvb", "--values", "0.3596795542476716",
+                "--alpha", "0.30975324100995366", "--beta", "0.3362241708523731",
+                "--h", "0.0014026047515624776", "--b", "0.07410623266303544",
+            )
+        assert (code, err) == (0, "")
+        values = parse_report(out)
+        assert (values["action"], values["probes"]) == ("5.413009728", "57")
+
     def test_lcvb_report_checks_its_grid_against_the_data(self, capsys, monkeypatch):
         import numpy as np
 

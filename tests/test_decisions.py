@@ -219,6 +219,30 @@ class TestDecideOnMeasure:
         assert abs(outcome.action - action) <= 1e-6
 
     @PROPERTY_SETTINGS
+    @given(measure=measures(), **COSTS)
+    @example(**AT_A_HI)  # the start past a_hi
+    @example(**{**AT_A_HI, "h": 0.2})  # the start below a_lo, the root at a_lo
+    @example(**{**AT_A_HI, "h": 0.014})  # the start inside, the root past a_hi
+    def test_newton_starts_at_jensens_plug_in_action(self, measure, h, b, lo, width):
+        # psi(a) >= log W - a*m for the mean rate m, so psi(s) >= c_h at
+        # s = log((b+h)/h)/m, which is at or left of the root: the iterates
+        # rise from s, and an s past a_hi decides its row without psi.
+        theta, weights = measure
+        model = measure_model(h, b, lo, width)
+        outcome = decide_one(theta, weights, model)
+        keep = weights > 0
+        total = weights.sum()
+        start = math.log((b + h) / h) / float(np.add.reduce(weights[keep] * theta[keep]) / total)
+        if start >= model.action_hi:
+            assert (outcome.action, outcome.probe_count) == (model.action_hi, 0)
+        elif start > model.action_lo:
+            level = math.log(h * total / (b + h))
+            # Rounding of psi's largest exponent, log(w) - start*theta.
+            scale = 1.0 + abs(level) + start * float(theta[keep].max())
+            assert psi(start, theta, weights) >= level - 16 * np.finfo(float).eps * scale
+            assert outcome.action >= start and outcome.probe_count >= 2
+
+    @PROPERTY_SETTINGS
     @given(measure=measures(), raise_by=st.floats(0.0, 0.5), **COSTS)
     @example(**AT_A_HI, raise_by=0.195)  # from a_hi to a_lo
     def test_action_is_non_increasing_in_h(self, measure, raise_by, h, b, lo, width):
@@ -289,19 +313,23 @@ class TestDecideOnMeasure:
                 "newsvb.decisions",
                 f"NVB action {nvb.action:.9g} after {nvb.probe_count} psi evaluations, interior",
             ),
-            ("newsvb.decisions", "NVB action 50 after 2 psi evaluations, at a_hi"),
+            # Jensen's plug-in action log((b+h)/h)/1e-3 is past a_hi: no psi evaluation.
+            ("newsvb.decisions", "NVB action 50 after 0 psi evaluations, at a_hi"),
             (
                 "newsvb.oracle",
-                f"BAYES action {bayes.action:.9g} after 6 psi evaluations and 512 scan probes, "
+                f"BAYES action {bayes.action:.9g} after 5 psi evaluations and 512 scan probes, "
                 "interior",
             ),
         ]
         assert at_hi.action == base_model.action_hi
-        assert bayes.probe_count == 6 + 512
+        assert bayes.probe_count == 5 + 512
 
 
 class TestDecideAcrossH:
-    # On [1, 3] at b = 0.1, h = 0.09, 0.03 and 0.016 sit between the ends.
+    # On [1, 3] at b = 0.1, h = 0.09, 0.03 and 0.016 sit between the ends. The
+    # mean rate is 0.75, so Jensen's plug-in action log((b+h)/h)/0.75 is
+    # below a_lo for h >= 0.09, past a_hi for h = 0.005, and inside for
+    # h = 0.03, 0.016 and 0.014, whose root is past a_hi.
     THETA, WEIGHTS = END_MEASURE
 
     @staticmethod
@@ -316,7 +344,8 @@ class TestDecideAcrossH:
         lo=COSTS["lo"],
         width=COSTS["width"],
     )
-    @example(measure=END_MEASURE, hs=[0.2, 0.03, 0.005], b=0.1, lo=1.0, width=2.0)  # both ends
+    # Both ends, a_hi both by the plug-in action (h = 0.005) and by psi (h = 0.014).
+    @example(measure=END_MEASURE, hs=[0.2, 0.03, 0.014, 0.005], b=0.1, lo=1.0, width=2.0)
     def test_every_row_is_its_own_decide(self, measure, hs, b, lo, width):
         theta, weights = measure
         models = [measure_model(h, b, lo, width) for h in hs]
@@ -335,28 +364,32 @@ class TestDecideAcrossH:
         assert all(high <= low + 1e-13 for (_, low), (_, high) in zip(by_h, by_h[1:]))
 
     def test_rows_at_both_ends_and_inside_in_one_call(self, caplog):
-        models = self.models((0.2, 0.03, 0.005))
+        models = self.models((0.2, 0.03, 0.014, 0.005))
         with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
-            low, inside, high = decide_on_measure(self.THETA, self.WEIGHTS, models, Rule.NVB)
+            outcomes = decide_on_measure(self.THETA, self.WEIGHTS, models, Rule.NVB)
+        low, inside, high, past = outcomes
         assert (low.action, low.probe_count) == (1.0, 1)
-        assert (high.action, high.probe_count) == (3.0, 2)
-        assert 1.0 < inside.action < 3.0 and inside.probe_count > 2
+        assert (inside.action, inside.probe_count) == (pytest.approx(2.13697685), 5)
+        assert (high.action, high.probe_count) == (3.0, 2)  # psi at its start and at a_hi
+        assert (past.action, past.probe_count) == (3.0, 0)  # its start is past a_hi
         assert [r.getMessage() for r in caplog.records] == [
             "NVB action 1 after 1 psi evaluations, at a_lo",
-            f"NVB action {inside.action:.9g} after {inside.probe_count} psi evaluations, interior",
+            f"NVB action {inside.action:.9g} after 5 psi evaluations, interior",
             "NVB action 3 after 2 psi evaluations, at a_hi",
+            "NVB action 3 after 0 psi evaluations, at a_hi",
         ]
-        for model, outcome in zip(models, (low, inside, high)):
+        for model, outcome in zip(models, outcomes):
             assert outcome == decide_one(self.THETA, self.WEIGHTS, model)
             assert_first_order(outcome, self.THETA, self.WEIGHTS, model)
 
     def test_a_row_past_the_step_cap_fails_alone(self, monkeypatch):
-        models = self.models((0.2, 0.09, 0.03, 0.005))
+        models = self.models((0.2, 0.03, 0.016, 0.005))
         outcomes = decide_on_measure(self.THETA, self.WEIGHTS, models, Rule.NVB)
         counts = [outcome.probe_count for outcome in outcomes]
-        # Rows 1 and 2 are interior: two psi evaluations at the ends, then one
-        # per Newton step, and one more loop pass to see the step stop.
-        assert counts[0] == 1 and counts[3] == 2 and 2 < counts[1] < counts[2]
+        # Rows 1 and 2 are interior: two psi evaluations, at the start and at
+        # a_hi, then one per Newton step, and one more loop pass to see the
+        # step stop.
+        assert counts == [1, 5, 6, 0]
         monkeypatch.setattr(decisions, "NVB_MAX_NEWTON_STEPS", counts[1] - 1)
         outcomes = decide_on_measure(self.THETA, self.WEIGHTS, models, Rule.NVB)
         assert isinstance(outcomes[2], NumericalError)

@@ -182,6 +182,24 @@ class TestRisk:
         assert np.allclose(curvature, central, rtol=1e-6, atol=1e-9)
         assert not np.any(ConstantRisk(2.5).theta_terms(actions, thetas)[2])
 
+    def test_theta_curvature_keeps_its_bits_and_warns_nothing_past_the_float_range(self):
+        # tail*((a*theta)^2 + a*theta + 1) - h/theta, bit for bit wherever it
+        # is finite; where (a*theta)^2 overflows the tail is 0, and the
+        # curvature is its limit -h/theta instead of 0 * inf.
+        builtin = NewsvendorRisk(0.05, 0.4)
+        actions = np.array([0.0, 1e-3, 5.0, 50.0])[:, None]
+        thetas = np.array([1e-3, 0.68, 1e3, 1e150, 1.2e154, 2e154, 1e160, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curvature = builtin.theta_terms(actions, thetas)[2]
+        a_theta, tail, h_theta = actions * thetas, builtin._tail(actions, thetas), 0.05 / thetas
+        with np.errstate(over="ignore", invalid="ignore"):
+            textbook = tail * (a_theta * a_theta + a_theta + 1.0) - h_theta
+        finite = np.isfinite(textbook)
+        assert np.array_equal(curvature[finite], textbook[finite])
+        assert 0 < np.count_nonzero(~finite)
+        assert np.array_equal(curvature[~finite], np.broadcast_to(-h_theta, finite.shape)[~finite])
+
     def test_action_cross_term_matches_differences_of_the_action_slope_in_log_theta(self):
         model = make_model(0.05, 0.4)
         builtin = NewsvendorRisk(model.h, model.b)

@@ -27,7 +27,7 @@ from newsvb import (
 )
 from newsvb.decisions import Rule
 from newsvb.model import log_posterior_unnormalized
-from newsvb.numerics import NumericalError
+from newsvb.numerics import NumericalError, gauss_legendre
 
 
 def sample_from_grid(grid, count, rng):
@@ -120,6 +120,30 @@ class TestBuildPosterior:
                 exact = exact_log_evidence(data, model)
                 grid = build_posterior(data, model)
                 assert abs(grid.log_evidence - exact) <= 1e-12 * (1.0 + abs(exact)), (seed, n)
+
+    @settings(deadline=None, max_examples=50, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 2000),
+        log_scale=st.floats(-3.0, 3.0),
+        alpha=st.floats(0.1, 10.0),
+        log_beta=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_log_weights_are_the_log_posterior_at_the_nodes(
+        self, n, log_scale, alpha, log_beta, seed
+    ):
+        # The closed form p*u - S*e^u - beta*e^-u + alpha*log(beta) - lgamma(alpha)
+        # against the model's own log likelihood and prior at theta = e^u.
+        model = NewsvendorModel(h=0.005, b=0.1, theta0=None, alpha=alpha, beta=10.0**log_beta)
+        data = sample_demand(10.0**-log_scale, n, np.random.default_rng(seed))
+        grid = build_posterior(data, model)
+        _, w = gauss_legendre(oracle.POSTERIOR_NODES)
+        lo, hi = np.log(grid.window)
+        u = np.log(grid.nodes)
+        reference = np.log(w * (0.5 * (hi - lo))) + u + log_posterior_unnormalized(
+            grid.nodes, data, model
+        )
+        assert np.all(np.abs(grid.log_weights - reference) <= 1e-12 * (1.0 + np.abs(reference)))
 
     # Demands far from the prior's scale, where an MLE-centred window was
     # off by up to 3.2e8 nats ([1e12, 2e12]) or failed ([1e-12, 1e-12]).
