@@ -48,6 +48,7 @@ from .model import (
 from .numerics import NumericalError
 from .oracle import bayes_decision, build_posterior, mle, posterior_expected_risk
 from .vb import (
+    NODE_COUNT,
     LogNormalVariational,
     _lcvb_objective,
     _log_risk_term,
@@ -434,6 +435,19 @@ def check_hard_kl_cell(a: float, cell: dict) -> tuple[float, float]:
     return kl_decomposition_check(a, q, data, model, grid), tolerance
 
 
+def check_log_risk_nodes() -> tuple[float, float]:
+    """The fits' E_q[log G] at ``NODE_COUNT`` Gauss-Hermite nodes against the
+    same sum at 128, q's quadrature error bar, on the kl-decomposition-n1-b0.9
+    cell, where it converges slowly (1.2e-4 there; 48 nodes read 3.3e-4)."""
+    a, cell = HARD_KL_CELLS[2]
+    model, _, _, q = posterior_cell(**cell)
+    risk = NewsvendorRisk(model.h, model.b)
+    value, reference = (
+        _log_risk_term(a, q.mu, math.log(q.sigma), risk, nodes)[0] for nodes in (NODE_COUNT, 128)
+    )
+    return abs(value - reference), 2e-4
+
+
 def check_jensen_bound() -> tuple[float, float]:
     model, data, grid = _check_dataset()
     rng = np.random.default_rng(61)
@@ -561,6 +575,7 @@ def cmd_check(args) -> int:
         ("kl-decomposition", check_kl_decomposition),
         *((f"kl-decomposition-n{c['n']}-b{c['b']:g}", partial(check_hard_kl_cell, a, c))
           for a, c in HARD_KL_CELLS),
+        ("log-risk-nodes", check_log_risk_nodes),
         ("jensen-bound", check_jensen_bound),
         ("elbo-gradient", check_elbo_gradient),
         ("calibrated-hessian", check_calibrated_hessian),

@@ -132,10 +132,12 @@ def decide_on_measure(
     after 100 steps gets a ``NumericalError`` in its place, which fails it
     alone. ``probe_count`` counts the evaluations of psi that a row used:
     none where s_h >= a_hi, one at a_lo, and otherwise two (its start and
-    a_hi) plus one per Newton step. Each row logs one debug line (BAYES
-    rows excepted, for ``bayes_decision`` logs its own).
+    a_hi) plus one per Newton step. Each row logs one debug line, except
+    BAYES rows: ``bayes_decision`` logs each with the scan that certifies
+    it, whether it found the root itself or was handed the row.
     The naive rule passes q's Gauss-Hermite nodes, and q and ``inner_fit``
-    to record in each outcome; the Bayes oracle passes the posterior grid.
+    to record in each outcome; the Bayes oracle (``bayes_decision`` for one
+    h, ``simulate_path`` for all of an n) passes the posterior grid.
     """
     first = models[0]
     fixed = vars(first) | {"h": None}  # every field but h

@@ -27,6 +27,7 @@ from . import __version__
 from .decisions import (
     Rule,
     decide_across_h,
+    decide_on_measure,
     decide_with_variational,  # noqa: F401 - unused here; perfbench/tracing.py wraps this name
     lcvb_decide,
     optimality_gap,
@@ -232,13 +233,16 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
     One stream of max(n_schedule) demands is drawn; each n reuses its
     prefix and each holding cost sees the same prefix. The posterior grid
     (built only for Bayes) and the plain variational fit depend only on the
-    prefix and the prior, so they are shared across holding costs, and NVB
-    decides every holding cost of an n in one ``decide_across_h`` call.
-    Each NVB decision is also its LCVB cell's start, and its failure fails
-    both cells; a failed grid fails only the Bayes cells, and a failed plain
-    fit only the NVB and LCVB cells. Rule failures mark their cell with a
-    reason and never abort the path; one debug line per n names the failed
-    cells and their reasons.
+    prefix and the prior, so they are shared across holding costs: NVB
+    decides every holding cost of an n in one ``decide_across_h`` call, and
+    the Bayes oracle finds its roots for every holding cost in one
+    ``decide_on_measure`` call on the grid, which ``bayes_decision`` then
+    certifies per h with its own scan. Each NVB decision is also its LCVB
+    cell's start, and its failure fails both cells; a Bayes root that fails
+    fails only its own cell, a failed grid only the Bayes cells, and a
+    failed plain fit only the NVB and LCVB cells. Rule failures mark their
+    cell with a reason and never abort the path; one debug line per n names
+    the failed cells and their reasons.
     """
     if not 0 <= path_index < config.replications:
         raise ValueError(f"path_index {path_index} outside [0, {config.replications})")
@@ -251,20 +255,22 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
         data = stream.prefix(n)
         first = len(records)
         # A shared step that fails leaves its reason in place of its result.
-        grid, nvb_outcomes = None, [None] * len(models)
+        grid, nvb_outcomes, roots = None, [None] * len(models), [None] * len(models)
         if Rule.BAYES in config.rules:
             try:
                 grid = build_posterior(data, models[0])
             except NumericalError:
                 grid = "posterior grid"
+            else:
+                roots = decide_on_measure(grid.nodes, grid.normalized_weights, models, Rule.BAYES)
         if Rule.NVB in config.rules or Rule.LCVB in config.rules:
             try:
                 q_nvb, nvb_diag = fit_nvb(data, models[0])
                 nvb_outcomes = decide_across_h(q_nvb, models, nvb_diag)
             except NumericalError:
                 nvb_outcomes = ["plain fit"] * len(models)
-        for model, nvb in zip(models, nvb_outcomes):
-            records.extend(_cell(rule, n, model, data, grid, nvb) for rule in config.rules)
+        for model, nvb, root in zip(models, nvb_outcomes, roots):
+            records.extend(_cell(rule, n, model, data, grid, nvb, root) for rule in config.rules)
         failed = ", ".join(
             f"{r.rule.value} h={r.h:g} ({r.reason})" for r in records[first:] if r.failed
         )
@@ -272,10 +278,11 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
     return records
 
 
-def _cell(rule: Rule, n: int, model: NewsvendorModel, data, grid, nvb) -> GapRecord:
+def _cell(rule: Rule, n: int, model: NewsvendorModel, data, grid, nvb, root) -> GapRecord:
     """One (rule, h, n) cell's gaps, or its failure with the reason. ``grid``
     (None without Bayes) and ``nvb``, the NVB decision at this h or the error
-    that failed it (None without one), are a reason where their step failed."""
+    that failed it (None without one), are a reason where their step failed;
+    ``root`` is the Bayes root at this h or the error that failed it."""
 
     def failure(reason: str) -> GapRecord:
         return GapRecord(rule, model.h, n, math.nan, math.nan, failed=True, reason=reason)
@@ -287,7 +294,7 @@ def _cell(rule: Rule, n: int, model: NewsvendorModel, data, grid, nvb) -> GapRec
         return failure("NVB root not reached")
     try:
         if rule is Rule.BAYES:
-            outcome = bayes_decision(grid, model)
+            outcome = bayes_decision(grid, model, root=root)
         elif rule is Rule.NVB:
             outcome = nvb
         else:

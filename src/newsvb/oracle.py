@@ -177,30 +177,39 @@ def posterior_expected_risk(
     return expected_risk(a, grid.nodes, grid.normalized_weights, model, risk)
 
 
-def bayes_decision(grid: PosteriorGrid, model: NewsvendorModel) -> DecisionOutcome:
+def bayes_decision(
+    grid: PosteriorGrid,
+    model: NewsvendorModel,
+    root: DecisionOutcome | NumericalError | None = None,
+) -> DecisionOutcome:
     """Exact Bayes rule: argmin over actions of the model's posterior expected risk.
 
     The action is the first-order root of H(a) = E_post[G(a, theta)] on the
     grid, Newton's method on psi(a) = log E_post[exp(-a*theta)] in
     ``decide_on_measure`` (to 1e-15*(1 + a), or an interval end where H'
-    points outward). A 512-point scan of H is its derivative-free
-    certificate: the root must lie between the neighbours of the scan's best
-    point, and H there must not exceed the scan's minimum by more than
-    rounding (1e-12 of it); otherwise ``NumericalError``. ``probe_count``
-    counts the 512 scan probes and the psi evaluations: two, at Jensen's
-    plug-in action and at a_hi, then one per Newton step (one alone at a_lo,
-    none where the plug-in action is past a_hi). It is the reference the
-    variational rules are measured against.
+    points outward). ``root`` is that call's outcome for this model, or the
+    error that failed it, where a caller decided several holding costs on
+    the grid at once; without it the root is computed here for this h
+    alone, with the same bits. A failed root raises its ``NumericalError``.
+    A 512-point scan of H is the root's derivative-free certificate: the
+    root must lie between the neighbours of the scan's best point, and H
+    there must not exceed the scan's minimum by more than rounding (1e-12
+    of it); otherwise ``NumericalError``. ``probe_count`` counts the 512
+    scan probes and the root's psi evaluations: two, at Jensen's plug-in
+    action and at a_hi, then one per Newton step (one alone at a_lo, none
+    where the plug-in action is past a_hi), whether the root was passed in
+    or not. It is the reference the variational rules are measured against.
     """
     nodes, weights = grid.nodes, grid.normalized_weights
+    if root is None:
+        (root,) = decide_on_measure(nodes, weights, [model], Rule.BAYES)
+    if isinstance(root, NumericalError):
+        raise root
     lo, hi = model.action_interval
     scan = np.linspace(lo, hi, BAYES_SCAN_POINTS)
     values = expected_risk(scan, nodes, weights, model)
     k = int(np.argmin(values))  # first minimum = smallest action
-    (outcome,) = decide_on_measure(nodes, weights, [model], Rule.BAYES)
-    if isinstance(outcome, NumericalError):
-        raise outcome
-    a, value, evaluations = outcome.action, outcome.objective_value, outcome.probe_count
+    a, value, evaluations = root.action, root.objective_value, root.probe_count
     left, right = scan[max(k - 1, 0)], scan[min(k + 1, BAYES_SCAN_POINTS - 1)]
     if not (left <= a <= right and value <= values[k] * (1.0 + BAYES_SCAN_ROUNDING)):
         raise NumericalError(

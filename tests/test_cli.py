@@ -401,7 +401,7 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check")
         assert code == 0
         assert re.search(r"kl-decomposition\s+residual=", out)
-        assert out.count("PASS") == 7 + len(HARD_KL_CELLS)
+        assert out.count("PASS") == 8 + len(HARD_KL_CELLS)
         assert "FAIL" not in out
 
     def test_hard_kl_cells_outgrow_1e_6_at_128_and_96_nodes_and_pass_at_the_defaults(self):
@@ -415,6 +415,21 @@ class TestCheck:
                 a, q, data, model, grid, node_count=128, reference_node_count=96
             )
             assert coarse > (tolerance if cell["b"] == 0.9 else 1e-6)
+
+    def test_log_risk_nodes_check_appears_passes_and_fails_at_48_nodes(self, capsys, monkeypatch):
+        import newsvb.cli as cli
+
+        code, out, _ = run_cli(capsys, "check")
+        assert code == 0
+        line = re.search(r"log-risk-nodes\s+residual=(\S+) tolerance=(\S+)\s+(\w+)", out)
+        assert line is not None and line.group(3) == "PASS"
+        assert 0.0 < float(line.group(1)) <= float(line.group(2)) == 2e-4
+        # Fewer nodes for the fits' sum: the error bar outgrows its tolerance.
+        monkeypatch.setattr(cli, "NODE_COUNT", 48)
+        code, out, _ = run_cli(capsys, "check")
+        assert code == 1
+        assert re.search(r"log-risk-nodes\s+residual=.*FAIL", out)
+        assert out.count("FAIL") == 1
 
     def test_calibrated_hessian_check_appears_and_passes(self, capsys):
         code, out, _ = run_cli(capsys, "check")

@@ -229,10 +229,10 @@ class TestSimulatePath:
                 for model, outcome in zip(models, decide(q, models, *args))
             ]
 
-        def bayes_failing_at_high_h(grid, model):
+        def bayes_failing_at_high_h(grid, model, root=None):
             if model.h == 0.008:
                 raise NumericalError("synthetic Bayes failure")
-            return bayes(grid, model)
+            return bayes(grid, model, root=root)
 
         monkeypatch.setattr(experiment, "fit_nvb", fit_failing_at_30)
         monkeypatch.setattr(experiment, "decide_across_h", decide_failing_at_low_h)
@@ -301,15 +301,20 @@ class TestSimulatePath:
     def test_a_root_outside_the_best_scan_cell_fails_only_its_bayes_cell(self, monkeypatch):
         config = tiny_config(rules=(Rule.NVB, Rule.BAYES), h_values=(0.003, 0.008))
         clean = simulate_path(config, 1)
-        root = oracle.decide_on_measure
+        root = decisions.decide_on_measure
+        calls = []
 
         def root_moved_at_high_h(theta, weights, models, rule):
-            (outcome,) = root(theta, weights, models, rule)
-            if models[0].h == 0.008:  # one scan cell is 50/511 wide
-                return [replace(outcome, action=outcome.action + 1.0)]
-            return [outcome]
+            calls.append(tuple(model.h for model in models))
+            # One scan cell is 50/511 wide; only the h = 0.008 row moves.
+            return [
+                replace(outcome, action=outcome.action + 1.0) if model.h == 0.008 else outcome
+                for model, outcome in zip(models, root(theta, weights, models, rule))
+            ]
 
+        # bayes_decision's own one-h root, and simulate_path's batched one.
         monkeypatch.setattr(oracle, "decide_on_measure", root_moved_at_high_h)
+        monkeypatch.setattr(experiment, "decide_on_measure", root_moved_at_high_h)
         model = config.model_for(0.008)
         grid = build_posterior(sample_demand(config.theta0, 10, np.random.default_rng(0)), model)
         with pytest.raises(NumericalError, match="fails the scan check: best scan cell"):
@@ -323,6 +328,8 @@ class TestSimulatePath:
                 assert "fails the scan check" in record.reason
             else:
                 assert record == reference
+        # One root for the decide above, then one for both h per n of the path.
+        assert calls == [(0.008,)] + [config.h_values] * len(config.n_schedule)
 
     def test_a_failed_lcvb_decide_names_its_error(self, monkeypatch):
         def failing(*args, **kwargs):

@@ -1,6 +1,7 @@
 """Quadrature oracle: evidence stability, posterior moments, Bayes rule."""
 
 import math
+import re
 from dataclasses import replace
 
 import mpmath
@@ -25,8 +26,14 @@ from newsvb import (
     sample_demand,
     true_optimal_action,
 )
-from newsvb.decisions import Rule
-from newsvb.model import log_posterior_unnormalized
+from newsvb.decisions import Rule, decide_on_measure
+from newsvb.experiment import derive_path_seed, reference_config
+from newsvb.model import (
+    CLAMP_MIN_EXPONENTS,
+    EXP_FLOOR,
+    expected_risk,
+    log_posterior_unnormalized,
+)
 from newsvb.numerics import NumericalError, gauss_legendre
 
 
@@ -234,6 +241,38 @@ class TestPosteriorExpectedRisk:
         for _ in range(50):
             assert posterior_expected_risk(float(rng.uniform(0, 50)), grid_n50, base_model) > 0
 
+    def test_clamped_scan_keeps_every_bit_of_the_unclamped_sum(self, grid_n2000):
+        # The reference study's n = 10 grid on path 0 of its seed, where the
+        # grid's right tail sends the scan's exponents below the floor.
+        config = reference_config()
+        rng = np.random.default_rng(derive_path_seed(config.master_seed, 0))
+        data = sample_demand(config.theta0, max(config.n_schedule), rng).prefix(10)
+        models = [config.model_for(h) for h in config.h_values]
+        grid = build_posterior(data, models[0])
+        scan = np.linspace(*config.action_interval, oracle.BAYES_SCAN_POINTS)
+
+        def log_ratio_and_bound(grid):
+            weights = grid.normalized_weights
+            keep = weights > 0
+            theta, weights = grid.nodes[keep], weights[keep]
+            log_ratio = np.log(weights) - np.log(theta)
+            return theta, weights, log_ratio, log_ratio.min() - scan.max() * theta.max()
+
+        theta, weights, log_ratio, bound = log_ratio_and_bound(grid)
+        exponents = log_ratio - np.multiply.outer(scan, theta)
+        assert exponents.size >= CLAMP_MIN_EXPONENTS and bound < EXP_FLOOR  # clamp engaged
+        assert (exponents < EXP_FLOOR).mean() > 0.01
+        tails = np.add.reduce(np.exp(exponents), axis=1)
+        for model in models:
+            h, b = model.h, model.b
+            unclamped = (b + h) * tails + h * (
+                scan * np.add.reduce(weights) - np.add.reduce(weights / theta)
+            )
+            clamped = expected_risk(scan, grid.nodes, grid.normalized_weights, model)
+            assert clamped.tobytes() == unclamped.tobytes()
+        # An n = 2,000 grid, the size decide_single draws, stays above the floor.
+        assert log_ratio_and_bound(grid_n2000)[3] >= EXP_FLOOR
+
     def test_action_array_matches_scalar_calls(self, grid_n50, base_model):
         actions = np.linspace(0.0, 50.0, 101)
         values = posterior_expected_risk(actions, grid_n50, base_model)
@@ -313,6 +352,46 @@ class TestBayesDecision:
             actions.append(a)
         # Equal roots may differ by the Newton stop, 1e-15 * (1 + a).
         assert actions[1] <= actions[0] + 1e-13
+
+    @settings(deadline=None, max_examples=50, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 2000),
+        seed=st.integers(0, 2**32 - 1),
+        theta=st.floats(0.05, 20.0),
+        alpha=st.floats(0.1, 10.0),
+        beta=st.floats(0.1, 10.0),
+        hs=st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=9, unique=True),
+        b=st.floats(0.01, 1.0),
+        lo=st.floats(0.0, 5.0),
+        width=st.floats(0.5, 50.0),
+    )
+    # The reference study's n = 10 cell on path 0, whose scan clamps.
+    @example(
+        n=10, seed=derive_path_seed(424242, 0), theta=0.68, alpha=1.0, beta=4.1,
+        hs=[0.001 * k for k in range(1, 10)], b=0.1, lo=0.0, width=50.0,
+    )
+    def test_batched_roots_decide_each_cell_as_its_own_root(
+        self, n, seed, theta, alpha, beta, hs, b, lo, width
+    ):
+        models = [
+            NewsvendorModel(
+                h=h, b=b, theta0=None, alpha=alpha, beta=beta, action_interval=(lo, lo + width)
+            )
+            for h in hs
+        ]
+        grid = build_posterior(sample_demand(theta, n, np.random.default_rng(seed)), models[0])
+        roots = decide_on_measure(grid.nodes, grid.normalized_weights, models, Rule.BAYES)
+        for model, root in zip(models, roots):
+            try:
+                alone = bayes_decision(grid, model)
+            except NumericalError as exc:
+                with pytest.raises(NumericalError, match=re.escape(str(exc))):
+                    bayes_decision(grid, model, root=root)
+                continue
+            batched = bayes_decision(grid, model, root=root)
+            for field in ("action", "objective_value"):
+                assert getattr(batched, field).hex() == getattr(alone, field).hex(), field
+            assert batched.probe_count == alone.probe_count
 
     def test_root_above_the_scan_minimum_fails_the_scan_check(
         self, grid_n50, base_model, monkeypatch
