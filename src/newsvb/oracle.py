@@ -48,7 +48,8 @@ MAX_WINDOW_EXPANSIONS = 20
 LOG_THETA_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 BAYES_SCAN_POINTS = 512
 # H(root) may exceed the scan's minimum by this fraction of it, the rounding
-# of a sum whose terms h*a and h/theta cancel (~25 eps at worst measured).
+# of a sum whose terms h*a and h/theta cancel (H read at most 19 eps from a
+# 50-digit sum over 400 random posteriors).
 BAYES_SCAN_ROUNDING = 1e-12
 
 logger = logging.getLogger(__name__)

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
 
@@ -21,6 +23,7 @@ from newsvb import (
     sample_demand,
     true_optimal_action,
 )
+from newsvb.model import newsvendor_expected_risk
 
 
 def make_model(h, b, theta0=1.0, alpha=1.0, beta=1.0, interval=(0.0, 50.0)):
@@ -229,6 +232,39 @@ class TestRisk:
         assert action_curvature.shape == (7, 11)
         assert np.allclose(action_curvature, central, rtol=1e-6, atol=1e-9)
         assert not np.any(ConstantRisk(2.5).theta_terms(actions, thetas)[5])
+
+
+class TestNewsvendorExpectedRisk:
+    @settings(deadline=None, max_examples=60, derandomize=True, database=None)
+    @example(nodes=300, actions=600, zero_share=0.1, h_per_action=True, seed=1)
+    @example(nodes=257, actions=129, zero_share=0.5, h_per_action=False, seed=2)
+    @given(
+        nodes=st.integers(1, 300),
+        actions=st.integers(1, 600),
+        zero_share=st.sampled_from([0.0, 0.1, 0.5]),
+        h_per_action=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_an_action_keeps_its_bits_in_any_call_with_its_h(
+        self, nodes, actions, zero_share, h_per_action, seed
+    ):
+        # Rates over six decades and actions over [0, 50], so calls of more
+        # than CLAMP_MIN_EXPONENTS clamp their exponents, and up to 600
+        # actions, so they cross blocks of ACTION_BLOCK.
+        rng = np.random.default_rng(seed)
+        theta = 10.0 ** rng.uniform(-3.0, 3.0, nodes)
+        weights = rng.uniform(1e-3, 1.0, nodes) * (rng.random(nodes) >= zero_share)
+        weights[rng.integers(nodes)] = rng.uniform(1e-3, 1.0)  # one positive weight at least
+        a = rng.uniform(0.0, 50.0, actions)
+        a[rng.integers(actions)] = 0.0
+        h = 10.0 ** rng.uniform(-3.0, -0.3, actions) if h_per_action else 0.005
+        b = float(10.0 ** rng.uniform(-2.0, 0.0))
+        values = newsvendor_expected_risk(a, h, b, theta, weights)
+        for i in range(actions):
+            one = newsvendor_expected_risk(
+                a[i : i + 1], h[i] if h_per_action else h, b, theta, weights
+            )
+            assert one.tobytes() == values[i : i + 1].tobytes(), i
 
 
 def risk_curve(actions, theta, model):

@@ -99,6 +99,19 @@ def exact_log_evidence(data, model):
         )
 
 
+def exact_moments(data, model):
+    """Mean and variance of the GIG(p = n - alpha, 2S, 2beta) posterior by mpmath:
+    E[theta^k] = (beta/S)^(k/2) K_(p+k)(2 sqrt(S beta)) / K_p(2 sqrt(S beta))."""
+    with mpmath.workdps(30):
+        p = mpmath.mpf(data.n) - model.alpha
+        s, beta = mpmath.mpf(data.sum_s), mpmath.mpf(model.beta)
+        x = 2 * mpmath.sqrt(s * beta)
+        base = log_besselk(p, x)
+        mean = mpmath.sqrt(beta / s) * mpmath.exp(log_besselk(p + 1, x) - base)
+        second = beta / s * mpmath.exp(log_besselk(p + 2, x) - base)
+        return float(mean), float(second - mean**2)
+
+
 def demands_id(values):
     return ",".join(f"{v:g}" for v in values)
 
@@ -127,6 +140,22 @@ class TestBuildPosterior:
                 exact = exact_log_evidence(data, model)
                 grid = build_posterior(data, model)
                 assert abs(grid.log_evidence - exact) <= 1e-12 * (1.0 + abs(exact)), (seed, n)
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 4.1), (0.3, 2.0), (2.5, 0.7)])
+    def test_moments_match_the_exact_gig_moments(self, alpha, beta):
+        # The log weights carry rounding of order eps * S*theta ~ n*eps, so the
+        # bound grows with n: the worst of 480 cells of seeds 8000-8019 read
+        # 2.45 (1 + n) eps, the bound is 10 (1 + n) eps.
+        model = NewsvendorModel(h=0.005, b=0.1, theta0=0.68, alpha=alpha, beta=beta)
+        for seed in range(2):
+            stream = sample_demand(model.theta0, 6400, np.random.default_rng(7000 + seed))
+            for n in (1, 3, 50, 1250, 6400):
+                data = stream.prefix(n)
+                mean, variance = exact_moments(data, model)
+                grid = build_posterior(data, model)
+                bound = 10 * (1 + n) * np.finfo(float).eps
+                assert abs(grid.mean() - mean) <= bound * mean, (seed, n)
+                assert abs(grid.variance() - variance) <= bound * variance, (seed, n)
 
     @settings(deadline=None, max_examples=50, derandomize=True, database=None)
     @given(
@@ -242,36 +271,64 @@ class TestPosteriorExpectedRisk:
             assert posterior_expected_risk(float(rng.uniform(0, 50)), grid_n50, base_model) > 0
 
     def test_clamped_scan_keeps_every_bit_of_the_unclamped_sum(self, grid_n2000):
-        # The reference study's n = 10 grid on path 0 of its seed, where the
-        # grid's right tail sends the scan's exponents below the floor.
+        # The reference study's n = 10 grids on paths 0-3 of its seed, where
+        # the grid's right tail sends the scan's exponents below the floor
+        # (0.4% of them on path 0, 4.4%, 8.0% and 0.4% on paths 1-3).
         config = reference_config()
-        rng = np.random.default_rng(derive_path_seed(config.master_seed, 0))
-        data = sample_demand(config.theta0, max(config.n_schedule), rng).prefix(10)
         models = [config.model_for(h) for h in config.h_values]
-        grid = build_posterior(data, models[0])
         scan = np.linspace(*config.action_interval, oracle.BAYES_SCAN_POINTS)
 
-        def log_ratio_and_bound(grid):
+        def measure_and_bound(grid):
             weights = grid.normalized_weights
             keep = weights > 0
             theta, weights = grid.nodes[keep], weights[keep]
-            log_ratio = np.log(weights) - np.log(theta)
-            return theta, weights, log_ratio, log_ratio.min() - scan.max() * theta.max()
+            return theta, weights, -scan.max() * theta.max()
 
-        theta, weights, log_ratio, bound = log_ratio_and_bound(grid)
-        exponents = log_ratio - np.multiply.outer(scan, theta)
-        assert exponents.size >= CLAMP_MIN_EXPONENTS and bound < EXP_FLOOR  # clamp engaged
-        assert (exponents < EXP_FLOOR).mean() > 0.01
-        tails = np.add.reduce(np.exp(exponents), axis=1)
-        for model in models:
-            h, b = model.h, model.b
-            unclamped = (b + h) * tails + h * (
-                scan * np.add.reduce(weights) - np.add.reduce(weights / theta)
-            )
-            clamped = expected_risk(scan, grid.nodes, grid.normalized_weights, model)
-            assert clamped.tobytes() == unclamped.tobytes()
+        below = []
+        for path in range(4):
+            rng = np.random.default_rng(derive_path_seed(config.master_seed, path))
+            data = sample_demand(config.theta0, max(config.n_schedule), rng).prefix(10)
+            grid = build_posterior(data, models[0])
+            theta, weights, bound = measure_and_bound(grid)
+            exponents = np.einsum("i,j->ij", scan, -theta)
+            assert exponents.size >= CLAMP_MIN_EXPONENTS and bound < EXP_FLOOR  # clamp engaged
+            below.append((exponents < EXP_FLOOR).mean())
+            s = weights / theta
+            tails = np.einsum("ij,j->i", np.exp(exponents), s)
+            sum_s = np.einsum("j,j->", np.ones_like(s), s)
+            for model in models:
+                h, b = model.h, model.b
+                unclamped = (b + h) * tails + h * (scan * np.add.reduce(weights) - sum_s)
+                clamped = expected_risk(scan, grid.nodes, grid.normalized_weights, model)
+                assert clamped.tobytes() == unclamped.tobytes(), (path, h)
+        assert np.mean(below) > 0.01
         # An n = 2,000 grid, the size decide_single draws, stays above the floor.
-        assert log_ratio_and_bound(grid_n2000)[3] >= EXP_FLOOR
+        assert measure_and_bound(grid_n2000)[2] >= EXP_FLOOR
+
+    def test_matches_a_50_digit_sum(self, data_n2000, base_model):
+        # The worst error here reads 2.66 eps, at a = 0 with h = 0.5, where
+        # (b+h)*tail and h*sum w/theta cancel to a sixth of their size.
+        actions = np.linspace(*base_model.action_interval, 33)
+        for n in (1, 3, 10, 2000):
+            grid = build_posterior(data_n2000.prefix(n), base_model)
+            keep = grid.normalized_weights > 0
+            with mpmath.workdps(50):
+                theta = [mpmath.mpf(float(t)) for t in grid.nodes[keep]]
+                weights = [mpmath.mpf(float(w)) for w in grid.normalized_weights[keep]]
+                ratios = [w / t for w, t in zip(weights, theta)]
+                total, total_ratio = mpmath.fsum(weights), mpmath.fsum(ratios)
+                tails = [
+                    mpmath.fsum(r * mpmath.exp(-mpmath.mpf(a) * t) for r, t in zip(ratios, theta))
+                    for a in actions
+                ]
+                for h in (0.001, 0.005, 0.009, 0.5):
+                    model = replace(base_model, h=h, theta0=None)
+                    values = expected_risk(actions, grid.nodes, grid.normalized_weights, model)
+                    for a, value, tail in zip(actions, values, tails):
+                        exact = (model.b + mpmath.mpf(h)) * tail + h * (
+                            mpmath.mpf(a) * total - total_ratio
+                        )
+                        assert abs(value - exact) <= 1e-13 * exact, (n, h, a)
 
     def test_action_array_matches_scalar_calls(self, grid_n50, base_model):
         actions = np.linspace(0.0, 50.0, 101)
