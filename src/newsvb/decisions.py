@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,8 +28,9 @@ from .model import (
     NewsvendorModel,
     Observations,
     Risk,
+    _exp_table,
+    _positive_measure,
     expected_risk,
-    newsvendor_expected_risk,
     resolve_risk,
     true_optimal_action,
 )
@@ -68,6 +70,10 @@ LCVB_COARSE_POINTS = 33
 LCVB_OUTER_TOLERANCE = 1e-4
 LCVB_MAX_NEWTON_STEPS = 50
 NVB_MAX_NEWTON_STEPS = 100
+# log(float min/eps): a row whose level c_h = log(h*W/(b+h)) is below it fails,
+# since psi's sum, at least e^c_h at each action Newton evaluates, could leave
+# the normal floats.
+LEVEL_FLOOR = math.log(sys.float_info.min / sys.float_info.epsilon)
 
 logger = logging.getLogger(__name__)
 
@@ -124,43 +130,56 @@ def decide_on_measure(
     s_h = log((b+h)/h)/m (Newton's first iterate from a = 0) lies at or left
     of row h's root. A row with s_h >= a_hi is at a_hi; every other row
     starts at max(s_h, a_lo), and one starting at a_lo is at a_lo if
-    psi(a_lo) <= c_h. One (rows + 1, nodes) pass gives psi at every start
-    and at a_hi; Newton's iterates then rise to each row's root without
-    overshooting, in one (rows, nodes) pass per step over the rows still
-    moving. A row stops once its step is at most 1e-15*(1 + a), so a start
-    where psi rounds a hair below c_h is its own root; a row still moving
-    after 100 steps gets a ``NumericalError`` in its place, which fails it
-    alone. ``probe_count`` counts the evaluations of psi that a row used:
-    none where s_h >= a_hi, one at a_lo, and otherwise two (its start and
-    a_hi) plus one per Newton step. Each row logs one debug line, except
-    BAYES rows: ``bayes_decision`` logs each with the scan that certifies
-    it, whether it found the root itself or was handed the row.
+    psi(a_lo) <= c_h. Each pass over actions a_k builds one table
+    E = exp(-a_k*theta_i) and takes its row sums against w_i, w_i*theta_i
+    and s_i = w_i/theta_i: psi = log sum_i w_i*E, -psi' = sum_i w_i*theta_i*E
+    / sum_i w_i*E and the tail sum_i s_i*E of H = (b+h)*tail + h*(a*W -
+    sum_i s_i), with no shift. The first pass, over every start and a_hi,
+    gives psi there; Newton's iterates then rise to each row's root without
+    overshooting, in one pass per step over the rows still moving. A row
+    stops once its step is at most 1e-15*(1 + a), so a start where psi
+    rounds a hair below c_h is its own root, and its ``objective_value`` is
+    H from the tail of the pass it stopped in (an a_hi row's from the first
+    pass's a_hi column), summed as ``model.newsvendor_expected_risk`` sums
+    it, so it equals ``expected_risk`` at the action bit for bit. Newton's
+    iterates keep psi >= c_h, so their sums stay normal floats while
+    c_h >= log(float min/eps) ~ -672.3 (``LEVEL_FLOOR``); a row with s_h <
+    a_hi whose level is below that gets a ``NumericalError`` naming it, as
+    does a row still moving after 100 steps, and fails alone. A psi(a_lo)
+    or psi(a_hi) below c_h needs no precision, and one that underflows
+    reads -inf. ``probe_count`` counts the evaluations of psi
+    that a row used: none where s_h >= a_hi, one at a_lo, and otherwise two
+    (its start and a_hi) plus one per Newton step. Each row logs one debug
+    line, except BAYES rows: ``bayes_decision`` logs each with the scan
+    that certifies it, whether it found the root itself or was handed the
+    row.
     The naive rule passes q's Gauss-Hermite nodes, and q and ``inner_fit``
     to record in each outcome; the Bayes oracle (``bayes_decision`` for one
     h, ``simulate_path`` for all of an n) passes the posterior grid.
     """
     first = models[0]
     fixed = vars(first) | {"h": None}  # every field but h
-    if any(vars(model) | {"h": None} != fixed for model in models):
+    if any(vars(model) | {"h": None} != fixed for model in models[1:]):
         raise ValueError("models decided on one measure must differ only in h")
-    keep = weights > 0  # zero weights drop out of psi
-    nodes, kept = theta[keep], weights[keep]
-    log_weights = np.log(kept)
+    # The positive weights, with W and sum_i s_i as expected_risk sums them.
+    nodes, kept, s, total_weight, sum_s = _positive_measure(theta, weights)
+    total_weight, sum_s = float(total_weight), float(sum_s)
+    neg_nodes, tilted_weights = -nodes, kept * nodes
 
-    def psi(actions: list[float]) -> tuple[list[float], list[float]]:
-        """psi and -psi', the mean of theta under the tilted weights, at each
-        action, in one (actions, nodes) pass."""
-        terms = log_weights - np.array(actions)[:, None] * nodes
-        peak = np.maximum.reduce(terms, axis=1, keepdims=True)
-        terms -= peak
-        np.exp(terms, out=terms)
-        total = np.add.reduce(terms, axis=1)  # row sums, unlike BLAS, ignore the row count
-        mean = np.add.reduce(terms * nodes, axis=1) / total
-        return (peak[:, 0] + np.log(total)).tolist(), mean.tolist()
+    def evaluate(actions: list[float]) -> list[tuple[float, float, float]]:
+        """(psi, -psi' = the mean of theta under the tilted weights, the tail
+        sum_i s_i*exp(-a*theta_i)) at each action, from one exp table. A sum
+        that underflows (at a_lo or a_hi only) gives psi = -inf and no mean."""
+        table = _exp_table(np.array(actions), neg_nodes)
+        # Row sums, unlike BLAS, ignore the row count.
+        sums = (np.einsum("ij,j->i", table, v).tolist() for v in (kept, tilted_weights, s))
+        return [
+            (math.log(total), tilted / total, tail) if total else (-math.inf, math.nan, tail)
+            for total, tilted, tail in zip(*sums)
+        ]
 
     lo, hi = (float(end) for end in first.action_interval)
-    total_weight = weights.sum()
-    mean_rate = float(np.add.reduce(kept * nodes) / total_weight)
+    mean_rate = float(np.add.reduce(tilted_weights) / total_weight)
     levels = [math.log(model.h * total_weight / (model.b + model.h)) for model in models]
     # s_h clamped to [a_lo, a_hi]; a zero mean rate puts s_h at infinity.
     start = [
@@ -172,48 +191,49 @@ def decide_on_measure(
     action = list(start)
     where = ["at a_hi" if a == hi else "interior" for a in start]
     evaluations = [0] * len(models)
-    moving: dict[int, tuple[float, float]] = {}  # rows still moving: psi, tilted mean
-    rows = [row for row, a in enumerate(start) if a < hi]
-    if rows:
-        values, tilted_means = psi([start[row] for row in rows] + [hi])
-        value_hi = values.pop()
-        for row, value, tilted_mean in zip(rows, values, tilted_means):
-            if start[row] == lo and value <= levels[row]:
-                where[row], evaluations[row] = "at a_lo", 1
-            elif value_hi >= levels[row]:
-                where[row], action[row], evaluations[row] = "at a_hi", hi, 2
-            else:
-                evaluations[row], moving[row] = 2, (value, tilted_mean)
+    failed = {row for row, a in enumerate(start) if a < hi and levels[row] < LEVEL_FLOOR}
+    rows = [row for row, a in enumerate(start) if a < hi and row not in failed]
+    moving: dict[int, tuple[float, float, float]] = {}  # rows still moving: psi, mean, tail
+    *firsts, (value_hi, _, tail_hi) = evaluate([start[row] for row in rows] + [hi])
+    stopped = {row: tail_hi for row, a in enumerate(start) if a == hi}  # tail at the action
+    for row, (value, tilted_mean, tail) in zip(rows, firsts):
+        if start[row] == lo and value <= levels[row]:
+            where[row], evaluations[row], stopped[row] = "at a_lo", 1, tail
+        elif value_hi >= levels[row]:
+            where[row], action[row], evaluations[row], stopped[row] = "at a_hi", hi, 2, tail_hi
+        else:
+            evaluations[row], moving[row] = 2, (value, tilted_mean, tail)
     for _ in range(NVB_MAX_NEWTON_STEPS):
-        for row, (value, tilted_mean) in list(moving.items()):
+        for row, (value, tilted_mean, tail) in list(moving.items()):
             step = (value - levels[row]) / tilted_mean
             if step <= 1e-15 * (1.0 + action[row]):
                 del moving[row]
+                stopped[row] = tail
             else:
                 action[row] = min(action[row] + step, hi)
                 evaluations[row] += 1
         if not moving:
             break
         rows = list(moving)
-        values, tilted_means = psi([action[row] for row in rows])
-        moving = dict(zip(rows, zip(values, tilted_means)))
-    # expected_risk's own sum, one h per row.
-    hs = np.array([model.h for model in models])
-    objective = newsvendor_expected_risk(np.array(action), hs, first.b, theta, weights).tolist()
+        moving = dict(zip(rows, evaluate([action[row] for row in rows])))
+    errors = {
+        row: f"psi's level log(h*W/(b+h)) = {levels[row]:.6g} is below log(float min/eps) = "
+        f"{LEVEL_FLOOR:.6g}"
+        for row in failed
+    }
+    for row in moving:  # still moving after the last step
+        errors[row] = f"first-order root not reached in {NVB_MAX_NEWTON_STEPS} Newton steps"
     outcomes: list[DecisionOutcome | NumericalError] = []
     for row, model in enumerate(models):
-        if row in moving:  # still moving after the last step
-            outcomes.append(
-                NumericalError(
-                    f"{rule.value} first-order root not reached in {NVB_MAX_NEWTON_STEPS} "
-                    f"Newton steps at h={model.h:g}"
-                )
-            )
+        if row in errors:
+            outcomes.append(NumericalError(f"{rule.value} {errors[row]} at h={model.h:g}"))
             continue
         a, count, end = action[row], evaluations[row], where[row]
+        # expected_risk's affine part, on the tail of the pass the row stopped in.
+        objective = (first.b + model.h) * stopped[row] + model.h * (a * total_weight - sum_s)
         if rule is not Rule.BAYES:  # the oracle logs its root with the scan that checks it
             logger.debug("%s action %.9g after %d psi evaluations, %s", rule.value, a, count, end)
-        outcomes.append(DecisionOutcome(a, objective[row], rule, inner_fit, count, q))
+        outcomes.append(DecisionOutcome(a, objective, rule, inner_fit, count, q))
     return outcomes
 
 

@@ -23,6 +23,7 @@ from .model import (
     Risk,
     expected_risk,
     log_posterior_unnormalized,
+    newsvendor_expected_risk,
     resolve_risk,
 )
 from .numerics import (
@@ -62,20 +63,18 @@ class PosteriorGrid:
     ``nodes`` are the rates theta_i = e^u_i and ``window`` the rates at the
     window's edges. ``log_weights[i]`` is log(weight in u x theta_i x
     unnormalized posterior density at theta_i), and ``log_evidence`` their
-    log-sum-exp, so ``exp(log_weights - log_evidence)`` are probabilities
-    summing to one. The grid keeps a handle on the data it was built from,
-    which lets the posterior density be evaluated off-grid.
+    log-sum-exp; ``normalized_weights`` are the probabilities
+    exp(log_weights - log_evidence), summing to one. The grid keeps a
+    handle on the data it was built from, which lets the posterior density
+    be evaluated off-grid.
     """
 
     nodes: np.ndarray
     log_weights: np.ndarray
     log_evidence: float
+    normalized_weights: np.ndarray
     window: tuple[float, float]
     data: Observations
-
-    @property
-    def normalized_weights(self) -> np.ndarray:
-        return np.exp(self.log_weights - self.log_evidence)
 
     def mean(self) -> float:
         return float(self.normalized_weights @ self.nodes)
@@ -110,7 +109,11 @@ def build_posterior(data: Observations, model: NewsvendorModel) -> PosteriorGrid
     floats, is a numerical error. Node u_i's log weight is that closed form
     plus the prior's normalizer, log(w_i * half-width) + p*u_i - S*e^u_i -
     beta*e^-u_i + alpha*log(beta) - lgamma(alpha), which is
-    log p(X | theta) + log pi(theta) + u at theta = e^u_i.
+    log p(X | theta) + log pi(theta) + u at theta = e^u_i. It is summed about
+    c = u* as peak + p*(u_i - c) - S*t*expm1(u_i - c) - (beta/t)*expm1(c -
+    u_i), whose terms are of size S*t*|u_i - c| where those of the closed
+    form are of size S*t ~ n, and the normalized weights come from the part
+    after the peak, so the grid's moments do not lose n*eps.
     """
     s, p, beta = data.sum_s, data.n - model.alpha, model.beta
     if s <= 0:
@@ -146,20 +149,25 @@ def build_posterior(data: Observations, model: NewsvendorModel) -> PosteriorGrid
     half = 0.5 * (hi - lo)
     u = 0.5 * (hi + lo) + half * x
     nodes = np.exp(u)
-    log_weights = np.log(w * half) + (p * u - s * nodes - beta / nodes) + (
-        model.alpha * math.log(beta) - math.lgamma(model.alpha)
-    )
+    # The log weights less the peak; S*t - beta/t = p at the mode.
+    d = u - center
+    relative = np.log(w * half) + (p * d - s * mode * np.expm1(d) - beta / mode * np.expm1(-d))
     # Log-sum-exp about the largest term, which becomes the 1 inside log1p.
-    k = int(np.argmax(log_weights))
-    shifted = log_weights - log_weights[k]
+    k = int(np.argmax(relative))
+    shifted = relative - relative[k]
     shifted[k] = -np.inf
-    log_evidence = float(np.log1p(np.exp(shifted).sum()) + log_weights[k])
+    log_mass = float(np.log1p(np.exp(shifted).sum()) + relative[k])
+    offset = peak + model.alpha * math.log(beta) - math.lgamma(model.alpha)
+    log_evidence = log_mass + offset
     if not math.isfinite(log_evidence):
         raise NumericalError("posterior evidence is not finite")
     return PosteriorGrid(
         nodes=nodes,
-        log_weights=log_weights,
+        log_weights=relative + offset,
         log_evidence=log_evidence,
+        # From the relative weights: log_weights round at the offset's ulp,
+        # ~n*eps, which exp(log_weights - log_evidence) would carry.
+        normalized_weights=np.exp(relative - log_mass),
         window=(math.exp(lo), math.exp(hi)),
         data=data,
     )
@@ -208,7 +216,7 @@ def bayes_decision(
         raise root
     lo, hi = model.action_interval
     scan = np.linspace(lo, hi, BAYES_SCAN_POINTS)
-    values = expected_risk(scan, nodes, weights, model)
+    values = newsvendor_expected_risk(scan, model.h, model.b, nodes, weights)  # expected_risk's sum
     k = int(np.argmin(values))  # first minimum = smallest action
     a, value, evaluations = root.action, root.objective_value, root.probe_count
     left, right = scan[max(k - 1, 0)], scan[min(k + 1, BAYES_SCAN_POINTS - 1)]

@@ -16,8 +16,10 @@ from newsvb import (
     LogNormalVariational,
     NewsvendorModel,
     NewsvendorRisk,
+    Observations,
     Rule,
     bayes_decision,
+    build_posterior,
     expected_risk_under_q,
     fit_nvb,
     lcvb_decide,
@@ -301,6 +303,22 @@ class TestDecideOnMeasure:
             )
             assert at_lo == pytest.approx(risk(model.action_lo, rate, model), rel=1e-14)
 
+    def test_a_psi_that_underflows_at_a_hi_raises_no_warning(self, base_model):
+        # The n = 1 grid of one demand 0.01 reaches theta ~ 3.1e9, whose
+        # exponentials underflow in every pass. On rates 20 and 30 psi(a_hi)
+        # itself underflows: its sum is 0 and psi reads -inf.
+        data = Observations([0.01])
+        theta, weights = np.array([20.0, 30.0]), np.array([0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bayes = bayes_decision(build_posterior(data, base_model), base_model)
+            nvb = nvb_decide(data, base_model)
+            assert float(weights @ np.exp(-base_model.action_hi * theta)) == 0.0
+            underflow = decide_one(theta, weights, base_model)
+        for outcome in (bayes, nvb, underflow):
+            assert base_model.action_lo < outcome.action < base_model.action_hi
+        assert_first_order(underflow, theta, weights, base_model)
+
     def test_one_debug_line_per_decide(self, grid_n50, base_model, data_n50, caplog):
         q, _ = fit_nvb(data_n50, base_model)
         with caplog.at_level(logging.DEBUG):
@@ -398,6 +416,49 @@ class TestDecideAcrossH:
             assert outcomes[row] == decide_one(self.THETA, self.WEIGHTS, models[row])
         with pytest.raises(NumericalError, match="not reached"):
             decide_one(self.THETA, self.WEIGHTS, models[2])
+
+    def test_a_row_below_the_level_floor_fails_alone(self):
+        # On [0, 2000] Jensen's plug-in action for h = 1e-300 is about 917,
+        # inside the interval, and its level log(h*W/(b+h)) = log(1e-299) is
+        # below log(float min/eps): psi's sums could leave the normal floats.
+        models = self.models((0.2, 0.03, 0.005), interval=(0.0, 2000.0))
+        clean = decide_on_measure(self.THETA, self.WEIGHTS, models, Rule.NVB)
+        assert not any(isinstance(outcome, NumericalError) for outcome in clean)
+        (tiny,) = self.models((1e-300,), interval=(0.0, 2000.0))
+        outcomes = decide_on_measure(
+            self.THETA, self.WEIGHTS, [models[0], tiny, *models[1:]], Rule.NVB
+        )
+        assert isinstance(outcomes[1], NumericalError)
+        assert str(outcomes[1]) == (
+            f"NVB psi's level log(h*W/(b+h)) = {math.log(1e-299):.6g} is below "
+            "log(float min/eps) = -672.353 at h=1e-300"
+        )
+        assert [outcomes[0], *outcomes[2:]] == clean
+        with pytest.raises(NumericalError, match="is below log"):
+            decide_one(self.THETA, self.WEIGHTS, tiny)
+        # On [1, 3] the same row starts past a_hi, where it needs no psi.
+        (past,) = decide_on_measure(self.THETA, self.WEIGHTS, self.models((1e-300,)), Rule.NVB)
+        assert (past.action, past.probe_count) == (3.0, 0)
+
+    @PROPERTY_SETTINGS
+    @given(
+        measure=measures(),
+        hs=st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=12, unique=True),
+        b=COSTS["b"],
+        lo=COSTS["lo"],
+        width=COSTS["width"],
+    )
+    @example(measure=END_MEASURE, hs=[0.2, 0.03, 0.014, 0.005], b=0.1, lo=1.0, width=2.0)
+    def test_a_row_keeps_its_bits_in_any_batch(self, measure, hs, b, lo, width):
+        # A row's exponentials and row sums do not depend on the rows it
+        # shares a pass with, so neither do its iterates and its objective.
+        theta, weights = measure
+        models = [measure_model(h, b, lo, width) for h in hs]
+        for model, outcome in zip(models, decide_on_measure(theta, weights, models, Rule.NVB)):
+            alone = decide_one(theta, weights, model)
+            assert (outcome.action, outcome.objective_value, outcome.probe_count) == (
+                alone.action, alone.objective_value, alone.probe_count
+            )
 
     @pytest.mark.parametrize(
         "other",

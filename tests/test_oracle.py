@@ -143,9 +143,9 @@ class TestBuildPosterior:
 
     @pytest.mark.parametrize("alpha,beta", [(1.0, 4.1), (0.3, 2.0), (2.5, 0.7)])
     def test_moments_match_the_exact_gig_moments(self, alpha, beta):
-        # The log weights carry rounding of order eps * S*theta ~ n*eps, so the
-        # bound grows with n: the worst of 480 cells of seeds 8000-8019 read
-        # 2.45 (1 + n) eps, the bound is 10 (1 + n) eps.
+        # The weights come from log weights less the peak, whose rounding does
+        # not grow like n: the worst of 960 cells of seeds 8000-8019 and
+        # 9000-9019 (n from 1 to 6,400) read 16.3 eps, the bound is 32 eps.
         model = NewsvendorModel(h=0.005, b=0.1, theta0=0.68, alpha=alpha, beta=beta)
         for seed in range(2):
             stream = sample_demand(model.theta0, 6400, np.random.default_rng(7000 + seed))
@@ -153,7 +153,7 @@ class TestBuildPosterior:
                 data = stream.prefix(n)
                 mean, variance = exact_moments(data, model)
                 grid = build_posterior(data, model)
-                bound = 10 * (1 + n) * np.finfo(float).eps
+                bound = 32 * np.finfo(float).eps
                 assert abs(grid.mean() - mean) <= bound * mean, (seed, n)
                 assert abs(grid.variance() - variance) <= bound * variance, (seed, n)
 
