@@ -120,118 +120,106 @@ def decide_on_measure(
 ) -> list[DecisionOutcome | NumericalError]:
     """Minimize H(a) = sum_i weights[i] * G(a, theta[i]) for each model.
 
-    The models must differ only in h (``ValueError`` otherwise). For the
-    newsvendor H'(a) = h*W - (b+h)*exp(psi(a)), with W = sum(weights) and
-    psi(a) = log sum_i weights[i]*exp(-a*theta[i]); H is convex, so its
-    minimizer is a_lo if psi(a_lo) <= c_h = log(h*W/(b+h)), a_hi if
-    psi(a_hi) >= c_h, and otherwise the root of psi(a) = c_h. psi is convex
-    and decreasing, so by Jensen psi(a) >= log W - a*m for the mean rate
-    m = sum_i weights[i]*theta[i] / W, and the plug-in action
-    s_h = log((b+h)/h)/m (Newton's first iterate from a = 0) lies at or left
-    of row h's root. A row with s_h >= a_hi is at a_hi; every other row
-    starts at max(s_h, a_lo), and one starting at a_lo is at a_lo if
-    psi(a_lo) <= c_h. Each pass over actions a_k builds one table
-    E = exp(-a_k*theta_i) and takes its row sums against w_i, w_i*theta_i
-    and s_i = w_i/theta_i: psi = log sum_i w_i*E, -psi' = sum_i w_i*theta_i*E
-    / sum_i w_i*E and the tail sum_i s_i*E of H = (b+h)*tail + h*(a*W -
-    sum_i s_i), with no shift. The first pass, over every start and a_hi,
-    gives psi there; Newton's iterates then rise to each row's root without
-    overshooting, in one pass per step over the rows still moving. A row
-    stops once its step is at most 1e-15*(1 + a), so a start where psi
-    rounds a hair below c_h is its own root, and its ``objective_value`` is
-    H from the tail of the pass it stopped in (an a_hi row's from the first
-    pass's a_hi column), summed as ``model.newsvendor_expected_risk`` sums
-    it, so it equals ``expected_risk`` at the action bit for bit. Newton's
-    iterates keep psi >= c_h, so their sums stay normal floats while
-    c_h >= log(float min/eps) ~ -672.3 (``LEVEL_FLOOR``); a row with s_h <
-    a_hi whose level is below that gets a ``NumericalError`` naming it, as
-    does a row still moving after 100 steps, and fails alone. A psi(a_lo)
-    or psi(a_hi) below c_h needs no precision, and one that underflows
-    reads -inf. ``probe_count`` counts the evaluations of psi
-    that a row used: none where s_h >= a_hi, one at a_lo, and otherwise two
+    The models must differ only in h (``ValueError`` otherwise); ``weights``
+    None takes ``theta`` as a measure ``model._positive_measure`` prepared.
+    For the newsvendor H'(a) = h*W - (b+h)*exp(psi(a)), with W =
+    sum(weights) and psi(a) = log sum_i weights[i]*exp(-a*theta[i]); H is
+    convex, so its minimizer is a_lo if psi(a_lo) <= c_h = log(h*W/(b+h)),
+    a_hi if psi(a_hi) >= c_h, and otherwise the root of psi(a) = c_h. By
+    Jensen psi(a) >= log W - a*m for the mean rate m = sum_i
+    weights[i]*theta[i] / W, so the plug-in action s_h = log((b+h)/h)/m
+    lies at or left of row h's root. A row with s_h >= a_hi is at a_hi;
+    every other row starts at max(s_h, a_lo), and one starting at a_lo is
+    at a_lo if psi(a_lo) <= c_h. Each pass over actions a_k makes one table
+    E = exp(-a_k*theta_i) and one einsum contraction of it with the rows
+    w_i, w_i*theta_i and s_i = w_i/theta_i, each column the bits of its own
+    row sum: psi = log sum_i w_i*E, -psi' = sum_i w_i*theta_i*E / sum_i
+    w_i*E and the tail sum_i s_i*E of H = (b+h)*tail + h*(a*W - sum_i s_i).
+    The first pass, over every start and a_hi, gives psi there; Newton's
+    iterates then rise to each row's root without overshooting, one pass
+    per step over the rows still moving. A row stops once its step is at
+    most 1e-15*(1 + a), and its ``objective_value`` is H from the tail of
+    the pass it stopped in (an a_hi row's from the first pass's a_hi
+    column), equal to ``expected_risk`` at the action bit for bit. The
+    iterates keep psi >= c_h, so their sums stay normal floats while c_h >=
+    log(float min/eps) ~ -672.3 (``LEVEL_FLOOR``); a row with s_h < a_hi
+    below that level gets a ``NumericalError`` naming it, as does a row
+    still moving after 100 steps, and fails alone. A psi(a_lo) or psi(a_hi)
+    that underflows reads -inf. ``probe_count`` counts the row's psi
+    evaluations: none where s_h >= a_hi, one at a_lo, and otherwise two
     (its start and a_hi) plus one per Newton step. Each row logs one debug
-    line, except BAYES rows: ``bayes_decision`` logs each with the scan
-    that certifies it, whether it found the root itself or was handed the
-    row.
-    The naive rule passes q's Gauss-Hermite nodes, and q and ``inner_fit``
-    to record in each outcome; the Bayes oracle (``bayes_decision`` for one
-    h, ``simulate_path`` for all of an n) passes the posterior grid.
+    line, except BAYES rows, which ``bayes_decision`` logs with its scan.
+    NVB passes q's Gauss-Hermite nodes, with q and ``inner_fit`` to record
+    in each outcome; the Bayes oracle passes the posterior grid.
     """
     first = models[0]
     fixed = vars(first) | {"h": None}  # every field but h
     if any(vars(model) | {"h": None} != fixed for model in models[1:]):
         raise ValueError("models decided on one measure must differ only in h")
-    # The positive weights, with W and sum_i s_i as expected_risk sums them.
-    nodes, kept, s, total_weight, sum_s = _positive_measure(theta, weights)
-    total_weight, sum_s = float(total_weight), float(sum_s)
-    neg_nodes, tilted_weights = -nodes, kept * nodes
+    neg_nodes, columns, total_weight, sum_s, mean_rate = _positive_measure(theta, weights)
 
     def evaluate(actions: list[float]) -> list[tuple[float, float, float]]:
         """(psi, -psi' = the mean of theta under the tilted weights, the tail
-        sum_i s_i*exp(-a*theta_i)) at each action, from one exp table. A sum
-        that underflows (at a_lo or a_hi only) gives psi = -inf and no mean."""
-        table = _exp_table(np.array(actions), neg_nodes)
-        # Row sums, unlike BLAS, ignore the row count.
-        sums = (np.einsum("ij,j->i", table, v).tolist() for v in (kept, tilted_weights, s))
+        sum_i s_i*exp(-a*theta_i)) at each action. A sum that underflows (at
+        a_lo or a_hi only) gives psi = -inf and no mean. Unlike BLAS's @, the
+        contraction's columns are each row's own row sums, bit for bit."""
+        sums = np.einsum("ij,kj->ik", _exp_table(np.array(actions), neg_nodes), columns)
         return [
             (math.log(total), tilted / total, tail) if total else (-math.inf, math.nan, tail)
-            for total, tilted, tail in zip(*sums)
+            for total, tilted, tail in sums.tolist()
         ]
 
     lo, hi = (float(end) for end in first.action_interval)
-    mean_rate = float(np.add.reduce(tilted_weights) / total_weight)
     levels = [math.log(model.h * total_weight / (model.b + model.h)) for model in models]
     # s_h clamped to [a_lo, a_hi]; a zero mean rate puts s_h at infinity.
     start = [
-        min(max(math.log((model.b + model.h) / model.h) / mean_rate, lo), hi)
-        if mean_rate > 0
-        else hi
-        for model in models
+        min(max(math.log((model.b + model.h) / model.h) / mean_rate, lo), hi) if mean_rate > 0
+        else hi for model in models
     ]
-    action = list(start)
-    where = ["at a_hi" if a == hi else "interior" for a in start]
-    evaluations = [0] * len(models)
-    failed = {row for row, a in enumerate(start) if a < hi and levels[row] < LEVEL_FLOOR}
-    rows = [row for row, a in enumerate(start) if a < hi and row not in failed]
-    moving: dict[int, tuple[float, float, float]] = {}  # rows still moving: psi, mean, tail
+    action, evaluations = list(start), [0] * len(models)
+    # Each row's failure, or None.
+    errors = [
+        f"psi's level log(h*W/(b+h)) = {level:.6g} is below log(float min/eps) = "
+        f"{LEVEL_FLOOR:.6g}" if a < hi and level < LEVEL_FLOOR else None
+        for a, level in zip(start, levels)
+    ]
+    rows = [row for row, a in enumerate(start) if a < hi and errors[row] is None]
     *firsts, (value_hi, _, tail_hi) = evaluate([start[row] for row in rows] + [hi])
-    stopped = {row: tail_hi for row, a in enumerate(start) if a == hi}  # tail at the action
+    tails = [tail_hi if a == hi else math.nan for a in start]  # at a stopped row's action
+    moving = []  # (row, psi, mean, tail) at each row still moving
     for row, (value, tilted_mean, tail) in zip(rows, firsts):
         if start[row] == lo and value <= levels[row]:
-            where[row], evaluations[row], stopped[row] = "at a_lo", 1, tail
+            evaluations[row], tails[row] = 1, tail
         elif value_hi >= levels[row]:
-            where[row], action[row], evaluations[row], stopped[row] = "at a_hi", hi, 2, tail_hi
+            action[row], evaluations[row], tails[row] = hi, 2, tail_hi
         else:
-            evaluations[row], moving[row] = 2, (value, tilted_mean, tail)
+            evaluations[row] = 2
+            moving.append((row, value, tilted_mean, tail))
     for _ in range(NVB_MAX_NEWTON_STEPS):
-        for row, (value, tilted_mean, tail) in list(moving.items()):
+        rows = []
+        for row, value, tilted_mean, tail in moving:
             step = (value - levels[row]) / tilted_mean
             if step <= 1e-15 * (1.0 + action[row]):
-                del moving[row]
-                stopped[row] = tail
+                tails[row] = tail
             else:
                 action[row] = min(action[row] + step, hi)
                 evaluations[row] += 1
-        if not moving:
+                rows.append(row)
+        if not rows:
             break
-        rows = list(moving)
-        moving = dict(zip(rows, evaluate([action[row] for row in rows])))
-    errors = {
-        row: f"psi's level log(h*W/(b+h)) = {levels[row]:.6g} is below log(float min/eps) = "
-        f"{LEVEL_FLOOR:.6g}"
-        for row in failed
-    }
-    for row in moving:  # still moving after the last step
-        errors[row] = f"first-order root not reached in {NVB_MAX_NEWTON_STEPS} Newton steps"
+        moving = [(row, *out) for row, out in zip(rows, evaluate([action[row] for row in rows]))]
+    else:  # rows still moving after the last step
+        for row, *_ in moving:
+            errors[row] = f"first-order root not reached in {NVB_MAX_NEWTON_STEPS} Newton steps"
     outcomes: list[DecisionOutcome | NumericalError] = []
-    for row, model in enumerate(models):
-        if row in errors:
-            outcomes.append(NumericalError(f"{rule.value} {errors[row]} at h={model.h:g}"))
+    for model, a, count, tail, error in zip(models, action, evaluations, tails, errors):
+        if error is not None:
+            outcomes.append(NumericalError(f"{rule.value} {error} at h={model.h:g}"))
             continue
-        a, count, end = action[row], evaluations[row], where[row]
         # expected_risk's affine part, on the tail of the pass the row stopped in.
-        objective = (first.b + model.h) * stopped[row] + model.h * (a * total_weight - sum_s)
+        objective = (first.b + model.h) * tail + model.h * (a * total_weight - sum_s)
         if rule is not Rule.BAYES:  # the oracle logs its root with the scan that checks it
+            end = "at a_lo" if count == 1 else "at a_hi" if a == hi else "interior"
             logger.debug("%s action %.9g after %d psi evaluations, %s", rule.value, a, count, end)
         outcomes.append(DecisionOutcome(a, objective, rule, inner_fit, count, q))
     return outcomes

@@ -291,7 +291,7 @@ def _cell(rule: Rule, n: int, model: NewsvendorModel, data, grid, nvb, root) -> 
     if isinstance(needed, str):
         return failure(needed)
     if isinstance(needed, NumericalError):
-        return failure("NVB root not reached")
+        return failure(f"NVB: {needed}")
     try:
         if rule is Rule.BAYES:
             outcome = bayes_decision(grid, model, root=root)

@@ -21,6 +21,7 @@ from .model import (
     NewsvendorModel,
     Observations,
     Risk,
+    _positive_measure,
     expected_risk,
     log_posterior_unnormalized,
     newsvendor_expected_risk,
@@ -209,14 +210,14 @@ def bayes_decision(
     where the plug-in action is past a_hi), whether the root was passed in
     or not. It is the reference the variational rules are measured against.
     """
-    nodes, weights = grid.nodes, grid.normalized_weights
+    measure = _positive_measure(grid.nodes, grid.normalized_weights)  # for the root and the scan
     if root is None:
-        (root,) = decide_on_measure(nodes, weights, [model], Rule.BAYES)
+        (root,) = decide_on_measure(measure, None, [model], Rule.BAYES)
     if isinstance(root, NumericalError):
         raise root
     lo, hi = model.action_interval
     scan = np.linspace(lo, hi, BAYES_SCAN_POINTS)
-    values = newsvendor_expected_risk(scan, model.h, model.b, nodes, weights)  # expected_risk's sum
+    values = newsvendor_expected_risk(scan, model.h, model.b, measure, None)  # expected_risk's sum
     k = int(np.argmin(values))  # first minimum = smallest action
     a, value, evaluations = root.action, root.objective_value, root.probe_count
     left, right = scan[max(k - 1, 0)], scan[min(k + 1, BAYES_SCAN_POINTS - 1)]

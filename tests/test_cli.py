@@ -531,6 +531,20 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in err and out == ""
 
+    # One demand of 0.01: every rule's psi root starts inside [0, 50], where
+    # the level log(h*W/(b+h)) ~ -688.5 of h = 1e-300 is below log(float
+    # min/eps). LCVB fails at its NVB start.
+    @pytest.mark.parametrize("rule", ["nvb", "lcvb", "bayes"])
+    def test_a_level_below_the_floor_exits_3_in_one_line(self, capsys, rule):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "decide", "--rule", rule, "--values", "0.01",
+                                     "--h", "1e-300")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure: ") and "psi's level" in err
+        assert err.count("\n") == 1
+
     # Sizes that malloc refuses at once; never a size that could be allocated.
     @pytest.mark.parametrize(
         "argv,config",

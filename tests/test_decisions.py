@@ -281,6 +281,44 @@ class TestDecideOnMeasure:
             assert abs(scan - root) <= min(1e-6, 4.0 * estimate)
         assert interior >= 190
 
+    @PROPERTY_SETTINGS
+    @given(
+        measure=measures(),
+        inserted=st.lists(st.tuples(st.integers(0, 40), st.floats(1e-3, 1e3)), max_size=8),
+        hs=st.lists(
+            st.one_of(st.floats(1e-3, 0.5), st.just(1e-300)), min_size=1, max_size=9, unique=True
+        ),
+        b=COSTS["b"],
+        lo=COSTS["lo"],
+        width=st.floats(0.5, 2000.0),
+    )
+    # A row at each end, one inside and one below the level floor.
+    @example(
+        measure=END_MEASURE, inserted=[(0, 7.0), (1, 1e-3), (2, 900.0)],
+        hs=[0.2, 0.03, 0.014, 1e-300], b=0.1, lo=0.0, width=2000.0,
+    )
+    def test_zero_weight_nodes_change_no_row(self, measure, inserted, hs, b, lo, width):
+        # The measure drops nodes of zero weight before any sum, so its sums,
+        # and with them every row, keep their bits wherever such nodes sit.
+        theta, weights = measure
+        models = [measure_model(h, b, lo, width) for h in hs]
+        padded_theta, padded_weights = list(theta), list(weights)
+        for at, rate in inserted:
+            padded_theta.insert(at, rate)
+            padded_weights.insert(at, 0.0)
+
+        def bits(outcomes):
+            return [
+                str(outcome) if isinstance(outcome, NumericalError) else
+                (outcome.action.hex(), outcome.objective_value.hex(), outcome.probe_count)
+                for outcome in outcomes
+            ]
+
+        padded = decide_on_measure(
+            np.array(padded_theta), np.array(padded_weights), models, Rule.NVB
+        )
+        assert bits(padded) == bits(decide_on_measure(theta, weights, models, Rule.NVB))
+
     def test_zero_weights_raise_no_warning(self, base_model):
         # The second zero-weight node's G overflows (exp(-log theta) and
         # h/theta past the range), which 0 * inf would turn into nan.

@@ -5,6 +5,7 @@ import logging
 import math
 import platform
 import tempfile
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -179,8 +180,8 @@ class TestSimulatePath:
         config = tiny_config(rules=(Rule.NVB, Rule.LCVB, Rule.BAYES))
         records = simulate_path(config, 0)
         assert {(r.rule, r.failed, r.reason) for r in records} == {
-            (Rule.NVB, True, "NVB root not reached"),
-            (Rule.LCVB, True, "NVB root not reached"),
+            (Rule.NVB, True, "NVB: synthetic failure"),
+            (Rule.LCVB, True, "NVB: synthetic failure"),
             (Rule.BAYES, False, ""),
         }
 
@@ -201,9 +202,27 @@ class TestSimulatePath:
         assert len(records) == len(clean)
         for record, reference in zip(records, clean):
             if record.h == 0.005 and record.rule is not Rule.BAYES:
-                assert record.failed and record.reason == "NVB root not reached"
+                assert record.failed and record.reason == "NVB: synthetic row failure"
             else:
                 assert record == reference
+
+    def test_a_level_below_the_floor_fails_its_cells_with_the_roots_error(self):
+        # At h = 1e-300 on [0, 2000] both roots start inside the interval, at
+        # a level log(h*W/(b+h)) ~ -688.5 below log(float min/eps).
+        config = reference_config(
+            replications=1, rules=(Rule.NVB, Rule.BAYES), h_values=(1e-300, 0.005),
+            n_schedule=(10,), action_interval=(0, 2000),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            records = simulate_path(config, 0)
+        level = "psi's level log(h*W/(b+h)) = -688.473 is below log(float min/eps) = -672.353"
+        assert [(r.rule, r.h, r.failed, r.reason) for r in records] == [
+            (Rule.NVB, 1e-300, True, f"NVB: NVB {level} at h=1e-300"),
+            (Rule.BAYES, 1e-300, True, f"Bayes: BAYES {level} at h=1e-300"),
+            (Rule.NVB, 0.005, False, ""),
+            (Rule.BAYES, 0.005, False, ""),
+        ]
 
     def test_one_debug_line_per_n_names_the_failed_cells(self, monkeypatch, caplog):
         config = tiny_config(rules=(Rule.NVB, Rule.BAYES), h_values=(0.003, 0.008))
@@ -240,7 +259,7 @@ class TestSimulatePath:
         with caplog.at_level(logging.DEBUG, logger="newsvb.experiment"):
             records = simulate_path(config, 1)
         assert [record.getMessage() for record in caplog.records] == [
-            "path 1, n=10: failed cells: NVB h=0.003 (NVB root not reached), "
+            "path 1, n=10: failed cells: NVB h=0.003 (NVB: synthetic decide failure), "
             "BAYES h=0.008 (Bayes: synthetic Bayes failure)",
             "path 1, n=30: failed cells: NVB h=0.003 (plain fit), NVB h=0.008 (plain fit), "
             "BAYES h=0.008 (Bayes: synthetic Bayes failure)",
