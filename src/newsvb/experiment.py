@@ -236,8 +236,9 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
     prefix and the prior, so they are shared across holding costs: NVB
     decides every holding cost of an n in one ``decide_across_h`` call, and
     the Bayes oracle finds its roots for every holding cost in one
-    ``decide_on_measure`` call on the grid, which ``bayes_decision`` then
-    certifies per h with its own scan. Each NVB decision is also its LCVB
+    ``decide_on_measure`` call on the grid's prepared measure, which
+    ``bayes_decision`` then certifies per h with a scan of that measure on
+    the interval's shared scan actions. Each NVB decision is also its LCVB
     cell's start, and its failure fails both cells; a Bayes root that fails
     fails only its own cell, a failed grid only the Bayes cells, and a
     failed plain fit only the NVB and LCVB cells. Rule failures mark their
@@ -262,7 +263,7 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
             except NumericalError:
                 grid = "posterior grid"
             else:
-                roots = decide_on_measure(grid.nodes, grid.normalized_weights, models, Rule.BAYES)
+                roots = decide_on_measure(grid.measure, None, models, Rule.BAYES)
         if Rule.NVB in config.rules or Rule.LCVB in config.rules:
             try:
                 q_nvb, nvb_diag = fit_nvb(data, models[0])

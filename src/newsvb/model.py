@@ -53,11 +53,15 @@ class Observations:
         arr = np.array(values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("observations must form a non-empty 1-D sequence")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        # min is NaN with a NaN and negative with a negative demand; an
+        # infinite one shows in the sum, which max then tells from overflow.
+        if not arr.min() >= 0:
             raise ValueError("demand observations must be finite and nonnegative")
         with np.errstate(over="ignore"):
             total = float(arr.sum())
         if not math.isfinite(total):
+            if arr.max() == math.inf:
+                raise ValueError("demand observations must be finite and nonnegative")
             raise ValueError("demand observations sum past the floating-point range")
         arr.setflags(write=False)
         self.values = arr
@@ -244,7 +248,8 @@ def _positive_measure(theta: np.ndarray, weights: np.ndarray | None):
     sums of ``newsvendor_expected_risk`` and ``decide_on_measure``: (-theta_i,
     the C-contiguous rows w_i, w_i*theta_i and s_i = w_i/theta_i, W = sum_i
     w_i, sum_i s_i, the mean rate sum_i w_i*theta_i / W). With ``weights``
-    None, ``theta`` is such a measure, returned as is."""
+    None, ``theta`` is such a measure, returned as is; a posterior grid
+    keeps its own, read-only, as ``PosteriorGrid.measure``."""
     if weights is None:
         return theta
     keep = weights > 0
@@ -367,16 +372,20 @@ def sample_demand(theta: float, count: int, rng) -> Observations:
     """Draw ``count`` i.i.d. Exp(theta) demands by inverse CDF -log(U)/theta.
 
     Deterministic given the generator state; ``rng`` only needs a
-    ``random(count)`` method returning uniforms in [0, 1).
+    ``random(count)`` method returning uniforms in [0, 1), as a sequence or
+    a fresh array, which the draws overwrite.
     """
     if not theta > 0:
         raise ValueError("theta must be positive")
     if count < 1:
         raise ValueError("count must be at least 1")
-    u = np.asarray(rng.random(count), dtype=float)
+    draws = np.asarray(rng.random(count), dtype=float)
     # random() can return exactly 0; nudge to keep -log(U) finite.
-    u = np.maximum(u, np.finfo(float).tiny)
-    return Observations(-np.log(u) / theta)
+    np.maximum(draws, sys.float_info.min, out=draws)
+    np.log(draws, out=draws)
+    np.negative(draws, out=draws)
+    np.divide(draws, theta, out=draws)
+    return Observations(draws)
 
 
 def fisher_information(theta):

@@ -13,6 +13,7 @@ import logging
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -65,9 +66,11 @@ class PosteriorGrid:
     window's edges. ``log_weights[i]`` is log(weight in u x theta_i x
     unnormalized posterior density at theta_i), and ``log_evidence`` their
     log-sum-exp; ``normalized_weights`` are the probabilities
-    exp(log_weights - log_evidence), summing to one. The grid keeps a
-    handle on the data it was built from, which lets the posterior density
-    be evaluated off-grid.
+    exp(log_weights - log_evidence), summing to one. ``measure`` is
+    ``model._positive_measure`` of the nodes and normalized weights, read-only
+    and prepared on first use, so every Bayes root and scan on the grid
+    reads the same rows. The grid keeps a handle on the data it was built
+    from, which lets the posterior density be evaluated off-grid.
     """
 
     nodes: np.ndarray
@@ -76,6 +79,13 @@ class PosteriorGrid:
     normalized_weights: np.ndarray
     window: tuple[float, float]
     data: Observations
+
+    @cached_property
+    def measure(self):
+        measure = _positive_measure(self.nodes, self.normalized_weights)
+        for array in measure[:2]:  # -theta and the rows [w, w*theta, w/theta]
+            array.setflags(write=False)
+        return measure
 
     def mean(self) -> float:
         return float(self.normalized_weights @ self.nodes)
@@ -187,6 +197,14 @@ def posterior_expected_risk(
     return expected_risk(a, grid.nodes, grid.normalized_weights, model, risk)
 
 
+@lru_cache(maxsize=16)
+def _scan_actions(lo: float, hi: float) -> np.ndarray:
+    """The Bayes scan's ``BAYES_SCAN_POINTS`` actions on [lo, hi], read-only."""
+    actions = np.linspace(lo, hi, BAYES_SCAN_POINTS)
+    actions.setflags(write=False)
+    return actions
+
+
 def bayes_decision(
     grid: PosteriorGrid,
     model: NewsvendorModel,
@@ -201,22 +219,24 @@ def bayes_decision(
     error that failed it, where a caller decided several holding costs on
     the grid at once; without it the root is computed here for this h
     alone, with the same bits. A failed root raises its ``NumericalError``.
-    A 512-point scan of H is the root's derivative-free certificate: the
-    root must lie between the neighbours of the scan's best point, and H
-    there must not exceed the scan's minimum by more than rounding (1e-12
-    of it); otherwise ``NumericalError``. ``probe_count`` counts the 512
-    scan probes and the root's psi evaluations: two, at Jensen's plug-in
-    action and at a_hi, then one per Newton step (one alone at a_lo, none
-    where the plug-in action is past a_hi), whether the root was passed in
-    or not. It is the reference the variational rules are measured against.
+    The root and the scan read the grid's prepared ``measure``. A 512-point
+    scan of H, on actions prepared once per action interval, is the root's
+    derivative-free certificate: the root must lie between the neighbours
+    of the scan's best point, and H there must not exceed the scan's
+    minimum by more than rounding (1e-12 of it); otherwise
+    ``NumericalError``. ``probe_count`` counts the 512 scan probes and the
+    root's psi evaluations: two, at Jensen's plug-in action and at a_hi,
+    then one per Newton step (one alone at a_lo, none where the plug-in
+    action is past a_hi), whether the root was passed in or not. It is the
+    reference the variational rules are measured against.
     """
-    measure = _positive_measure(grid.nodes, grid.normalized_weights)  # for the root and the scan
+    measure = grid.measure
     if root is None:
         (root,) = decide_on_measure(measure, None, [model], Rule.BAYES)
     if isinstance(root, NumericalError):
         raise root
     lo, hi = model.action_interval
-    scan = np.linspace(lo, hi, BAYES_SCAN_POINTS)
+    scan = _scan_actions(lo, hi)
     values = newsvendor_expected_risk(scan, model.h, model.b, measure, None)  # expected_risk's sum
     k = int(np.argmin(values))  # first minimum = smallest action
     a, value, evaluations = root.action, root.objective_value, root.probe_count

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -366,6 +367,18 @@ class TestSampleDemand:
         second = sample_demand(0.68, 100, np.random.default_rng(99))
         assert np.array_equal(first.values, second.values)
 
+    @pytest.mark.parametrize(
+        "make_stream",
+        [partial(np.random.default_rng, seed) for seed in (0, 99, 424242)]
+        + [partial(_StubStream, 0.0)],  # a zero uniform, nudged to the smallest normal
+        ids=["seed 0", "seed 99", "seed 424242", "u = 0"],
+    )
+    def test_draws_are_the_bits_of_minus_log_u_over_theta(self, make_stream):
+        u = np.asarray(make_stream().random(500), dtype=float)
+        expected = -np.log(np.maximum(u, np.finfo(float).tiny)) / 0.68
+        drawn = sample_demand(0.68, 500, make_stream()).values
+        assert np.all(np.isfinite(drawn)) and drawn.tobytes() == expected.tobytes()
+
     def test_validates_inputs(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
@@ -402,6 +415,28 @@ class TestObservations:
             Observations([1.0, -0.5])
         with pytest.raises(ValueError):
             Observations([np.nan])
+
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ([math.nan], "finite and nonnegative"),
+            ([math.inf], "finite and nonnegative"),
+            ([-math.inf], "finite and nonnegative"),
+            ([-1.0], "finite and nonnegative"),
+            ([1.0, math.inf, math.nan], "finite and nonnegative"),
+            ([-0.0], None),
+            ([1e308, 1e308], "sum past the floating-point range"),
+        ],
+    )
+    def test_validation_reads_min_then_the_sum_without_a_warning(self, values, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if message is None:
+                data = Observations(values)
+                assert data.n == len(values) and data.sum_s == 0.0
+            else:
+                with pytest.raises(ValueError, match=message):
+                    Observations(values)
 
     def test_rejects_an_overflowing_sum_without_a_warning(self):
         with warnings.catch_warnings():

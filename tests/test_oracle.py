@@ -11,6 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+import newsvb.decisions
+import newsvb.model
 import newsvb.oracle as oracle
 from newsvb import (
     ConstantRisk,
@@ -27,10 +29,11 @@ from newsvb import (
     true_optimal_action,
 )
 from newsvb.decisions import Rule, decide_on_measure
-from newsvb.experiment import derive_path_seed, reference_config
+from newsvb.experiment import derive_path_seed, reference_config, simulate_path
 from newsvb.model import (
     CLAMP_MIN_EXPONENTS,
     EXP_FLOOR,
+    _positive_measure,
     expected_risk,
     log_posterior_unnormalized,
 )
@@ -68,23 +71,62 @@ def exact_bayes_root(data, model, start):
         return float(mpmath.findroot(log_laplace_minus_level, mpmath.mpf(start)))
 
 
+def _window(log_f, peak, start_step, lower=-mpmath.inf, drop=100):
+    """Quadrature points from ``peak``, the mode of the unimodal log integrand
+    ``log_f`` on [lower, inf), out to where it has fallen ``drop`` below its
+    peak on each side (or to ``lower``), in steps doubling from
+    ``start_step``."""
+    top, points = log_f(peak), [peak]
+    for direction in (-1, 1):
+        t, step = peak, start_step
+        while log_f(t) > top - drop and (direction > 0 or t > lower):
+            t = t + step if direction > 0 else max(t - step, lower)
+            points.append(t)
+            step *= 2
+    return sorted(points)
+
+
 def log_besselk(order, x):
     """log K_order(x) = log int_0^inf exp(-x cosh t) cosh(order t) dt by mpmath
     quadrature about the integrand's peak t* = asinh(|order|/x), scaled to 1
-    there. ``mpmath.besselk`` is wrong at 30 digits for some large
-    non-integer orders (log K_247.15(176.67) reads 20.17 against -25.33),
-    which the evidence test's priors reach; ``exact_bayes_root`` keeps it,
-    as it agrees with this on that test's integer and small orders."""
+    there. The integrand is unimodal on t >= 0, and the window runs from t*
+    until it has fallen e^-100 below its peak, or to t = 0: where x << |order|
+    it falls only as e^(-|order|*(t* - t)) to the left of t*, which a window
+    of fixed width misses. ``mpmath.besselk`` is wrong at 30 digits for
+    some large non-integer orders (log K_247.15(176.67) reads 20.17 against
+    -25.33), which the evidence test's priors reach; ``exact_bayes_root``
+    keeps it, as it agrees with this on that test's integer and small
+    orders."""
     order = abs(order)
     peak = mpmath.asinh(order / x)
-    width = min(30 / mpmath.sqrt(mpmath.hypot(x, order)), 40)
     shift = order * peak - x * mpmath.cosh(peak)
 
-    def integrand(t):
-        return mpmath.exp(-x * mpmath.cosh(t) - shift) * mpmath.cosh(order * t)
+    def log_integrand(t):
+        return -x * mpmath.cosh(t) - shift + mpmath.log(mpmath.cosh(order * t))
 
-    ends = [max(0, peak - width), peak, peak + width]
-    return shift + mpmath.log(mpmath.quad(integrand, ends))
+    points = _window(log_integrand, peak, 1 / mpmath.sqrt(mpmath.hypot(x, order)), lower=0)
+    return shift + mpmath.log(mpmath.quad(lambda t: mpmath.exp(log_integrand(t)), points))
+
+
+def log_evidence_in_u(data, model):
+    """log p(X) by mpmath quadrature of the posterior's log density
+    p*u - S*e^u - beta*e^-u (p = n - alpha) in u = log(theta), about its mode
+    out to e^-100 below it, plus alpha log beta - lgamma(alpha): a reference
+    that shares no Bessel function with ``exact_log_evidence``."""
+    with mpmath.workdps(30):
+        p = mpmath.mpf(data.n) - model.alpha
+        s, alpha, beta = mpmath.mpf(data.sum_s), mpmath.mpf(model.alpha), mpmath.mpf(model.beta)
+        root = mpmath.sqrt(p * p + 4 * s * beta)
+        # log of the positive root of S*t^2 - p*t - beta, free of cancellation.
+        mode = mpmath.log((p + root) / (2 * s) if p >= 0 else 2 * beta / (root - p))
+
+        def log_density(u):
+            return p * u - s * mpmath.exp(u) - beta * mpmath.exp(-u)
+
+        width = 1 / mpmath.sqrt(s * mpmath.exp(mode) + beta * mpmath.exp(-mode))
+        points = _window(log_density, mode, width)
+        integral = mpmath.quad(lambda u: mpmath.exp(log_density(u)), points)
+        return float(alpha * mpmath.log(beta) - mpmath.loggamma(alpha) + mpmath.log(integral))
 
 
 def exact_log_evidence(data, model):
@@ -140,6 +182,23 @@ class TestBuildPosterior:
                 exact = exact_log_evidence(data, model)
                 grid = build_posterior(data, model)
                 assert abs(grid.log_evidence - exact) <= 1e-12 * (1.0 + abs(exact)), (seed, n)
+
+    @pytest.mark.parametrize(
+        "values,alpha,beta",
+        [
+            # p = n - alpha = -0.238 and 2*sqrt(S*beta) ~ 4.4e-106: the Bessel
+            # integrand falls only as e^(-0.238*(t* - t)) left of its peak
+            # t* ~ 242, so a window of width 40 read 0.724116 against 0.724173.
+            ([9.67e-212], 1.238, 0.491),
+            ([0.06217503342306251], 0.9901176959782227, 0.004249787808419375),
+            ([1.1, 0.3, 2.5], 1.0, 4.1),
+        ],
+    )
+    def test_the_bessel_reference_matches_a_direct_quadrature_in_u(self, values, alpha, beta):
+        data = Observations(values)
+        model = NewsvendorModel(h=0.005, b=0.1, theta0=None, alpha=alpha, beta=beta)
+        exact = exact_log_evidence(data, model)
+        assert abs(exact - log_evidence_in_u(data, model)) <= 1e-14 * (1.0 + abs(exact))
 
     @pytest.mark.parametrize("alpha,beta", [(1.0, 4.1), (0.3, 2.0), (2.5, 0.7)])
     def test_moments_match_the_exact_gig_moments(self, alpha, beta):
@@ -438,17 +497,64 @@ class TestBayesDecision:
         ]
         grid = build_posterior(sample_demand(theta, n, np.random.default_rng(seed)), models[0])
         roots = decide_on_measure(grid.nodes, grid.normalized_weights, models, Rule.BAYES)
-        for model, root in zip(models, roots):
+        # As simulate_path decides them: on the grid's prepared measure.
+        prepared = decide_on_measure(grid.measure, None, models, Rule.BAYES)
+        for model, root, again in zip(models, roots, prepared):
+            if isinstance(root, NumericalError):
+                assert isinstance(again, NumericalError) and str(again) == str(root)
+            else:
+                for field in ("action", "objective_value"):
+                    assert getattr(again, field).hex() == getattr(root, field).hex(), field
+                assert again.probe_count == root.probe_count
             try:
                 alone = bayes_decision(grid, model)
             except NumericalError as exc:
-                with pytest.raises(NumericalError, match=re.escape(str(exc))):
-                    bayes_decision(grid, model, root=root)
+                for passed in (root, again):
+                    with pytest.raises(NumericalError, match=re.escape(str(exc))):
+                        bayes_decision(grid, model, root=passed)
                 continue
-            batched = bayes_decision(grid, model, root=root)
-            for field in ("action", "objective_value"):
-                assert getattr(batched, field).hex() == getattr(alone, field).hex(), field
-            assert batched.probe_count == alone.probe_count
+            for passed in (root, again):
+                batched = bayes_decision(grid, model, root=passed)
+                for field in ("action", "objective_value"):
+                    assert getattr(batched, field).hex() == getattr(alone, field).hex(), field
+                assert batched.probe_count == alone.probe_count
+
+    def test_the_grid_measure_and_scan_actions_are_prepared_once_read_only(
+        self, data_n50, base_model
+    ):
+        grid = build_posterior(data_n50, base_model)
+        assert "measure" not in vars(grid)  # prepared on first use
+        measure = grid.measure
+        assert grid.measure is measure
+        fresh = _positive_measure(grid.nodes, grid.normalized_weights)
+        for kept, made in zip(measure[:2], fresh[:2]):  # -theta and the rows
+            assert kept.shape == made.shape and kept.tobytes() == made.tobytes()
+            assert kept.flags.c_contiguous
+            with pytest.raises(ValueError):
+                kept[(0,) * kept.ndim] = 1.0
+        assert [x.hex() for x in measure[2:]] == [x.hex() for x in fresh[2:]]
+        lo, hi = base_model.action_interval
+        scan = oracle._scan_actions(lo, hi)
+        assert oracle._scan_actions(lo, hi) is scan
+        assert scan.tobytes() == np.linspace(lo, hi, 512).tobytes()
+        with pytest.raises(ValueError):
+            scan[0] = 1.0
+
+    def test_a_path_prepares_each_measure_once_per_n(self, monkeypatch):
+        # Every module that prepares a measure looks the helper up by name.
+        prepared = []
+        for module in (newsvb.model, newsvb.decisions, oracle):
+            def counting(theta, weights, original=module._positive_measure):
+                if weights is not None:  # None passes a prepared measure through
+                    prepared.append(len(theta))
+                return original(theta, weights)
+
+            monkeypatch.setattr(module, "_positive_measure", counting)
+        config = reference_config(rules=(Rule.NVB, Rule.BAYES), replications=1)
+        records = simulate_path(config, 0)
+        assert len(records) == 2 * 9 * 4 and not any(record.failed for record in records)
+        # One posterior grid and one NVB member per n, not one grid per h.
+        assert len(prepared) == 2 * len(config.n_schedule) == 8
 
     def test_root_above_the_scan_minimum_fails_the_scan_check(
         self, grid_n50, base_model, monkeypatch
