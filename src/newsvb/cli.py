@@ -41,7 +41,6 @@ from .model import (
     NewsvendorModel,
     NewsvendorRisk,
     Observations,
-    fisher_information,
     sample_demand,
     true_optimal_action,
 )
@@ -279,8 +278,9 @@ def cmd_fit(args) -> int:
     print(f"mu                  {q.mu:.10g}")
     print(f"sigma               {q.sigma:.10g}")
     print(f"mean rate E_q[th]   {q.mean_theta():.10g}")
-    # 1/sqrt(n I(theta_hat)): the scale the posterior should shrink at
-    print(f"asymptotic rate sd  {1.0 / math.sqrt(data.n * fisher_information(theta_hat)):.10g}")
+    # 1/sqrt(n I(theta_hat)) = theta_hat/sqrt(n), with I(theta) = 1/theta^2: the
+    # scale the posterior should shrink at, free of 1/theta^2's overflow.
+    print(f"asymptotic rate sd  {theta_hat / math.sqrt(data.n):.10g}")
     print(f"elbo                {elbo(q, data, model):.10g}")
     print(f"log evidence        {grid.log_evidence:.10g}")
     print(f"KL(q || posterior)  {kl:.10g}")

@@ -120,8 +120,9 @@ def decide_on_measure(
 ) -> list[DecisionOutcome | NumericalError]:
     """Minimize H(a) = sum_i weights[i] * G(a, theta[i]) for each model.
 
-    The models must differ only in h (``ValueError`` otherwise); ``weights``
-    None takes ``theta`` as a measure ``model._positive_measure`` prepared.
+    The models, at least one, must differ only in h, and some weight must be
+    positive (``ValueError`` otherwise); ``weights`` None takes ``theta`` as
+    a measure ``model._positive_measure`` prepared.
     For the newsvendor H'(a) = h*W - (b+h)*exp(psi(a)), with W =
     sum(weights) and psi(a) = log sum_i weights[i]*exp(-a*theta[i]); H is
     convex, so its minimizer is a_lo if psi(a_lo) <= c_h = log(h*W/(b+h)),
@@ -152,11 +153,15 @@ def decide_on_measure(
     NVB passes q's Gauss-Hermite nodes, with q and ``inner_fit`` to record
     in each outcome; the Bayes oracle passes the posterior grid.
     """
+    if not models:
+        raise ValueError("decide_on_measure needs at least one model")
     first = models[0]
     fixed = vars(first) | {"h": None}  # every field but h
     if any(vars(model) | {"h": None} != fixed for model in models[1:]):
         raise ValueError("models decided on one measure must differ only in h")
     neg_nodes, columns, total_weight, sum_s, mean_rate = _positive_measure(theta, weights)
+    if not total_weight > 0:
+        raise ValueError("the measure has no node of positive weight")
 
     def evaluate(actions: list[float]) -> list[tuple[float, float, float]]:
         """(psi, -psi' = the mean of theta under the tilted weights, the tail

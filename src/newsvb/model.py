@@ -236,9 +236,9 @@ ACTION_BLOCK = 128
 # exponents below log(2*float min) = -707.70.
 EXP_FLOOR = math.log(sys.float_info.min) + 1.0
 # Calls with fewer exponents skip the floor's test: its two reductions
-# (~2.4 us) cost what the clamp saves (~1.1 ns an exponent on the study's
-# clamped n = 10 scans, 2.6% of whose exponents underflow) on ~2,200
-# exponents, and no call but the Bayes scan (512 x 256) reaches 4,096.
+# (~2.4 us) cost what the clamp saves (~2.4-3.2 ns an exponent on the
+# study's n = 1 scans, 17-42% of whose exponents underflow on paths 0-3) on
+# ~1,000 exponents, and no call but the Bayes scan (512 x 256) reaches 4,096.
 CLAMP_MIN_EXPONENTS = 4096
 OUTER_MIN_ROWS = 8  # from where ``_exp_table``'s einsum outer product beats broadcasting
 
@@ -249,9 +249,12 @@ def _positive_measure(theta: np.ndarray, weights: np.ndarray | None):
     the C-contiguous rows w_i, w_i*theta_i and s_i = w_i/theta_i, W = sum_i
     w_i, sum_i s_i, the mean rate sum_i w_i*theta_i / W). With ``weights``
     None, ``theta`` is such a measure, returned as is; a posterior grid
-    keeps its own, read-only, as ``PosteriorGrid.measure``."""
+    keeps its own, read-only, as ``PosteriorGrid.measure``. A NaN or
+    negative weight is a ``ValueError``."""
     if weights is None:
         return theta
+    if not weights.min() >= 0:  # NaN with a NaN weight
+        raise ValueError("measure weights must be nonnegative, not NaN")
     keep = weights > 0
     theta, weights = theta[keep], weights[keep]
     columns = np.array([weights, weights * theta, weights / theta])
@@ -298,8 +301,8 @@ def newsvendor_expected_risk(a: np.ndarray, h, b: float, theta, weights: np.ndar
     after, so its term moves by less than 6.05e-308 * s_i, and only rates
     above -EXP_FLOOR/max(a) are clamped, so s_i < weights[i]*max(a)/707: far
     below the rounding of the sums it joins, so H keeps its bits, which the
-    reference study's n = 10 Bayes scans test bit for bit. Inputs are not
-    validated.
+    reference study's n = 1 Bayes scans test bit for bit. Weights are
+    validated by ``_positive_measure``; actions are not.
     """
     neg_theta, columns, total, sum_s, _ = _positive_measure(theta, weights)
     clamp = len(a) * len(neg_theta) >= CLAMP_MIN_EXPONENTS and a.max() * neg_theta.min() < EXP_FLOOR

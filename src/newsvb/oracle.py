@@ -1,10 +1,10 @@
 """Quadrature-grade reference computations for the rate posterior.
 
-Gauss-Legendre nodes in log(theta) around the posterior's closed-form mode
-(``build_posterior``) give the evidence, posterior moments, posterior
-expected risk, the exact Bayes decision, and the risk-tilted (calibrated)
-posterior density - the ground truth the variational machinery is
-validated against.
+Gauss-Legendre nodes in log(theta) between the posterior density's level
+crossings about its closed-form mode (``build_posterior``) give the
+evidence, posterior moments, posterior expected risk, the exact Bayes
+decision, and the risk-tilted (calibrated) posterior density - the ground
+truth the variational machinery is validated against.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ __all__ = [
 ]
 
 POSTERIOR_NODES = 256
-WINDOW_STANDARD_DEVIATIONS = 12.0
-LOG_BOUNDARY_RATIO = math.log(1e-12)  # edge density against the peak
-MAX_WINDOW_EXPANSIONS = 20
+# Edge density against the peak; at 1e-12 n = 1 grids lost 1.7e-10 of their variance.
+LOG_BOUNDARY_RATIO = math.log(1e-20)
+MAX_CROSSING_STEPS = 100  # Newton steps to each edge's crossing
 # Window edges in u = log(theta) whose e^u is a finite normal float.
 LOG_THETA_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 BAYES_SCAN_POINTS = 512
@@ -108,23 +108,38 @@ def mle(data: Observations) -> float:
     return data.n / data.sum_s
 
 
+def _crossing(p: float, a: float, b: float, cap: float) -> float:
+    """The offset d > 0 at which r(d) = p*d - a*expm1(d) - b*expm1(-d), a log
+    density less its peak at its mode (a - b = p), falls to the boundary
+    level, or inf past ``cap``. r is strictly concave, and r(d) <= -a*d^2/2
+    and r(d) <= b - min(a, b)*expm1(d) start Newton past the crossing, from
+    where it falls to it without passing it. r is summed as -a*(expm1(d) -
+    d) - b*(expm1(-d) + d), whose terms do not cancel."""
+    level, cap = LOG_BOUNDARY_RATIO, min(cap, LOG_THETA_RANGE[1])  # e^d finite
+    d = min(math.sqrt(-2.0 * level / a), math.log1p((b - level) / min(a, b)), cap)
+    for _ in range(MAX_CROSSING_STEPS):
+        e, f = math.expm1(d), math.expm1(-d)
+        inward = d - (level + a * (e - d) + b * (f + d)) / (a * e - b * f)
+        if not inward < d:
+            break
+        d = inward
+    return d if d < cap else math.inf
+
+
 def build_posterior(data: Observations, model: NewsvendorModel) -> PosteriorGrid:
     """Quadrature posterior on ``POSTERIOR_NODES`` nodes in u = log(theta).
 
     There the posterior GIG(p = n - alpha, 2S, 2beta) has the strictly
     concave log density p*u - S*e^u - beta*e^-u, whose mode e^u* = t is the
-    positive root of S*t^2 - p*t - beta. The window starts 12 Laplace
-    standard deviations, 12/sqrt(S*t + beta/t), either side of u*; an edge
-    where the density is not below 1e-12 of the peak moves out by the
-    window's width. More than 20 expansions, or an e^u outside the normal
-    floats, is a numerical error. Node u_i's log weight is that closed form
-    plus the prior's normalizer, log(w_i * half-width) + p*u_i - S*e^u_i -
-    beta*e^-u_i + alpha*log(beta) - lgamma(alpha), which is
-    log p(X | theta) + log pi(theta) + u at theta = e^u_i. It is summed about
-    c = u* as peak + p*(u_i - c) - S*t*expm1(u_i - c) - (beta/t)*expm1(c -
-    u_i), whose terms are of size S*t*|u_i - c| where those of the closed
-    form are of size S*t ~ n, and the normalized weights come from the part
-    after the peak, so the grid's moments do not lose n*eps.
+    positive root of S*t^2 - p*t - beta. At offset d from u* it is peak +
+    ``_crossing``'s r(d) with a = S*t and b = beta/t, and the window ends
+    where r falls 1e-20 below the peak; a mode, S*t or beta/t outside the
+    floats, or an edge whose e^u is not a finite normal float, is a
+    numerical error. Node i's log weight, log(w_i * half-width) + peak +
+    r(d_i) + alpha*log(beta) - lgamma(alpha), is log p(X | theta) +
+    log pi(theta) + u at theta = e^u_i; r's terms are of size S*t*d^2, not
+    S*t ~ n, and the normalized weights come from the part after the peak,
+    so the grid's moments do not lose n*eps.
     """
     s, p, beta = data.sum_s, data.n - model.alpha, model.beta
     if s <= 0:
@@ -132,42 +147,27 @@ def build_posterior(data: Observations, model: NewsvendorModel) -> PosteriorGrid
     root = math.sqrt(p * p + 4.0 * s * beta)
     # The root of S*t^2 - p*t - beta in the form free of cancellation.
     mode = (p + root) / (2.0 * s) if p >= 0 else 2.0 * beta / (root - p)
-    if not sys.float_info.min <= mode <= sys.float_info.max:
-        raise NumericalError(f"posterior mode {mode:.3g} leaves the normal float range")
-
-    def log_density(u):
-        return p * u - s * math.exp(u) - beta * math.exp(-u)
-
+    st, bt = s * mode, beta / mode
+    if not (sys.float_info.min <= mode <= sys.float_info.max and min(st, bt) > 0):
+        raise NumericalError(f"posterior mode {mode:.3g} or S*mode, beta/mode leave the float range")
     center = math.log(mode)
-    peak = log_density(center)
-    half = WINDOW_STANDARD_DEVIATIONS / math.sqrt(s * mode + beta / mode)
-    lo, hi = center - half, center + half
-    for expansion in range(MAX_WINDOW_EXPANSIONS + 1):
-        if not (LOG_THETA_RANGE[0] <= lo and hi <= LOG_THETA_RANGE[1]):
-            raise NumericalError(f"posterior window e^[{lo:.6g}, {hi:.6g}] leaves the float range")
-        lo_ok, hi_ok = (log_density(edge) - peak < LOG_BOUNDARY_RATIO for edge in (lo, hi))
-        if lo_ok and hi_ok:
-            break
-        if expansion == MAX_WINDOW_EXPANSIONS:
-            raise NumericalError(
-                "posterior window failed to localize the density after "
-                f"{MAX_WINDOW_EXPANSIONS} expansions"
-            )
-        width = hi - lo
-        lo, hi = (lo if lo_ok else lo - width), (hi if hi_ok else hi + width)
-
+    d_lo = -_crossing(-p, bt, st, center - LOG_THETA_RANGE[0])
+    d_hi = _crossing(p, st, bt, LOG_THETA_RANGE[1] - center)
+    lo, hi = center + d_lo, center + d_hi
+    if not (LOG_THETA_RANGE[0] <= lo and hi <= LOG_THETA_RANGE[1]):
+        raise NumericalError(f"posterior window e^[{lo:.6g}, {hi:.6g}] leaves the float range")
     x, w = gauss_legendre(POSTERIOR_NODES)
-    half = 0.5 * (hi - lo)
-    u = 0.5 * (hi + lo) + half * x
-    nodes = np.exp(u)
-    # The log weights less the peak; S*t - beta/t = p at the mode.
-    d = u - center
-    relative = np.log(w * half) + (p * d - s * mode * np.expm1(d) - beta / mode * np.expm1(-d))
+    half = 0.5 * (d_hi - d_lo)
+    d = 0.5 * (d_hi + d_lo) + half * x
+    nodes = np.exp(center + d)
+    # The log weights less the peak.
+    relative = np.log(w * half) - st * (np.expm1(d) - d) - bt * (np.expm1(-d) + d)
     # Log-sum-exp about the largest term, which becomes the 1 inside log1p.
     k = int(np.argmax(relative))
     shifted = relative - relative[k]
     shifted[k] = -np.inf
     log_mass = float(np.log1p(np.exp(shifted).sum()) + relative[k])
+    peak = p * center - st - bt
     offset = peak + model.alpha * math.log(beta) - math.lgamma(model.alpha)
     log_evidence = log_mass + offset
     if not math.isfinite(log_evidence):

@@ -53,7 +53,7 @@ class TestFit:
         assert abs(value - (-kl_term + log_risk_term)) <= 1e-9
 
     def test_unresolved_posterior_is_a_numerical_failure(self, capsys):
-        code, _, err = run_cli(capsys, "fit", "--values", "1e-300")
+        code, _, err = run_cli(capsys, "fit", "--values", "1e-320")
         assert code == 3
         assert "posterior window e^[" in err and "leaves the float range" in err
 

@@ -182,8 +182,34 @@ class TestExpectedRisk:
             reference = math.fsum(terms)
             assert abs(value - reference) <= 8 * np.finfo(float).eps * math.fsum(map(abs, terms))
 
+    # _positive_measure keeps the nodes of positive weight: a NaN or
+    # negative weight used to drop out of the sum unseen.
+    @pytest.mark.parametrize("bad", [math.nan, -0.25], ids=["nan", "negative"])
+    def test_a_bad_weight_is_a_value_error(self, base_model, bad):
+        theta, weights = np.array([0.5, 0.7, 0.9]), np.array([0.5, bad, 0.5])
+        with pytest.raises(ValueError, match="weights must be nonnegative, not NaN"):
+            expected_risk(3.0, theta, weights, base_model)
+
 
 class TestDecideOnMeasure:
+    # A NaN or negative weight used to drop out unseen, no positive weight
+    # raised "math domain error" from the level's log, and no model an
+    # IndexError.
+    @pytest.mark.parametrize(
+        "weights,hs,message",
+        [
+            ([0.5, math.nan, 0.5], (0.03,), "weights must be nonnegative, not NaN"),
+            ([0.5, -0.25, 0.75], (0.03,), "weights must be nonnegative, not NaN"),
+            ([0.0, 0.0, 0.0], (0.03,), "no node of positive weight"),
+            ([0.5, 0.25, 0.25], (), "at least one model"),
+        ],
+        ids=["nan", "negative", "no-positive-weight", "no-model"],
+    )
+    def test_a_bad_measure_or_no_model_is_a_value_error(self, weights, hs, message):
+        models = [measure_model(h, 0.1, 0.0, 50.0) for h in hs]
+        with pytest.raises(ValueError, match=message):
+            decide_on_measure(np.array([0.5, 0.7, 0.9]), np.array(weights), models, Rule.NVB)
+
     def test_posterior_grid_measure_is_the_bayes_rule(self, grid_n50, base_model):
         # Two independent searches of the same posterior expected risk: the
         # oracle's first-order root and a derivative-free scan with golden
