@@ -97,8 +97,17 @@ class DecisionOutcome:
 
 
 def _gauss_hermite_measure(q: LogNormalVariational):
-    """q as a discrete measure: (rate nodes, weights) of Gauss-Hermite quadrature."""
+    """q as a discrete measure: (rate nodes, weights) of Gauss-Hermite
+    quadrature. A rate exp(mu + sigma*z) outside the normal floats (inf, or
+    0 or subnormal), checked at the extreme nodes before any exp, is a
+    ``NumericalError``."""
     z, w = gauss_hermite_standard(NODE_COUNT)
+    lowest, highest = q.mu + q.sigma * z[0], q.mu + q.sigma * z[-1]  # sigma > 0
+    if not (math.log(sys.float_info.min) <= lowest and highest <= math.log(sys.float_info.max)):
+        raise NumericalError(
+            f"q's Gauss-Hermite rates exp(mu + sigma*z) leave the float range "
+            f"at mu={q.mu:.6g}, sigma={q.sigma:.6g}"
+        )
     return np.exp(q.mu + q.sigma * z), w
 
 
@@ -111,24 +120,23 @@ def expected_risk_under_q(a, q: LogNormalVariational, model: NewsvendorModel):
 
 
 def decide_on_measure(
-    theta,
-    weights,
+    measure,
     models: Sequence[NewsvendorModel],
     rule: Rule,
     inner_fit: FitDiagnostics | None = None,
     q: LogNormalVariational | None = None,
 ) -> list[DecisionOutcome | NumericalError]:
-    """Minimize H(a) = sum_i weights[i] * G(a, theta[i]) for each model.
+    """Minimize H(a) = sum_i w_i * G(a, theta_i) for each model, on a
+    ``measure`` that ``model._positive_measure`` prepared.
 
     The models, at least one, must differ only in h, and some weight must be
-    positive (``ValueError`` otherwise); ``weights`` None takes ``theta`` as
-    a measure ``model._positive_measure`` prepared.
+    positive (``ValueError`` otherwise).
     For the newsvendor H'(a) = h*W - (b+h)*exp(psi(a)), with W =
-    sum(weights) and psi(a) = log sum_i weights[i]*exp(-a*theta[i]); H is
+    sum_i w_i and psi(a) = log sum_i w_i*exp(-a*theta_i); H is
     convex, so its minimizer is a_lo if psi(a_lo) <= c_h = log(h*W/(b+h)),
     a_hi if psi(a_hi) >= c_h, and otherwise the root of psi(a) = c_h. By
     Jensen psi(a) >= log W - a*m for the mean rate m = sum_i
-    weights[i]*theta[i] / W, so the plug-in action s_h = log((b+h)/h)/m
+    w_i*theta_i / W, so the plug-in action s_h = log((b+h)/h)/m
     lies at or left of row h's root. A row with s_h >= a_hi is at a_hi;
     every other row starts at max(s_h, a_lo), and one starting at a_lo is
     at a_lo if psi(a_lo) <= c_h. Each pass over actions a_k makes one table
@@ -159,7 +167,7 @@ def decide_on_measure(
     fixed = vars(first) | {"h": None}  # every field but h
     if any(vars(model) | {"h": None} != fixed for model in models[1:]):
         raise ValueError("models decided on one measure must differ only in h")
-    neg_nodes, columns, total_weight, sum_s, mean_rate = _positive_measure(theta, weights)
+    neg_nodes, columns, total_weight, sum_s, mean_rate = measure
     if not total_weight > 0:
         raise ValueError("the measure has no node of positive weight")
 
@@ -236,7 +244,8 @@ def decide_across_h(
     diagnostics: FitDiagnostics | None = None,
 ) -> list[DecisionOutcome | NumericalError]:
     """``decide_on_measure`` on q's nodes for models that differ only in h."""
-    return decide_on_measure(*_gauss_hermite_measure(q), models, Rule.NVB, diagnostics, q)
+    measure = _positive_measure(*_gauss_hermite_measure(q))
+    return decide_on_measure(measure, models, Rule.NVB, diagnostics, q)
 
 
 def decide_with_variational(

@@ -241,9 +241,9 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
     the interval's shared scan actions. Each NVB decision is also its LCVB
     cell's start, and its failure fails both cells; a Bayes root that fails
     fails only its own cell, a failed grid only the Bayes cells, and a
-    failed plain fit only the NVB and LCVB cells. Rule failures mark their
-    cell with a reason and never abort the path; one debug line per n names
-    the failed cells and their reasons.
+    failed plain fit only the NVB and LCVB cells, with its error's text.
+    Rule failures mark their cell with a reason and never abort the path;
+    one debug line per n names the failed cells and their reasons.
     """
     if not 0 <= path_index < config.replications:
         raise ValueError(f"path_index {path_index} outside [0, {config.replications})")
@@ -255,7 +255,7 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
     for n in config.n_schedule:
         data = stream.prefix(n)
         first = len(records)
-        # A shared step that fails leaves its reason in place of its result.
+        # A shared step that fails leaves its reason or error in place of its result.
         grid, nvb_outcomes, roots = None, [None] * len(models), [None] * len(models)
         if Rule.BAYES in config.rules:
             try:
@@ -263,13 +263,13 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
             except NumericalError:
                 grid = "posterior grid"
             else:
-                roots = decide_on_measure(grid.measure, None, models, Rule.BAYES)
+                roots = decide_on_measure(grid.measure, models, Rule.BAYES)
         if Rule.NVB in config.rules or Rule.LCVB in config.rules:
             try:
                 q_nvb, nvb_diag = fit_nvb(data, models[0])
                 nvb_outcomes = decide_across_h(q_nvb, models, nvb_diag)
-            except NumericalError:
-                nvb_outcomes = ["plain fit"] * len(models)
+            except NumericalError as exc:
+                nvb_outcomes = [exc] * len(models)
         for model, nvb, root in zip(models, nvb_outcomes, roots):
             records.extend(_cell(rule, n, model, data, grid, nvb, root) for rule in config.rules)
         failed = ", ".join(
@@ -281,9 +281,9 @@ def simulate_path(config: ExperimentConfig, path_index: int) -> list[GapRecord]:
 
 def _cell(rule: Rule, n: int, model: NewsvendorModel, data, grid, nvb, root) -> GapRecord:
     """One (rule, h, n) cell's gaps, or its failure with the reason. ``grid``
-    (None without Bayes) and ``nvb``, the NVB decision at this h or the error
-    that failed it (None without one), are a reason where their step failed;
-    ``root`` is the Bayes root at this h or the error that failed it."""
+    (None without Bayes) is a reason where it failed; ``nvb`` (None without
+    one) and ``root`` are the NVB decision and the Bayes root at this h, or
+    the error that failed each."""
 
     def failure(reason: str) -> GapRecord:
         return GapRecord(rule, model.h, n, math.nan, math.nan, failed=True, reason=reason)

@@ -231,28 +231,16 @@ def resolve_risk(risk: Risk | None, model: NewsvendorModel) -> Risk:
 # Actions per pass of ``newsvendor_expected_risk``: a 512-action scan of a
 # 256-node grid allocates (and page-faults in) no megabyte temporaries.
 ACTION_BLOCK = 128
-# The exponent floor of ``newsvendor_expected_risk``: e*(float min), about
-# 6.05e-308. numpy's exp takes a slow path, 15-100 times slower, for
-# exponents below log(2*float min) = -707.70.
-EXP_FLOOR = math.log(sys.float_info.min) + 1.0
-# Calls with fewer exponents skip the floor's test: its two reductions
-# (~2.4 us) cost what the clamp saves (~2.4-3.2 ns an exponent on the
-# study's n = 1 scans, 17-42% of whose exponents underflow on paths 0-3) on
-# ~1,000 exponents, and no call but the Bayes scan (512 x 256) reaches 4,096.
-CLAMP_MIN_EXPONENTS = 4096
 OUTER_MIN_ROWS = 8  # from where ``_exp_table``'s einsum outer product beats broadcasting
 
 
-def _positive_measure(theta: np.ndarray, weights: np.ndarray | None):
+def _positive_measure(theta: np.ndarray, weights: np.ndarray):
     """The nodes of positive weight, prepared once for the exp tables and
     sums of ``newsvendor_expected_risk`` and ``decide_on_measure``: (-theta_i,
     the C-contiguous rows w_i, w_i*theta_i and s_i = w_i/theta_i, W = sum_i
-    w_i, sum_i s_i, the mean rate sum_i w_i*theta_i / W). With ``weights``
-    None, ``theta`` is such a measure, returned as is; a posterior grid
+    w_i, sum_i s_i, the mean rate sum_i w_i*theta_i / W). A posterior grid
     keeps its own, read-only, as ``PosteriorGrid.measure``. A NaN or
     negative weight is a ``ValueError``."""
-    if weights is None:
-        return theta
     if not weights.min() >= 0:  # NaN with a NaN weight
         raise ValueError("measure weights must be nonnegative, not NaN")
     keep = weights > 0
@@ -265,51 +253,38 @@ def _positive_measure(theta: np.ndarray, weights: np.ndarray | None):
     return -theta, columns, total, sum_s, tilted / total if total else math.nan
 
 
-def _exp_table(a: np.ndarray, neg_theta: np.ndarray, clamp: bool = False) -> np.ndarray:
+def _exp_table(a: np.ndarray, neg_theta: np.ndarray) -> np.ndarray:
     """The fresh table exp(a_i * neg_theta_j): a broadcast product for fewer
     than ``OUTER_MIN_ROWS`` rows, else an einsum outer product (both the bits
     of ``np.multiply.outer``; on 256 nodes 1.1 against 2.1 us at one row, 37
-    against 19 at 128), and an in-place exp, its exponents first clamped at
-    ``EXP_FLOOR`` if ``clamp``."""
+    against 19 at 128), and an in-place exp."""
     few = len(a) < OUTER_MIN_ROWS
     terms = a[:, None] * neg_theta if few else np.einsum("i,j->ij", a, neg_theta)
-    if clamp:
-        np.maximum(terms, EXP_FLOOR, out=terms)
     return np.exp(terms, out=terms)
 
 
-def newsvendor_expected_risk(a: np.ndarray, h, b: float, theta, weights: np.ndarray | None):
-    """The newsvendor's sum_i weights[i] * G(a, theta[i]) at each of the 1-D
+def newsvendor_expected_risk(a: np.ndarray, h, b: float, measure):
+    """The newsvendor's sum_i w_i * G(a, theta_i) at each of the 1-D
     nonnegative actions ``a``, with ``h`` one holding cost or an array of one
     per action:
 
-        (b + h) * sum_i exp(-a*theta[i]) * s_i + h*(a*W - sum_i s_i)
+        (b + h) * sum_i exp(-a*theta_i) * s_i + h*(a*W - sum_i s_i)
 
-    on ``_positive_measure``'s nodes (``weights`` None takes ``theta`` as one
-    it prepared), so a zero weight drops out even where its G overflows. A
-    block of ``ACTION_BLOCK`` actions takes an ``_exp_table`` and an einsum
-    row sum against the measure's s row, whose rows, unlike BLAS's ``@``, do
-    not depend on the row count, so an action's value is the same bits in
-    any call with its h. sum_i s_i is the same row sum over ones, so at
-    small a*theta the tail and h*sum_i s_i cancel with the same rounding
-    (H's worst error against 50 digits over 200 random posteriors read 12.6
-    eps, 51 with ``np.add.reduce`` there). Only where a call has
-    ``CLAMP_MIN_EXPONENTS`` exponents or more, and their lower bound
-    -max(a)*max(theta) falls below ``EXP_FLOOR``, are they clamped there
-    before the exp, which keeps it off numpy's underflow path. A clamped
-    exponential is below exp(``EXP_FLOOR``) ~ 6.05e-308 before and at it
-    after, so its term moves by less than 6.05e-308 * s_i, and only rates
-    above -EXP_FLOOR/max(a) are clamped, so s_i < weights[i]*max(a)/707: far
-    below the rounding of the sums it joins, so H keeps its bits, which the
-    reference study's n = 1 Bayes scans test bit for bit. Weights are
-    validated by ``_positive_measure``; actions are not.
+    on a ``measure`` that ``_positive_measure`` prepared, so a zero weight
+    drops out even where its G overflows. A block of ``ACTION_BLOCK``
+    actions takes an ``_exp_table`` and an einsum row sum against the
+    measure's s row, whose rows, unlike BLAS's ``@``, do not depend on the
+    row count, so an action's value is the same bits in any call with its
+    h. sum_i s_i is the same row sum over ones, so at small a*theta the tail
+    and h*sum_i s_i cancel with the same rounding (H's worst error against
+    50 digits over 200 random posteriors read 12.6 eps, 51 with
+    ``np.add.reduce`` there). Actions are not validated.
     """
-    neg_theta, columns, total, sum_s, _ = _positive_measure(theta, weights)
-    clamp = len(a) * len(neg_theta) >= CLAMP_MIN_EXPONENTS and a.max() * neg_theta.min() < EXP_FLOOR
+    neg_theta, columns, total, sum_s, _ = measure
     tails = np.empty(len(a))
     for start in range(0, len(a), ACTION_BLOCK):
         block = slice(start, start + ACTION_BLOCK)
-        tails[block] = np.einsum("ij,j->i", _exp_table(a[block], neg_theta, clamp), columns[2])
+        tails[block] = np.einsum("ij,j->i", _exp_table(a[block], neg_theta), columns[2])
     return (b + h) * tails + h * (a * total - sum_s)
 
 
@@ -317,8 +292,9 @@ def expected_risk(a, theta, weights, model: NewsvendorModel, risk: Risk | None =
     """Expected risk sum_i weights[i] * G(a, theta[i]) under a discrete measure.
 
     ``a`` may be one action or an array of actions; the result has its shape.
-    The newsvendor risk is summed by ``newsvendor_expected_risk``; any other
-    risk sums its ``value`` over the nodes.
+    The newsvendor risk is summed by ``newsvendor_expected_risk`` on the
+    measure ``_positive_measure`` prepares; any other risk sums its
+    ``value`` over the nodes.
     """
     validate_action(a, model)
     a = np.asarray(a, dtype=float)
@@ -326,7 +302,7 @@ def expected_risk(a, theta, weights, model: NewsvendorModel, risk: Risk | None =
     risk = resolve_risk(risk, model)
     actions = a.reshape(-1)
     if isinstance(risk, NewsvendorRisk):
-        out = newsvendor_expected_risk(actions, risk.h, risk.b, theta, weights)
+        out = newsvendor_expected_risk(actions, risk.h, risk.b, _positive_measure(theta, weights))
     else:
         out = np.einsum("...i,i->...", risk.value(actions[:, None], theta), weights)
     return out.reshape(a.shape) if a.ndim else float(out[0])

@@ -232,12 +232,12 @@ def bayes_decision(
     """
     measure = grid.measure
     if root is None:
-        (root,) = decide_on_measure(measure, None, [model], Rule.BAYES)
+        (root,) = decide_on_measure(measure, [model], Rule.BAYES)
     if isinstance(root, NumericalError):
         raise root
     lo, hi = model.action_interval
     scan = _scan_actions(lo, hi)
-    values = newsvendor_expected_risk(scan, model.h, model.b, measure, None)  # expected_risk's sum
+    values = newsvendor_expected_risk(scan, model.h, model.b, measure)  # expected_risk's sum
     k = int(np.argmin(values))  # first minimum = smallest action
     a, value, evaluations = root.action, root.objective_value, root.probe_count
     left, right = scan[max(k - 1, 0)], scan[min(k + 1, BAYES_SCAN_POINTS - 1)]

@@ -545,6 +545,20 @@ class TestExitCodes:
         assert err.startswith("numerical failure: ") and "psi's level" in err
         assert err.count("\n") == 1
 
+    # One demand of 1e-300: the plain fit's q (mu ~ 346, sigma ~ 26) puts its
+    # top Gauss-Hermite rate past the float range, which NVB, and LCVB at its
+    # NVB start, refuse before any exp.
+    @pytest.mark.parametrize("rule", ["nvb", "lcvb"])
+    def test_a_q_past_the_float_range_exits_3_in_one_line(self, capsys, rule):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "decide", "--rule", rule, "--values", "1e-300")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure: ")
+        assert "float range at mu=346.093, sigma=25.9798" in err
+        assert err.count("\n") == 1
+
     # Sizes that malloc refuses at once; never a size that could be allocated.
     @pytest.mark.parametrize(
         "argv,config",

@@ -32,8 +32,8 @@ from newsvb import (
 )
 import newsvb.decisions as decisions
 import newsvb.vb as vb
-from newsvb.decisions import decide_on_measure, decide_with_variational
-from newsvb.model import expected_risk
+from newsvb.decisions import decide_across_h, decide_on_measure, decide_with_variational
+from newsvb.model import _positive_measure, expected_risk
 from newsvb.numerics import NumericalError, minimize_on_grid_then_golden
 from newsvb.vb import _lcvb_objective, calibrated_objective, fit_lcvb
 
@@ -111,7 +111,7 @@ def measures(draw):
 
 def decide_one(theta, weights, model):
     """NVB's ``decide_on_measure`` for one model: its outcome, or its error raised."""
-    (outcome,) = decide_on_measure(theta, weights, [model], Rule.NVB)
+    (outcome,) = decide_on_measure(_positive_measure(theta, weights), [model], Rule.NVB)
     if isinstance(outcome, NumericalError):
         raise outcome
     return outcome
@@ -208,7 +208,8 @@ class TestDecideOnMeasure:
     def test_a_bad_measure_or_no_model_is_a_value_error(self, weights, hs, message):
         models = [measure_model(h, 0.1, 0.0, 50.0) for h in hs]
         with pytest.raises(ValueError, match=message):
-            decide_on_measure(np.array([0.5, 0.7, 0.9]), np.array(weights), models, Rule.NVB)
+            measure = _positive_measure(np.array([0.5, 0.7, 0.9]), np.array(weights))
+            decide_on_measure(measure, models, Rule.NVB)
 
     def test_posterior_grid_measure_is_the_bayes_rule(self, grid_n50, base_model):
         # Two independent searches of the same posterior expected risk: the
@@ -340,10 +341,10 @@ class TestDecideOnMeasure:
                 for outcome in outcomes
             ]
 
-        padded = decide_on_measure(
-            np.array(padded_theta), np.array(padded_weights), models, Rule.NVB
+        padded = _positive_measure(np.array(padded_theta), np.array(padded_weights))
+        assert bits(decide_on_measure(padded, models, Rule.NVB)) == bits(
+            decide_on_measure(_positive_measure(theta, weights), models, Rule.NVB)
         )
-        assert bits(padded) == bits(decide_on_measure(theta, weights, models, Rule.NVB))
 
     def test_zero_weights_raise_no_warning(self, base_model):
         # The second zero-weight node's G overflows (exp(-log theta) and
@@ -413,6 +414,7 @@ class TestDecideAcrossH:
     # below a_lo for h >= 0.09, past a_hi for h = 0.005, and inside for
     # h = 0.03, 0.016 and 0.014, whose root is past a_hi.
     THETA, WEIGHTS = END_MEASURE
+    MEASURE = _positive_measure(THETA, WEIGHTS)
 
     @staticmethod
     def models(hs, b=0.1, interval=(1.0, 3.0)):
@@ -431,7 +433,7 @@ class TestDecideAcrossH:
     def test_every_row_is_its_own_decide(self, measure, hs, b, lo, width):
         theta, weights = measure
         models = [measure_model(h, b, lo, width) for h in hs]
-        outcomes = decide_on_measure(theta, weights, models, Rule.NVB)
+        outcomes = decide_on_measure(_positive_measure(theta, weights), models, Rule.NVB)
         assert len(outcomes) == len(models)
         for model, outcome in zip(models, outcomes):
             alone = decide_one(theta, weights, model)
@@ -448,7 +450,7 @@ class TestDecideAcrossH:
     def test_rows_at_both_ends_and_inside_in_one_call(self, caplog):
         models = self.models((0.2, 0.03, 0.014, 0.005))
         with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
-            outcomes = decide_on_measure(self.THETA, self.WEIGHTS, models, Rule.NVB)
+            outcomes = decide_on_measure(self.MEASURE, models, Rule.NVB)
         low, inside, high, past = outcomes
         assert (low.action, low.probe_count) == (1.0, 1)
         assert (inside.action, inside.probe_count) == (pytest.approx(2.13697685), 5)
@@ -466,14 +468,14 @@ class TestDecideAcrossH:
 
     def test_a_row_past_the_step_cap_fails_alone(self, monkeypatch):
         models = self.models((0.2, 0.03, 0.016, 0.005))
-        outcomes = decide_on_measure(self.THETA, self.WEIGHTS, models, Rule.NVB)
+        outcomes = decide_on_measure(self.MEASURE, models, Rule.NVB)
         counts = [outcome.probe_count for outcome in outcomes]
         # Rows 1 and 2 are interior: two psi evaluations, at the start and at
         # a_hi, then one per Newton step, and one more loop pass to see the
         # step stop.
         assert counts == [1, 5, 6, 0]
         monkeypatch.setattr(decisions, "NVB_MAX_NEWTON_STEPS", counts[1] - 1)
-        outcomes = decide_on_measure(self.THETA, self.WEIGHTS, models, Rule.NVB)
+        outcomes = decide_on_measure(self.MEASURE, models, Rule.NVB)
         assert isinstance(outcomes[2], NumericalError)
         assert "not reached" in str(outcomes[2])
         for row in (0, 1, 3):
@@ -486,12 +488,10 @@ class TestDecideAcrossH:
         # inside the interval, and its level log(h*W/(b+h)) = log(1e-299) is
         # below log(float min/eps): psi's sums could leave the normal floats.
         models = self.models((0.2, 0.03, 0.005), interval=(0.0, 2000.0))
-        clean = decide_on_measure(self.THETA, self.WEIGHTS, models, Rule.NVB)
+        clean = decide_on_measure(self.MEASURE, models, Rule.NVB)
         assert not any(isinstance(outcome, NumericalError) for outcome in clean)
         (tiny,) = self.models((1e-300,), interval=(0.0, 2000.0))
-        outcomes = decide_on_measure(
-            self.THETA, self.WEIGHTS, [models[0], tiny, *models[1:]], Rule.NVB
-        )
+        outcomes = decide_on_measure(self.MEASURE, [models[0], tiny, *models[1:]], Rule.NVB)
         assert isinstance(outcomes[1], NumericalError)
         assert str(outcomes[1]) == (
             f"NVB psi's level log(h*W/(b+h)) = {math.log(1e-299):.6g} is below "
@@ -501,7 +501,7 @@ class TestDecideAcrossH:
         with pytest.raises(NumericalError, match="is below log"):
             decide_one(self.THETA, self.WEIGHTS, tiny)
         # On [1, 3] the same row starts past a_hi, where it needs no psi.
-        (past,) = decide_on_measure(self.THETA, self.WEIGHTS, self.models((1e-300,)), Rule.NVB)
+        (past,) = decide_on_measure(self.MEASURE, self.models((1e-300,)), Rule.NVB)
         assert (past.action, past.probe_count) == (3.0, 0)
 
     @PROPERTY_SETTINGS
@@ -518,11 +518,23 @@ class TestDecideAcrossH:
         # shares a pass with, so neither do its iterates and its objective.
         theta, weights = measure
         models = [measure_model(h, b, lo, width) for h in hs]
-        for model, outcome in zip(models, decide_on_measure(theta, weights, models, Rule.NVB)):
+        outcomes = decide_on_measure(_positive_measure(theta, weights), models, Rule.NVB)
+        for model, outcome in zip(models, outcomes):
             alone = decide_one(theta, weights, model)
             assert (outcome.action, outcome.objective_value, outcome.probe_count) == (
                 alone.action, alone.objective_value, alone.probe_count
             )
+
+    # The plain fit of one demand 1e-300 under IG(1, 4.1) is mu ~ 346, sigma ~
+    # 26, whose top node exp(mu + 14.9*sigma) is past the float range; at
+    # mu ~ -346 the bottom nodes are rates of 0.
+    @pytest.mark.parametrize("mu", [346.0, -346.0], ids=["overflow", "underflow"])
+    def test_q_with_a_rate_past_the_float_range_is_a_numerical_error(self, mu):
+        q = LogNormalVariational(mu, 26.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=rf"float range at mu={mu:g}, sigma=26$"):
+                decide_across_h(q, self.models((0.03, 0.005)))
 
     @pytest.mark.parametrize(
         "other",
@@ -536,7 +548,7 @@ class TestDecideAcrossH:
     def test_models_that_differ_beyond_h_are_rejected(self, other):
         models = self.models((0.03,)) + self.models((0.01,), **other)
         with pytest.raises(ValueError, match="only in h"):
-            decide_on_measure(self.THETA, self.WEIGHTS, models, Rule.NVB)
+            decide_on_measure(self.MEASURE, models, Rule.NVB)
 
 
 def scan_reference(data, model):

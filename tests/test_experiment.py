@@ -261,17 +261,19 @@ class TestSimulatePath:
         assert [record.getMessage() for record in caplog.records] == [
             "path 1, n=10: failed cells: NVB h=0.003 (NVB: synthetic decide failure), "
             "BAYES h=0.008 (Bayes: synthetic Bayes failure)",
-            "path 1, n=30: failed cells: NVB h=0.003 (plain fit), NVB h=0.008 (plain fit), "
+            "path 1, n=30: failed cells: NVB h=0.003 (NVB: synthetic fit failure), "
+            "NVB h=0.008 (NVB: synthetic fit failure), "
             "BAYES h=0.008 (Bayes: synthetic Bayes failure)",
         ]
         # The cells that did not fail: BAYES h=0.003 at n=10 and n=30, NVB h=0.008 at n=10.
         assert [records[i] for i in (1, 2, 5)] == [clean[i] for i in (1, 2, 5)]
 
+    # A failed grid is named; a failed plain fit carries its error's text.
     @pytest.mark.parametrize(
         "target, reason, failed_rules",
         [
             ("build_posterior", "posterior grid", {Rule.BAYES}),
-            ("fit_nvb", "plain fit", {Rule.NVB, Rule.LCVB}),
+            ("fit_nvb", "NVB: synthetic failure", {Rule.NVB, Rule.LCVB}),
         ],
         ids=["grid", "plain-fit"],
     )
@@ -284,7 +286,7 @@ class TestSimulatePath:
 
         def failing_at_30(data, *args):
             if data.n == 30:
-                raise NumericalError(f"synthetic {reason} failure")
+                raise NumericalError("synthetic failure")
             return original(data, *args)
 
         monkeypatch.setattr(experiment, target, failing_at_30)
@@ -323,12 +325,12 @@ class TestSimulatePath:
         root = decisions.decide_on_measure
         calls = []
 
-        def root_moved_at_high_h(theta, weights, models, rule):
+        def root_moved_at_high_h(measure, models, rule):
             calls.append(tuple(model.h for model in models))
             # One scan cell is 50/511 wide; only the h = 0.008 row moves.
             return [
                 replace(outcome, action=outcome.action + 1.0) if model.h == 0.008 else outcome
-                for model, outcome in zip(models, root(theta, weights, models, rule))
+                for model, outcome in zip(models, root(measure, models, rule))
             ]
 
         # bayes_decision's own one-h root, and simulate_path's batched one.

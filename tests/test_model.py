@@ -24,7 +24,7 @@ from newsvb import (
     sample_demand,
     true_optimal_action,
 )
-from newsvb.model import newsvendor_expected_risk
+from newsvb.model import _positive_measure, newsvendor_expected_risk
 
 
 def make_model(h, b, theta0=1.0, alpha=1.0, beta=1.0, interval=(0.0, 50.0)):
@@ -249,9 +249,9 @@ class TestNewsvendorExpectedRisk:
     def test_an_action_keeps_its_bits_in_any_call_with_its_h(
         self, nodes, actions, zero_share, h_per_action, seed
     ):
-        # Rates over six decades and actions over [0, 50], so calls of more
-        # than CLAMP_MIN_EXPONENTS clamp their exponents, and up to 600
-        # actions, so they cross blocks of ACTION_BLOCK.
+        # Rates over six decades and actions over [0, 50], so exponents from
+        # 0 to far below the floats' range, and up to 600 actions, so they
+        # cross blocks of ACTION_BLOCK.
         rng = np.random.default_rng(seed)
         theta = 10.0 ** rng.uniform(-3.0, 3.0, nodes)
         weights = rng.uniform(1e-3, 1.0, nodes) * (rng.random(nodes) >= zero_share)
@@ -260,11 +260,10 @@ class TestNewsvendorExpectedRisk:
         a[rng.integers(actions)] = 0.0
         h = 10.0 ** rng.uniform(-3.0, -0.3, actions) if h_per_action else 0.005
         b = float(10.0 ** rng.uniform(-2.0, 0.0))
-        values = newsvendor_expected_risk(a, h, b, theta, weights)
+        measure = _positive_measure(theta, weights)
+        values = newsvendor_expected_risk(a, h, b, measure)
         for i in range(actions):
-            one = newsvendor_expected_risk(
-                a[i : i + 1], h[i] if h_per_action else h, b, theta, weights
-            )
+            one = newsvendor_expected_risk(a[i : i + 1], h[i] if h_per_action else h, b, measure)
             assert one.tobytes() == values[i : i + 1].tobytes(), i
 
 

@@ -30,13 +30,7 @@ from newsvb import (
 )
 from newsvb.decisions import Rule, decide_on_measure
 from newsvb.experiment import derive_path_seed, reference_config, simulate_path
-from newsvb.model import (
-    CLAMP_MIN_EXPONENTS,
-    EXP_FLOOR,
-    _positive_measure,
-    expected_risk,
-    log_posterior_unnormalized,
-)
+from newsvb.model import _positive_measure, expected_risk, log_posterior_unnormalized
 from newsvb.numerics import NumericalError, gauss_legendre
 
 
@@ -366,47 +360,17 @@ class TestPosteriorExpectedRisk:
         for _ in range(50):
             assert posterior_expected_risk(float(rng.uniform(0, 50)), grid_n50, base_model) > 0
 
-    def test_clamped_scan_keeps_every_bit_of_the_unclamped_sum(self, grid_n2000):
-        # The reference study's n = 1 grids on paths 0-3 of its seed, where
-        # the grid's right tail sends the scan's exponents below the floor
-        # (42% of them on path 0, 27%, 23% and 17% on paths 1-3).
-        config = reference_config()
-        models = [config.model_for(h) for h in config.h_values]
-        scan = np.linspace(*config.action_interval, oracle.BAYES_SCAN_POINTS)
-
-        def measure_and_bound(grid):
-            weights = grid.normalized_weights
-            keep = weights > 0
-            theta, weights = grid.nodes[keep], weights[keep]
-            return theta, weights, -scan.max() * theta.max()
-
-        below = []
-        for path in range(4):
-            rng = np.random.default_rng(derive_path_seed(config.master_seed, path))
-            data = sample_demand(config.theta0, max(config.n_schedule), rng).prefix(1)
-            grid = build_posterior(data, models[0])
-            theta, weights, bound = measure_and_bound(grid)
-            exponents = np.einsum("i,j->ij", scan, -theta)
-            assert exponents.size >= CLAMP_MIN_EXPONENTS and bound < EXP_FLOOR  # clamp engaged
-            below.append((exponents < EXP_FLOOR).mean())
-            s = weights / theta
-            tails = np.einsum("ij,j->i", np.exp(exponents), s)
-            sum_s = np.einsum("j,j->", np.ones_like(s), s)
-            for model in models:
-                h, b = model.h, model.b
-                unclamped = (b + h) * tails + h * (scan * np.add.reduce(weights) - sum_s)
-                clamped = expected_risk(scan, grid.nodes, grid.normalized_weights, model)
-                assert clamped.tobytes() == unclamped.tobytes(), (path, h)
-        assert np.mean(below) > 0.01
-        # An n = 2,000 grid, the size decide_single draws, stays above the floor.
-        assert measure_and_bound(grid_n2000)[2] >= EXP_FLOOR
-
     def test_matches_a_50_digit_sum(self, data_n2000, base_model):
         # The worst error here reads 2.66 eps, at a = 0 with h = 0.5, where
-        # (b+h)*tail and h*sum w/theta cancel to a sixth of their size.
+        # (b+h)*tail and h*sum w/theta cancel to a sixth of their size. The
+        # reference study's n = 1 grid on path 0 reaches rates whose
+        # exponentials underflow: 42% of its exponents here are below -707.
+        config = reference_config()
+        rng = np.random.default_rng(derive_path_seed(config.master_seed, 0))
+        path_0 = sample_demand(config.theta0, max(config.n_schedule), rng).prefix(1)
         actions = np.linspace(*base_model.action_interval, 33)
-        for n in (1, 3, 10, 2000):
-            grid = build_posterior(data_n2000.prefix(n), base_model)
+        for data in [data_n2000.prefix(n) for n in (1, 3, 10, 2000)] + [path_0]:
+            grid = build_posterior(data, base_model)
             keep = grid.normalized_weights > 0
             with mpmath.workdps(50):
                 theta = [mpmath.mpf(float(t)) for t in grid.nodes[keep]]
@@ -424,7 +388,7 @@ class TestPosteriorExpectedRisk:
                         exact = (model.b + mpmath.mpf(h)) * tail + h * (
                             mpmath.mpf(a) * total - total_ratio
                         )
-                        assert abs(value - exact) <= 1e-13 * exact, (n, h, a)
+                        assert abs(value - exact) <= 1e-13 * exact, (data.n, h, a)
 
     def test_action_array_matches_scalar_calls(self, grid_n50, base_model):
         actions = np.linspace(0.0, 50.0, 101)
@@ -518,7 +482,8 @@ class TestBayesDecision:
         lo=st.floats(0.0, 5.0),
         width=st.floats(0.5, 50.0),
     )
-    # The reference study's n = 1 cell on path 0, whose scan clamps.
+    # The reference study's n = 1 cell on path 0, where 42% of the scan's
+    # exponents fall below log(float min).
     @example(
         n=1, seed=derive_path_seed(424242, 0), theta=0.68, alpha=1.0, beta=4.1,
         hs=[0.001 * k for k in range(1, 10)], b=0.1, lo=0.0, width=50.0,
@@ -533,9 +498,10 @@ class TestBayesDecision:
             for h in hs
         ]
         grid = build_posterior(sample_demand(theta, n, np.random.default_rng(seed)), models[0])
-        roots = decide_on_measure(grid.nodes, grid.normalized_weights, models, Rule.BAYES)
+        fresh = _positive_measure(grid.nodes, grid.normalized_weights)
+        roots = decide_on_measure(fresh, models, Rule.BAYES)
         # As simulate_path decides them: on the grid's prepared measure.
-        prepared = decide_on_measure(grid.measure, None, models, Rule.BAYES)
+        prepared = decide_on_measure(grid.measure, models, Rule.BAYES)
         for model, root, again in zip(models, roots, prepared):
             if isinstance(root, NumericalError):
                 assert isinstance(again, NumericalError) and str(again) == str(root)
@@ -582,8 +548,7 @@ class TestBayesDecision:
         prepared = []
         for module in (newsvb.model, newsvb.decisions, oracle):
             def counting(theta, weights, original=module._positive_measure):
-                if weights is not None:  # None passes a prepared measure through
-                    prepared.append(len(theta))
+                prepared.append(len(theta))
                 return original(theta, weights)
 
             monkeypatch.setattr(module, "_positive_measure", counting)
