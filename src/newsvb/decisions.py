@@ -275,24 +275,25 @@ def nvb_decide(
 def _lcvb_scan(data: Observations, model: NewsvendorModel, risk, start):
     """The global LCVB search: a 33-point scan plus golden refinement to 1e-4
     of the maxima ``fit_lcvb`` reaches, each fit started from the member
-    ``start`` or the nearest solved action's; a failed fit voids its probe.
-    Returns the action, its (q, diagnostics), the fits made and their kernel
-    passes, or raises ``NumericalError`` if every fit failed."""
+    ``start`` or the nearest solved action's; a fit that fails or does not
+    converge voids its probe (and logs no warning). Returns the action, its
+    (q, diagnostics), the fits made and their kernel passes, or raises
+    ``NumericalError`` if no fit converged."""
     solved: dict[float, tuple[LogNormalVariational, FitDiagnostics]] = {}
 
     def inner(a: float) -> float:
         nearest = solved[min(solved, key=lambda b: abs(b - a))][0] if solved else start
         try:
-            solved[a] = fit_lcvb(a, data, model, risk, nearest)
+            solved[a] = fit_lcvb(a, data, model, risk, nearest, warn=False)
         except NumericalError:
             return math.inf  # invalid probe, never the minimum
-        return solved[a][1].objective
+        return solved[a][1].objective if solved[a][1].converged else math.inf
 
     action, value, fits = minimize_on_grid_then_golden(
         inner, *model.action_interval, LCVB_COARSE_POINTS, LCVB_OUTER_TOLERANCE
     )
     if not math.isfinite(value):
-        raise NumericalError("every outer action probe failed its inner fit")
+        raise NumericalError("no outer action probe's inner fit converged")
     return action, solved[action], fits, sum(fit.evaluations for _, fit in solved.values())
 
 

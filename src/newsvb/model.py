@@ -158,15 +158,14 @@ def loss(a: float, xi, model: NewsvendorModel):
 
 
 class Risk(Protocol):
-    """An expected cost G(a, theta) and its derivatives over broadcast arrays of
-    ``a`` and ``theta``: ``theta_terms`` gives, from one shared tail, (G,
-    theta*dG/dtheta, theta*d(theta*dG/dtheta)/dtheta, dG/da,
-    theta*d(dG/da)/dtheta, d^2G/da^2), the rate derivatives taken in log
-    theta."""
+    """An expected cost G(a, theta) over broadcast arrays of ``a`` and
+    ``theta`` (``value``), and ``log_terms(a, u)``: one fresh (6, ...) array
+    of l = log G(a, e^u) and its derivatives l_u, l_uu, l_a, l_au and l_aa
+    over broadcast arrays of ``a`` and u = log theta."""
 
     def value(self, a, theta) -> np.ndarray: ...
 
-    def theta_terms(self, a, theta) -> tuple[np.ndarray, ...]: ...
+    def log_terms(self, a, u) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -190,23 +189,32 @@ class NewsvendorRisk:
         out -= self.h / theta
         return out
 
-    def theta_terms(self, a, theta):
-        a_theta = a * theta
-        tail, h_theta = self._tail(a, theta), self.h / theta
-        value = tail + self.h * a - h_theta  # the arithmetic of ``value``
-        slope = h_theta - tail * (a_theta + 1.0)
-        # tail*(a_theta^2 + a_theta + 1) - h_theta in place, a_theta capped at
-        # 1e154 in the square: past it the tail is 0, so the cap changes no
-        # finite value and keeps the square from overflowing into 0 * inf.
-        curvature = np.minimum(a_theta, 1e154)
-        curvature *= curvature
-        curvature += a_theta
-        curvature += 1.0
-        curvature *= tail
-        curvature -= h_theta
-        tail_theta = tail * theta  # (b+h)*exp(-a*theta)
-        g_a, g_a_theta, g_aa = self.h - tail_theta, a_theta * tail_theta, tail_theta * theta
-        return value, slope, curvature, g_a, g_a_theta, g_aa
+    def log_terms(self, a, u):
+        """The rows of l = log G on N = theta*G = h*(t - 1) + E, with t =
+        a*theta and E = (b+h)*exp(-t): N is at least h*log((b+h)/h) > 0, so
+        l = log N - u needs no floor. G depends on (a, u) through t = a*e^u
+        alone, so with D = h - E = dN/dt and P = theta^2*E/N: l_a =
+        theta*D/N, l_u = t*D/N - 1 = a*l_a - 1, l_aa = P - l_a^2, l_au =
+        a*P - l_a*l_u and l_uu = a*l_au (= t*D/N + t^2*E/N - (t*D/N)^2).
+        E/N takes its factors theta one at a time, so a zero E forms no
+        theta^2."""
+        h, theta = self.h, np.exp(u)
+        t = a * theta
+        tail = np.exp(math.log(self.b + h) - t)  # E
+        d = h - tail  # D
+        n = t * h - d  # N
+        out = np.empty((6, *n.shape))
+        log_g, l_u, l_uu, l_a, l_au, l_aa = out
+        np.subtract(np.log(n), u, out=log_g)
+        np.multiply(theta, d / n, out=l_a)
+        np.subtract(l_a * a, 1.0, out=l_u)
+        tail /= n
+        tail *= theta
+        tail *= theta  # P
+        np.subtract(tail, l_a * l_a, out=l_aa)
+        np.subtract(tail * a, l_a * l_u, out=l_au)
+        np.multiply(l_au, a, out=l_uu)
+        return out
 
 
 @dataclass(frozen=True)
@@ -218,9 +226,10 @@ class ConstantRisk:
     def value(self, a, theta):
         return np.full(np.broadcast_shapes(np.shape(a), np.shape(theta)), float(self.level))
 
-    def theta_terms(self, a, theta):
-        zero = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(theta)))
-        return self.value(a, theta), zero, zero, zero, zero, zero  # every derivative is zero
+    def log_terms(self, a, u):
+        out = np.zeros((6, *np.broadcast_shapes(np.shape(a), np.shape(u))))
+        out[0] = math.log(self.level)  # every derivative is zero
+        return out
 
 
 def resolve_risk(risk: Risk | None, model: NewsvendorModel) -> Risk:

@@ -222,13 +222,14 @@ def bayes_decision(
     The root and the scan read the grid's prepared ``measure``. A 512-point
     scan of H, on actions prepared once per action interval, is the root's
     derivative-free certificate: the root must lie between the neighbours
-    of the scan's best point, and H there must not exceed the scan's
-    minimum by more than rounding (1e-12 of it); otherwise
-    ``NumericalError``. ``probe_count`` counts the 512 scan probes and the
-    root's psi evaluations: two, at Jensen's plug-in action and at a_hi,
-    then one per Newton step (one alone at a_lo, none where the plug-in
-    action is past a_hi), whether the root was passed in or not. It is the
-    reference the variational rules are measured against.
+    of the scan's best point (or, where H ties that minimum to rounding,
+    1e-12 of it, at several points, of the first and last of those), and H
+    there must not exceed the scan's minimum by more than that rounding;
+    otherwise ``NumericalError``. ``probe_count`` counts the 512 scan
+    probes and the root's psi evaluations: two, at Jensen's plug-in action
+    and at a_hi, then one per Newton step (one alone at a_lo, none where
+    the plug-in action is past a_hi), whether the root was passed in or
+    not. It is the reference the variational rules are measured against.
     """
     measure = grid.measure
     if root is None:
@@ -240,8 +241,12 @@ def bayes_decision(
     values = newsvendor_expected_risk(scan, model.h, model.b, measure)  # expected_risk's sum
     k = int(np.argmin(values))  # first minimum = smallest action
     a, value, evaluations = root.action, root.objective_value, root.probe_count
+    ceiling = values[k] * (1.0 + BAYES_SCAN_ROUNDING)
     left, right = scan[max(k - 1, 0)], scan[min(k + 1, BAYES_SCAN_POINTS - 1)]
-    if not (left <= a <= right and value <= values[k] * (1.0 + BAYES_SCAN_ROUNDING)):
+    if not left <= a <= right:  # H may tie its minimum to rounding across many points
+        tied = np.flatnonzero(values <= ceiling)
+        left, right = scan[max(tied[0] - 1, 0)], scan[min(tied[-1] + 1, BAYES_SCAN_POINTS - 1)]
+    if not (left <= a <= right and value <= ceiling):
         raise NumericalError(
             f"root a={a:.9g} with H={value:.17g} fails the scan check: best scan cell "
             f"[{left:.9g}, {right:.9g}], scan minimum {values[k]:.17g}"

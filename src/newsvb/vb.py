@@ -31,7 +31,7 @@ v = sigma^2, the bound's Hessian is
 
 negative definite everywhere (its determinant is 2v(A+B)^2 + 4v^2*AB > 0).
 The calibrated fit adds the Gauss-Hermite Hessian of E_q[log G], which
-needs the risk's second derivative in log theta (``Risk.theta_terms``);
+needs log G's second derivative in log theta (``Risk.log_terms``);
 where that sum is not negative definite, the step uses the bound's Hessian
 alone. Newton steps take the likelihood curvature in mu, which grows like
 n, in their stride.
@@ -85,7 +85,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_RISK_FLOOR = 1e-300
 
 TOLERANCE = 1e-8  # gradient norm at which an ascent, and LCVB's saddle solve, stops
 MAX_ITERATIONS = 10_000  # the step cap of an ascent and of the plain fit's root
@@ -176,7 +175,7 @@ class CalibratedObjective:
     value: float
     kl_term: float
     log_risk_term: float
-    clamped: bool = False
+    clamped: bool = False  # always False; kept because perfbench/tracing.py reads it
 
 
 def _guarded_exp(x: float) -> float:
@@ -298,47 +297,28 @@ def _moment_basis(node_count: int):
 def _log_risk_term(a: float, mu: float, rho: float, risk: Risk, node_count: int = NODE_COUNT):
     """E_q[log G(a, theta)] with its (mu, rho) gradient and Hessian by Gauss-Hermite.
 
-    Returns (value, gradient, hessian, action, clamped), the derivatives as
-    nested pairs of floats and ``action`` the derivatives (F_a, F_a_mu,
-    F_a_rho, F_aa) in a, then a and mu, a and rho, and a twice. Raises when
-    the risk is not strictly positive at some node; positive values below
-    the floating floor are clamped and flagged.
-    """
+    Returns (value, gradient, hessian, action), the derivatives as nested
+    pairs of floats and ``action`` (F_a, F_a_mu, F_a_rho, F_aa): one product
+    of ``log_terms`` at u = mu + sigma*z against w, w*z and w*z^2. Rows past
+    the float range (the newsvendor's l_aa ~ theta^2*h/b at a = 0 and theta
+    ~ 1e200) become non-finite sums without a warning: ``ascend`` then steps
+    with the bound's Hessian alone, and the saddle solve refuses them. An
+    E_q[log G] that is not finite (G not positive and finite at a node) is
+    a ``NumericalError``."""
     z, basis = _moment_basis(node_count)
     sigma = math.exp(rho)
-    theta = np.exp(mu + sigma * z)
-    values, slope, curvature, g_a, g_a_theta, g_aa = risk.theta_terms(a, theta)
-    lowest = values.min()  # NaN propagates, so NaN fails the test below too
-    if not (lowest > 0.0 and values.max() < math.inf):
-        raise NumericalError(
-            f"risk must be strictly positive over the quadrature nodes (a={a:.6g})"
-        )
-    clamped = bool(lowest < _RISK_FLOOR)
-    if clamped:
-        logger.warning("risk values clamped at %.1e before taking logs (a=%.6g)", _RISK_FLOOR, a)
-        values = np.maximum(values, _RISK_FLOOR)
-    # Rows log G, l', l'', l_a, l_a' and l_aa of l(u) = log G(a, e^u) at
-    # u = mu + sigma*z, with l' = theta*dG/dtheta / G,
-    # l'' = theta*d(theta*dG/dtheta)/dtheta / G - l'^2, l_a = dG/da / G,
-    # l_a' = theta*d(dG/da)/dtheta / G - l_a*l' and l_aa = d^2G/da^2 / G - l_a^2;
-    # one product gives each row's sums against w, w*z and w*z^2.
-    terms = np.empty((6, z.size))
-    np.log(values, out=terms[0])
-    np.divide(slope, values, out=terms[1])
-    np.divide(curvature, values, out=terms[2])
-    terms[2] -= np.square(terms[1])
-    np.divide(g_a, values, out=terms[3])
-    np.divide(g_a_theta, values, out=terms[4])
-    terms[4] -= terms[3] * terms[1]
-    np.divide(g_aa, values, out=terms[5])
-    terms[5] -= np.square(terms[3])
-    sums = (terms @ basis).tolist()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sums = (risk.log_terms(a, mu + sigma * z) @ basis).tolist()
     (value, _, _), (g_mu, g_rho, _), (h_mu, h_mu_rho, h_rho), (f_a, _, _) = sums[:4]
     (f_a_mu, f_a_rho, _), (f_aa, _, _) = sums[4:]
+    if not math.isfinite(value):
+        raise NumericalError(
+            f"E_q[log G] is {value}: the risk is not positive and finite at some node (a={a:.6g})"
+        )
     g_rho, h_mu_rho = sigma * g_rho, sigma * h_mu_rho
     h_rho = sigma * sigma * h_rho + g_rho
     hessian = ((h_mu, h_mu_rho), (h_mu_rho, h_rho))
-    return value, (g_mu, g_rho), hessian, (f_a, f_a_mu, sigma * f_a_rho, f_aa), clamped
+    return value, (g_mu, g_rho), hessian, (f_a, f_a_mu, sigma * f_a_rho, f_aa)
 
 
 def _lcvb_objective(a: float, data: Observations, model: NewsvendorModel, risk: Risk):
@@ -354,7 +334,7 @@ def _lcvb_objective(a: float, data: Observations, model: NewsvendorModel, risk: 
         value, gradient, hessian = _elbo_terms(*x, data.n, data.sum_s, model.alpha, model.beta)
         if not math.isfinite(value):
             return -math.inf, gradient, hessian, hessian
-        log_risk, (l_mu, l_rho), ((m00, m01), (_, m11)), action, _ = _log_risk_term(a, *x, risk)
+        log_risk, (l_mu, l_rho), ((m00, m01), (_, m11)), action = _log_risk_term(a, *x, risk)
         (e00, e01), (_, e11) = hessian
         total = ((e00 + m00, e01 + m01), (e01 + m01, e11 + m11))
         gradient = (gradient[0] + l_mu, gradient[1] + l_rho)
@@ -382,16 +362,9 @@ def calibrated_objective(
     oracle's own error, and checked against it.
     """
     validate_action(a, model)
-    log_risk, _, _, _, clamped = _log_risk_term(
-        a, q.mu, math.log(q.sigma), resolve_risk(risk, model)
-    )
+    log_risk = _log_risk_term(a, q.mu, math.log(q.sigma), resolve_risk(risk, model))[0]
     kl_term = posterior_kl(q, data, model, grid)
-    return CalibratedObjective(
-        value=-kl_term + log_risk,
-        kl_term=kl_term,
-        log_risk_term=log_risk,
-        clamped=clamped,
-    )
+    return CalibratedObjective(value=-kl_term + log_risk, kl_term=kl_term, log_risk_term=log_risk)
 
 
 def fit_lcvb(
@@ -400,6 +373,8 @@ def fit_lcvb(
     model: NewsvendorModel,
     risk: Risk | None = None,
     initial: LogNormalVariational | None = None,
+    *,
+    warn: bool = True,
 ) -> tuple[LogNormalVariational, FitDiagnostics]:
     """Maximize the calibrated objective over q for a fixed action.
 
@@ -408,7 +383,8 @@ def fit_lcvb(
     diagnostics' ``objective`` at the returned member. One ascent to the
     gradient norm ``TOLERANCE`` from ``initial`` (e.g. the neighbouring
     solution in an outer action loop) or else the plain fit; a run short of
-    it is returned, flagged and logged as a warning. E_q[log G] need not be
+    it is returned, flagged and logged as a warning (at debug level with
+    ``warn=False``, for a caller that handles it). E_q[log G] need not be
     concave, so the result is the maximum reached from that start.
     """
     validate_action(a, model)
@@ -416,7 +392,7 @@ def fit_lcvb(
     q0 = fit_nvb(data, model)[0] if initial is None else initial
     result = ascend(objective, (q0.mu, math.log(q0.sigma)), TOLERANCE, MAX_ITERATIONS)
     q, value, missed = _member(objective, result.x, result.value)
-    logger.log(logging.DEBUG if result.converged else logging.WARNING,
+    logger.log(logging.DEBUG if result.converged or not warn else logging.WARNING,
                "calibrated fit at a=%.9g: %d iterations, gradient norm %.3e, %d fallback steps%s",
                a, result.iterations, result.gradient_norm, result.fallback_steps,
                "" if result.converged else ", not converged")

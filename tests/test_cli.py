@@ -160,8 +160,8 @@ class TestDecide:
 
     def test_lcvb_scan_fallback_on_one_demand_warns_nothing(self, capsys):
         # The scan fallback's ascent reaches members whose nodes put a*theta
-        # past 1e154, where ``NewsvendorRisk.theta_terms`` squares it past the
-        # float range against a zero tail; that nan curvature must stay silent.
+        # past 1e154, whose square would leave the float range against a zero
+        # tail; ``NewsvendorRisk.log_terms`` never forms it.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(
@@ -558,6 +558,35 @@ class TestExitCodes:
         assert err.startswith("numerical failure: ")
         assert "float range at mu=346.093, sigma=25.9798" in err
         assert err.count("\n") == 1
+
+    # Demands far below the prior's scale put LCVB's node rates near 1e200,
+    # where the kernel's theta^2 rows leave the float range: the saddle solve
+    # refuses their non-finite sums and the scan decides, with no warning.
+    @pytest.mark.parametrize("value", ["1e-200", "1e-250"])
+    def test_lcvb_rows_past_the_float_range_fall_back_to_the_scan_silently(self, capsys, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "decide", "--rule", "lcvb", "--values", value)
+        assert (code, err) == (0, "")
+        assert parse_report(out)["probes"] == "56"  # no Newton step, 56 scan fits
+
+    # One demand of 1e50: the bound's gradient rounds far above the tolerance,
+    # so no fit converges; NVB decides a_hi = 50.
+    def test_lcvb_on_one_huge_demand_exits_3_in_one_line(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "decide", "--rule", "lcvb", "--values", "1e50")
+        assert (code, out) == (3, "")
+        assert err == "numerical failure: no outer action probe's inner fit converged\n"
+
+    # One demand of 1e300: H is flat to rounding over [0, 50], so the root at
+    # a_hi passes the scan check on the points that tie the scan's minimum.
+    def test_bayes_on_one_demand_of_1e300_decides_a_hi(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "decide", "--rule", "bayes", "--values", "1e300")
+        assert (code, err) == (0, "")
+        assert parse_report(out)["action"] == "50"
 
     # Sizes that malloc refuses at once; never a size that could be allocated.
     @pytest.mark.parametrize(

@@ -129,8 +129,8 @@ def psi(a, theta, weights):
 
 
 def action_slope_sum(a, theta, weights, model):
-    """H'(a) = sum_i weights[i] * dG/da(a, theta[i])."""
-    return float(weights @ NewsvendorRisk(model.h, model.b).theta_terms(a, theta)[3])
+    """H'(a) = sum_i weights[i] * dG/da(a, theta[i]), with dG/da = h - (b+h)*exp(-a*theta)."""
+    return float(weights @ (model.h - (model.b + model.h) * np.exp(-a * theta)))
 
 
 def assert_first_order(outcome, theta, weights, model):
@@ -577,9 +577,10 @@ class NaNSlope:
     def value(self, a, theta):
         return self.builtin.value(a, theta)
 
-    def theta_terms(self, a, theta):
-        value, slope, curvature, _, cross, action_curvature = self.builtin.theta_terms(a, theta)
-        return value, slope, curvature, np.full_like(theta, math.nan), cross, action_curvature
+    def log_terms(self, a, u):
+        terms = self.builtin.log_terms(a, u)
+        terms[3:] = math.nan  # l_a, and with it l_au and l_aa
+        return terms
 
 
 class ConcaveInAction:
@@ -589,9 +590,10 @@ class ConcaveInAction:
     def value(self, a, theta):
         return np.full(np.shape(theta), 1.0 + a)
 
-    def theta_terms(self, a, theta):
-        zero = np.zeros(np.shape(theta))
-        return self.value(a, theta), zero, zero, np.ones(np.shape(theta)), zero, zero
+    def log_terms(self, a, u):
+        terms = np.zeros((6, len(u)))
+        terms[0], terms[3], terms[5] = math.log1p(a), 1.0 / (1.0 + a), -1.0 / (1.0 + a) ** 2
+        return terms
 
 
 def envelope(a, q, data, model):
@@ -654,8 +656,10 @@ class TestLcvbDecide:
             def value(self, a, theta):
                 return np.full_like(theta, -1.0)
 
-            def theta_terms(self, a, theta):
-                return self.value(a, theta), *[np.zeros_like(theta)] * 5
+            def log_terms(self, a, u):
+                terms = np.zeros((6, len(u)))
+                terms[0] = math.nan  # log G of a negative G
+                return terms
 
         with pytest.raises(NumericalError):
             lcvb_decide(data_n50, base_model, risk=Hostile())
@@ -670,13 +674,40 @@ class TestLcvbDecide:
                     return np.full_like(theta, -1.0)
                 return self.builtin.value(a, theta)
 
-            def theta_terms(self, a, theta):
-                return self.value(a, theta), *self.builtin.theta_terms(a, theta)[1:]
+            def log_terms(self, a, u):
+                terms = self.builtin.log_terms(a, u)
+                if a > 25.0:
+                    terms[0] = math.nan  # log G of a negative G
+                return terms
 
         outcome = lcvb_decide(data_n50, base_model, risk=Patchy())
         assert outcome.action <= 25.0
         reference = lcvb_decide(data_n50, base_model)
         assert abs(outcome.action - reference.action) < 1e-6
+
+    def test_the_scan_ranks_only_converged_fits(self, data_n50, base_model, monkeypatch):
+        fit = decisions.fit_lcvb
+
+        def unconverged_below_10(a, *args, **kwargs):
+            q, diagnostics = fit(a, *args, **kwargs)
+            return q, replace(diagnostics, converged=diagnostics.converged and a >= 10.0)
+
+        risk = NewsvendorRisk(base_model.h, base_model.b)
+        start = nvb_decide(data_n50, base_model).q
+        assert decisions._lcvb_scan(data_n50, base_model, risk, start)[0] < 10.0 - 50.0 / 32
+        monkeypatch.setattr(decisions, "fit_lcvb", unconverged_below_10)
+        action, (_, diagnostics), _, _ = decisions._lcvb_scan(data_n50, base_model, risk, start)
+        assert action >= 10.0 and diagnostics.converged
+
+    def test_one_huge_demand_has_no_converged_fit(self, base_model, caplog):
+        # One demand of 1e50: S*E_q[theta] ~ 2e25, so one ulp of mu moves the
+        # bound's mu-gradient by ~1e11, far above TOLERANCE. Neither the
+        # saddle solve nor any scan fit converges: a NumericalError, and no
+        # fit warning, where ranking the unconverged fits decided a = 0.
+        with caplog.at_level(logging.WARNING):
+            with pytest.raises(NumericalError, match="no outer action probe's inner fit converged"):
+                lcvb_decide(Observations([1e50]), base_model)
+        assert caplog.records == []
 
     def test_grid_from_other_data_is_reported_as_a_mismatch(
         self, data_n50, base_model, grid_n50, grid_n2000

@@ -152,87 +152,132 @@ class TestRisk:
         assert values.shape == (7, 11)
         assert np.array_equal(values[3], risk(float(actions[3]), thetas, model))
         eps = 1e-6
-        central = (
-            builtin.value(actions[:, None], thetas * (1 + eps))
-            - builtin.value(actions[:, None], thetas * (1 - eps))
-        ) / (2 * eps)
-        value, slope, _, slope_a, _, _ = builtin.theta_terms(actions[:, None], thetas[None, :])
-        assert np.array_equal(value, values)  # the same arithmetic as ``value``
-        assert np.allclose(slope, central, rtol=1e-6, atol=1e-9)
+        log_value = lambda a, u: np.log(builtin.value(a, np.exp(u)))  # noqa: E731
+        u = np.log(thetas)
+        central = (log_value(actions[:, None], u + eps) - log_value(actions[:, None], u - eps)) / (
+            2 * eps
+        )
+        terms = builtin.log_terms(actions[:, None], u)
+        assert terms.shape == (6, 7, 11)
+        assert np.allclose(terms[0], np.log(values), rtol=1e-14, atol=1e-14)
+        assert np.allclose(terms[1], central, rtol=1e-6, atol=1e-9)
         central_a = (
-            builtin.value(actions[:, None] + eps, thetas)
-            - builtin.value(actions[:, None] - eps, thetas)
+            log_value(actions[:, None] + eps, u) - log_value(actions[:, None] - eps, u)
         ) / (2 * eps)
-        assert slope_a.shape == (7, 11)
-        assert np.allclose(slope_a, central_a, rtol=1e-6, atol=1e-9)
+        assert np.allclose(terms[3], central_a, rtol=1e-6, atol=1e-9)
         constant = ConstantRisk(2.5)
         assert np.array_equal(constant.value(actions[:, None], thetas), np.full((7, 11), 2.5))
-        value, *derivatives = constant.theta_terms(1.0, thetas)
-        assert np.array_equal(value, np.full(11, 2.5))
-        assert len(derivatives) == 5 and not np.any(derivatives)
+        terms = constant.log_terms(actions[:, None], u)
+        assert terms.shape == (6, 7, 11)
+        assert np.array_equal(terms[0], np.full((7, 11), math.log(2.5)))
+        assert not np.any(terms[1:])
 
     def test_theta_curvature_matches_differences_of_the_slope_in_log_theta(self):
         model = make_model(0.05, 0.4)
         builtin = NewsvendorRisk(model.h, model.b)
         actions = np.linspace(0.0, 20.0, 7)[:, None]
-        thetas = np.linspace(0.1, 5.0, 11)
+        u = np.log(np.linspace(0.1, 5.0, 11))
         eps = 1e-6
         central = (
-            builtin.theta_terms(actions, thetas * math.exp(eps))[1]
-            - builtin.theta_terms(actions, thetas * math.exp(-eps))[1]
+            builtin.log_terms(actions, u + eps)[1] - builtin.log_terms(actions, u - eps)[1]
         ) / (2 * eps)
-        curvature = builtin.theta_terms(actions, thetas)[2]
+        curvature = builtin.log_terms(actions, u)[2]
         assert curvature.shape == (7, 11)
         assert np.allclose(curvature, central, rtol=1e-6, atol=1e-9)
-        assert not np.any(ConstantRisk(2.5).theta_terms(actions, thetas)[2])
+        assert not np.any(ConstantRisk(2.5).log_terms(actions, u)[2])
 
-    def test_theta_curvature_keeps_its_bits_and_warns_nothing_past_the_float_range(self):
-        # tail*((a*theta)^2 + a*theta + 1) - h/theta, bit for bit wherever it
-        # is finite; where (a*theta)^2 overflows the tail is 0, and the
-        # curvature is its limit -h/theta instead of 0 * inf.
+    def test_log_terms_stay_finite_and_silent_wherever_the_rows_are_floats(self):
+        # Up to theta = 1e150 every row is a float at every action; past it,
+        # where E = (b+h)*exp(-a*theta) is 0, E/N is 0 before its factors
+        # theta, so no theta^2 is formed.
         builtin = NewsvendorRisk(0.05, 0.4)
         actions = np.array([0.0, 1e-3, 5.0, 50.0])[:, None]
-        thetas = np.array([1e-3, 0.68, 1e3, 1e150, 1.2e154, 2e154, 1e160, 1e300])
+        thetas = np.array([1e-300, 1e-3, 0.68, 1e3, 1e150])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            curvature = builtin.theta_terms(actions, thetas)[2]
-        a_theta, tail, h_theta = actions * thetas, builtin._tail(actions, thetas), 0.05 / thetas
-        with np.errstate(over="ignore", invalid="ignore"):
-            textbook = tail * (a_theta * a_theta + a_theta + 1.0) - h_theta
-        finite = np.isfinite(textbook)
-        assert np.array_equal(curvature[finite], textbook[finite])
-        assert 0 < np.count_nonzero(~finite)
-        assert np.array_equal(curvature[~finite], np.broadcast_to(-h_theta, finite.shape)[~finite])
+            terms = builtin.log_terms(actions, np.log(thetas))
+            past = builtin.log_terms(actions[1:], np.log([1e154, 1e200, 1e300]))
+        assert np.all(np.isfinite(terms)) and np.all(np.isfinite(past))
+        # There l = log(h*(t - 1)) - u, l_a = theta/(t - 1) and l_u = 1/(t - 1),
+        # which r - 1 gives to its rounding.
+        t = actions[1:] * np.array([1e154, 1e200, 1e300])
+        assert np.allclose(past[0], np.log(0.05 * t) - np.log([1e154, 1e200, 1e300]), rtol=1e-14)
+        assert np.allclose(past[3], 1.0 / actions[1:], rtol=1e-12, atol=0.0)
+        assert np.all(np.abs(past[1]) <= 2 * np.finfo(float).eps)
 
     def test_action_cross_term_matches_differences_of_the_action_slope_in_log_theta(self):
         model = make_model(0.05, 0.4)
         builtin = NewsvendorRisk(model.h, model.b)
         actions = np.linspace(0.0, 20.0, 7)[:, None]
-        thetas = np.linspace(0.1, 5.0, 11)
+        u = np.log(np.linspace(0.1, 5.0, 11))
         eps = 1e-6
         central = (
-            builtin.theta_terms(actions, thetas * math.exp(eps))[3]
-            - builtin.theta_terms(actions, thetas * math.exp(-eps))[3]
+            builtin.log_terms(actions, u + eps)[3] - builtin.log_terms(actions, u - eps)[3]
         ) / (2 * eps)
-        cross = builtin.theta_terms(actions, thetas)[4]
+        cross = builtin.log_terms(actions, u)[4]
         assert cross.shape == (7, 11)
         assert np.allclose(cross, central, rtol=1e-6, atol=1e-9)
-        assert not np.any(ConstantRisk(2.5).theta_terms(actions, thetas)[4])
+        assert not np.any(ConstantRisk(2.5).log_terms(actions, u)[4])
 
     def test_action_curvature_matches_differences_of_the_action_slope(self):
         model = make_model(0.05, 0.4)
         builtin = NewsvendorRisk(model.h, model.b)
         actions = np.linspace(0.0, 20.0, 7)[:, None]
-        thetas = np.linspace(0.1, 5.0, 11)
+        u = np.log(np.linspace(0.1, 5.0, 11))
         eps = 1e-6
         central = (
-            builtin.theta_terms(actions + eps, thetas)[3]
-            - builtin.theta_terms(actions - eps, thetas)[3]
+            builtin.log_terms(actions + eps, u)[3] - builtin.log_terms(actions - eps, u)[3]
         ) / (2 * eps)
-        action_curvature = builtin.theta_terms(actions, thetas)[5]
+        action_curvature = builtin.log_terms(actions, u)[5]
         assert action_curvature.shape == (7, 11)
         assert np.allclose(action_curvature, central, rtol=1e-6, atol=1e-9)
-        assert not np.any(ConstantRisk(2.5).theta_terms(actions, thetas)[5])
+        assert not np.any(ConstantRisk(2.5).log_terms(actions, u)[5])
+
+    @settings(deadline=None, max_examples=60, derandomize=True, database=None)
+    @example(h=0.005, b=0.1, a=50.0, log_span=2.0)
+    @example(h=0.5, b=0.01, a=0.0, log_span=4.0)
+    @given(
+        h=st.floats(1e-3, 0.5),
+        b=st.floats(1e-2, 10.0),
+        a=st.one_of(st.just(0.0), st.floats(1e-2, 50.0)),
+        log_span=st.floats(0.5, 4.0),
+    )
+    def test_log_terms_match_differences_of_log_value(self, h, b, a, log_span):
+        # Rates on both sides of a*theta = 745, where E = (b+h)*exp(-a*theta)
+        # leaves the floats: u spans log_span about log(745/a) (about 0 at a = 0).
+        builtin = NewsvendorRisk(h, b)
+        center = math.log(745.0 / a) if a > 0 else 0.0
+        u = center + np.linspace(-log_span, log_span, 41)
+        terms = builtin.log_terms(a, u)
+        theta = np.exp(u)
+
+        def log_value(da, du):
+            return np.log(builtin.value(a + da, np.exp(u + du)))
+
+        # G depends on t = a*theta, which changes on the scale min(1, b/h) at
+        # t = 0: steps du in u and da*theta in t relative to it.
+        unit = a + min(1.0, b / h) / theta
+        du, da = 1e-4, 1e-4 * unit
+        first_u = (log_value(0.0, du) - log_value(0.0, -du)) / (2 * du)
+        first_a = (log_value(da, 0.0) - log_value(-da, 0.0)) / (2 * da)
+        du, da = 1e-3, 1e-3 * unit
+        mid = log_value(0.0, 0.0)
+        second_u = (log_value(0.0, du) - 2 * mid + log_value(0.0, -du)) / du**2
+        second_a = (log_value(da, 0.0) - 2 * mid + log_value(-da, 0.0)) / da**2
+        cross = (
+            log_value(da, du) - log_value(da, -du) - log_value(-da, du) + log_value(-da, -du)
+        ) / (4 * da * du)
+        assert np.all(np.abs(terms[0] - mid) <= 1e-13 * (1.0 + np.abs(mid)))
+        # Each derivative against its size plus its scale: 1 per u, theta per a.
+        for row, difference, scale, tolerance in [
+            (1, first_u, 1.0, 1e-7),
+            (3, first_a, theta, 1e-7),
+            (2, second_u, 1.0, 1e-5),
+            (4, cross, theta, 1e-5),
+            (5, second_a, theta**2, 1e-5),
+        ]:
+            error = np.abs(terms[row] - difference)
+            assert np.all(error <= tolerance * (np.abs(terms[row]) + scale)), row
 
 
 class TestNewsvendorExpectedRisk:

@@ -414,6 +414,18 @@ class TestBayesDecision:
         brute = actions[int(np.argmin(values))]
         assert abs(outcome.action - brute) <= 50.0 / 100_000
 
+    def test_a_root_where_h_ties_the_scan_minimum_passes_the_scan_check(self, base_model):
+        # One demand of 1e300: theta ~ 1e-150, so H(a) ~ b/theta + h*a is flat
+        # to rounding over [0, 50]. The scan's first minimum is at a = 0, the
+        # root at a_hi, and every scan point ties the minimum.
+        grid = build_posterior(Observations([1e300]), base_model)
+        scan = np.linspace(0.0, 50.0, oracle.BAYES_SCAN_POINTS)
+        values = posterior_expected_risk(scan, grid, base_model)
+        assert np.argmin(values) == 0 and values.max() == values.min()
+        outcome = bayes_decision(grid, base_model)
+        assert outcome.action == base_model.action_hi
+        assert outcome.objective_value == values.min()
+
     def test_beats_every_grid_probe(self, grid_n50, base_model):
         outcome = bayes_decision(grid_n50, base_model)
         probes = np.linspace(0.0, 50.0, 512)

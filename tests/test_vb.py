@@ -2,6 +2,7 @@
 
 import logging
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -399,9 +400,8 @@ class TestLogRiskTerm:
         for i, (a, mu, sigma) in enumerate([*corners, *draws]):
             risk = NewsvendorRisk((0.001, 0.005, 0.05)[i % 3], 0.1)
             rho = math.log(sigma)
-            value, gradient, hessian, action, clamped = _log_risk_term(a, mu, rho, risk, 64)
+            value, gradient, hessian, action = _log_risk_term(a, mu, rho, risk, 64)
             exact, scale = log_risk_reference(a, mu, rho, risk)
-            assert not clamped
             # Only the order of the sums differs: 1e-12 relative to the summed terms.
             for got, want, size in zip((value, gradient, hessian, action), exact, scale):
                 assert np.all(np.abs(np.subtract(got, want)) <= 1e-12 * size)
@@ -409,14 +409,29 @@ class TestLogRiskTerm:
 
     def test_constant_risk_has_zero_gradient_and_hessian(self):
         for mu, sigma in [(-3.0, 0.01), (0.0, 0.5), (1.5, 1.0)]:
-            value, gradient, hessian, action, clamped = _log_risk_term(
+            value, gradient, hessian, action = _log_risk_term(
                 2.0, mu, math.log(sigma), ConstantRisk(3.7), 64
             )
             assert value == pytest.approx(math.log(3.7), rel=1e-14)
             assert gradient == (0.0, 0.0)
             assert hessian == ((0.0, 0.0), (0.0, 0.0))
             assert action == (0.0, 0.0, 0.0, 0.0)
-            assert not clamped
+
+
+    def test_rows_past_the_float_range_are_non_finite_sums_without_a_warning(self):
+        # At a = 0 the newsvendor's l_aa is theta^2*h/b: finite sums with the
+        # top node rate at 1e150, not at 1e200, where (mu, rho)'s value and
+        # gradient, and F_a, stay finite.
+        risk = NewsvendorRisk(0.005, 0.1)
+        top = gauss_hermite_standard(NODE_COUNT)[0][-1]
+        rho = math.log(0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rate, finite in ((1e150, True), (1e200, False)):
+                mu = math.log(rate) - 0.5 * top
+                value, gradient, hessian, action = _log_risk_term(0.0, mu, rho, risk)
+                assert all(map(math.isfinite, (value, *gradient, action[0])))
+                assert all(map(math.isfinite, (*hessian[0], *action[1:]))) == finite
 
 
 class TestCalibratedObjective:
@@ -458,8 +473,10 @@ class TestCalibratedObjective:
             def value(self, a, theta):
                 return np.where(theta > 0.5, -1.0, 1.0)
 
-            def theta_terms(self, a, theta):
-                return self.value(a, theta), *[np.zeros_like(theta)] * 5
+            def log_terms(self, a, u):
+                terms = np.zeros((6, len(u)))
+                terms[0] = np.where(u > math.log(0.5), math.nan, 0.0)  # log G, NaN where G < 0
+                return terms
 
         q = LogNormalVariational(0.0, 0.5)
         with pytest.raises(NumericalError):
