@@ -12,11 +12,8 @@ from .model import (  # noqa: F401
     NewsvendorModel,
     NewsvendorRisk,
     Observations,
-    fisher_information,
     log_likelihood,
     log_prior,
-    loss,
-    risk,
     sample_demand,
     true_optimal_action,
 )
@@ -33,12 +30,10 @@ from .vb import (  # noqa: F401
     fit_nvb,
     kl_decomposition_check,
     posterior_kl,
-    variational_variance,
 )
 from .decisions import (  # noqa: F401
     DecisionOutcome,
     Rule,
-    expected_risk_under_q,
     lcvb_decide,
     nvb_decide,
     optimality_gap,
@@ -47,9 +42,7 @@ from .oracle import (  # noqa: F401
     PosteriorGrid,
     bayes_decision,
     build_posterior,
-    calibrated_posterior_density,
     mle,
-    posterior_expected_risk,
 )
 from .experiment import (  # noqa: F401
     ExperimentConfig,

@@ -41,11 +41,12 @@ from .model import (
     NewsvendorModel,
     NewsvendorRisk,
     Observations,
+    expected_risk,
     sample_demand,
     true_optimal_action,
 )
 from .numerics import NumericalError
-from .oracle import bayes_decision, build_posterior, mle, posterior_expected_risk
+from .oracle import bayes_decision, build_posterior, mle
 from .vb import (
     NODE_COUNT,
     LogNormalVariational,
@@ -456,7 +457,7 @@ def check_jensen_bound() -> tuple[float, float]:
     worst = -math.inf
     for a, q in zip(actions, members):
         value = calibrated_objective(float(a), q, data, model, grid).value
-        bound = math.log(posterior_expected_risk(float(a), grid, model))
+        bound = math.log(expected_risk(float(a), grid.nodes, grid.normalized_weights, model))
         worst = max(worst, value - bound)
     return worst, 1e-8
 

@@ -30,7 +30,6 @@ from .model import (
     Risk,
     _exp_table,
     _positive_measure,
-    expected_risk,
     resolve_risk,
     true_optimal_action,
 )
@@ -57,7 +56,6 @@ from .vb import (
 __all__ = [
     "Rule",
     "DecisionOutcome",
-    "expected_risk_under_q",
     "decide_on_measure",
     "nvb_decide",
     "decide_across_h",
@@ -109,14 +107,6 @@ def _gauss_hermite_measure(q: LogNormalVariational):
             f"at mu={q.mu:.6g}, sigma={q.sigma:.6g}"
         )
     return np.exp(q.mu + q.sigma * z), w
-
-
-def expected_risk_under_q(a, q: LogNormalVariational, model: NewsvendorModel):
-    """Predicted expected cost H_q(a) = E_q[G(a, theta)] by Gauss-Hermite.
-
-    ``a`` may be one action or an array of actions; the result has its shape.
-    """
-    return expected_risk(a, *_gauss_hermite_measure(q), model)
 
 
 def decide_on_measure(
@@ -395,7 +385,7 @@ def optimality_gap(outcome: DecisionOutcome, model: NewsvendorModel) -> tuple[fl
     """(|a - a0*|, regret G(a, theta0) - G(a0*, theta0)) against the true rate.
 
     In float arithmetic, associated as ``NewsvendorRisk.value``; a negative
-    action raises ``ValueError`` as ``risk`` does.
+    action is a ``ValueError``.
     """
     a_star = true_optimal_action(model)
     if outcome.action < 0:

@@ -1,15 +1,16 @@
 """Exponential-demand newsvendor model.
 
 Demand is exponentially distributed with unknown rate theta > 0. Stocking
-``a`` units against a realized demand ``xi`` costs ``h`` per leftover unit
-and ``b`` per unit of unmet demand. The expected cost of an action under
-rate theta has the closed form
+``a`` units costs ``h`` per leftover unit and ``b`` per unit of unmet
+demand. Only the expected cost of an action under rate theta is computed
+here, in the closed form
 
     G(a, theta) = h*a - h/theta + (b + h) * exp(-a*theta) / theta,
 
-which is convex in ``a`` with unique minimizer log((b + h) / h) / theta.
-The rate carries a (deliberately non-conjugate) inverse-gamma prior with
-shape ``alpha`` and rate ``beta``.
+which is convex in ``a`` with unique minimizer log((b + h) / h) / theta:
+as a ``Risk`` object with log G's derivatives, and summed over a discrete
+rate measure. The rate carries a (deliberately non-conjugate)
+inverse-gamma prior with shape ``alpha`` and rate ``beta``.
 
 All functions here are pure; random draws consume an explicit generator.
 """
@@ -32,14 +33,10 @@ __all__ = [
     "resolve_risk",
     "expected_risk",
     "newsvendor_expected_risk",
-    "loss",
-    "risk",
     "true_optimal_action",
     "log_likelihood",
     "log_prior",
-    "log_posterior_unnormalized",
     "sample_demand",
-    "fisher_information",
     "validate_action",
 ]
 
@@ -143,20 +140,6 @@ def validate_action(a, model: NewsvendorModel):
             )
 
 
-def loss(a: float, xi, model: NewsvendorModel):
-    """Realized newsvendor cost h*(a - xi)^+ + b*(xi - a)^+.
-
-    ``xi`` may be a scalar or an array of demands.
-    """
-    if a < 0:
-        raise ValueError("action a must be nonnegative")
-    xi_arr = np.asarray(xi, dtype=float)
-    if np.any(xi_arr < 0):
-        raise ValueError("demand xi must be nonnegative")
-    out = model.h * np.maximum(a - xi_arr, 0.0) + model.b * np.maximum(xi_arr - a, 0.0)
-    return float(out) if np.ndim(xi) == 0 else out
-
-
 class Risk(Protocol):
     """An expected cost G(a, theta) over broadcast arrays of ``a`` and
     ``theta`` (``value``), and ``log_terms(a, u)``: one fresh (6, ...) array
@@ -174,7 +157,7 @@ class NewsvendorRisk:
 
     The exponential tail is evaluated in log space, which keeps the term
     well-behaved for extreme a*theta and tiny theta. Inputs are not
-    validated; ``risk`` is the checked entry point.
+    validated.
     """
 
     h: float
@@ -317,14 +300,6 @@ def expected_risk(a, theta, weights, model: NewsvendorModel, risk: Risk | None =
     return out.reshape(a.shape) if a.ndim else float(out[0])
 
 
-def risk(a: float, theta, model: NewsvendorModel):
-    """Expected cost G(a, theta) of the model's newsvendor risk, validated."""
-    if a < 0:
-        raise ValueError("action a must be nonnegative")
-    out = NewsvendorRisk(model.h, model.b).value(a, _as_positive_theta(theta))
-    return float(out) if np.ndim(theta) == 0 else out
-
-
 def true_optimal_action(model: NewsvendorModel) -> float:
     """Unique minimizer log((b + h)/h) / theta0 of the convex map a -> G(a, theta0)."""
     if model.theta0 is None:
@@ -351,11 +326,6 @@ def log_prior(theta, model: NewsvendorModel):
     return float(out) if np.ndim(theta) == 0 else out
 
 
-def log_posterior_unnormalized(theta, data: Observations, model: NewsvendorModel):
-    """log p(X | theta) + log pi(theta), the posterior up to its constant."""
-    return log_likelihood(theta, data) + log_prior(theta, model)
-
-
 def sample_demand(theta: float, count: int, rng) -> Observations:
     """Draw ``count`` i.i.d. Exp(theta) demands by inverse CDF -log(U)/theta.
 
@@ -374,10 +344,3 @@ def sample_demand(theta: float, count: int, rng) -> Observations:
     np.negative(draws, out=draws)
     np.divide(draws, theta, out=draws)
     return Observations(draws)
-
-
-def fisher_information(theta):
-    """Fisher information 1/theta^2 of the exponential rate."""
-    theta_arr = _as_positive_theta(theta)
-    out = 1.0 / (theta_arr * theta_arr)
-    return float(out) if np.ndim(theta) == 0 else out

@@ -2,9 +2,9 @@
 
 Gauss-Legendre nodes in log(theta) between the posterior density's level
 crossings about its closed-form mode (``build_posterior``) give the
-evidence, posterior moments, posterior expected risk, the exact Bayes
-decision, and the risk-tilted (calibrated) posterior density - the ground
-truth the variational machinery is validated against.
+evidence and the normalized posterior weights, and on them the exact Bayes
+decision (``bayes_decision``) - the ground truth the variational machinery
+is validated against.
 """
 
 from __future__ import annotations
@@ -18,16 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .decisions import DecisionOutcome, Rule, decide_on_measure
-from .model import (
-    NewsvendorModel,
-    Observations,
-    Risk,
-    _positive_measure,
-    expected_risk,
-    log_posterior_unnormalized,
-    newsvendor_expected_risk,
-    resolve_risk,
-)
+from .model import NewsvendorModel, Observations, _positive_measure, newsvendor_expected_risk
 from .numerics import (
     NumericalError,
     gauss_legendre,
@@ -38,9 +29,7 @@ __all__ = [
     "PosteriorGrid",
     "mle",
     "build_posterior",
-    "posterior_expected_risk",
     "bayes_decision",
-    "calibrated_posterior_density",
 ]
 
 POSTERIOR_NODES = 256
@@ -63,22 +52,19 @@ class PosteriorGrid:
     """Normalized posterior on Gauss-Legendre nodes u_i in log(theta).
 
     ``nodes`` are the rates theta_i = e^u_i and ``window`` the rates at the
-    window's edges. ``log_weights[i]`` is log(weight in u x theta_i x
-    unnormalized posterior density at theta_i), and ``log_evidence`` their
-    log-sum-exp; ``normalized_weights`` are the probabilities
-    exp(log_weights - log_evidence), summing to one. ``measure`` is
+    window's edges. ``log_evidence`` is the log-sum-exp of the log weights
+    log(weight in u x theta_i x unnormalized posterior density at theta_i),
+    and ``normalized_weights`` are the probabilities exp(log weight -
+    log_evidence), summing to one. ``measure`` is
     ``model._positive_measure`` of the nodes and normalized weights, read-only
     and prepared on first use, so every Bayes root and scan on the grid
-    reads the same rows. The grid keeps a handle on the data it was built
-    from, which lets the posterior density be evaluated off-grid.
+    reads the same rows.
     """
 
     nodes: np.ndarray
-    log_weights: np.ndarray
     log_evidence: float
     normalized_weights: np.ndarray
     window: tuple[float, float]
-    data: Observations
 
     @cached_property
     def measure(self):
@@ -86,19 +72,6 @@ class PosteriorGrid:
         for array in measure[:2]:  # -theta and the rows [w, w*theta, w/theta]
             array.setflags(write=False)
         return measure
-
-    def mean(self) -> float:
-        return float(self.normalized_weights @ self.nodes)
-
-    def variance(self) -> float:
-        w = self.normalized_weights
-        m = float(w @ self.nodes)
-        return float(w @ (self.nodes - m) ** 2)
-
-    def mass_within(self, center: float, radius: float) -> float:
-        """Posterior probability of {|theta - center| <= radius} on the grid."""
-        inside = np.abs(self.nodes - center) <= radius
-        return float(self.normalized_weights[inside].sum())
 
 
 def mle(data: Observations) -> float:
@@ -147,8 +120,10 @@ def build_posterior(data: Observations, model: NewsvendorModel) -> PosteriorGrid
     root = math.sqrt(p * p + 4.0 * s * beta)
     # The root of S*t^2 - p*t - beta in the form free of cancellation.
     mode = (p + root) / (2.0 * s) if p >= 0 else 2.0 * beta / (root - p)
-    st, bt = s * mode, beta / mode
-    if not (sys.float_info.min <= mode <= sys.float_info.max and min(st, bt) > 0):
+    # Checked before beta/mode: an overflowing p^2 or S*beta puts the mode at 0 or inf.
+    in_range = sys.float_info.min <= mode <= sys.float_info.max
+    st, bt = (s * mode, beta / mode) if in_range else (0.0, 0.0)
+    if not min(st, bt) > 0:
         raise NumericalError(f"posterior mode {mode:.3g} or S*mode, beta/mode leave the float range")
     center = math.log(mode)
     d_lo = -_crossing(-p, bt, st, center - LOG_THETA_RANGE[0])
@@ -174,27 +149,13 @@ def build_posterior(data: Observations, model: NewsvendorModel) -> PosteriorGrid
         raise NumericalError("posterior evidence is not finite")
     return PosteriorGrid(
         nodes=nodes,
-        log_weights=relative + offset,
         log_evidence=log_evidence,
-        # From the relative weights: log_weights round at the offset's ulp,
-        # ~n*eps, which exp(log_weights - log_evidence) would carry.
+        # From the relative weights: the log weights relative + offset round
+        # at the offset's ulp, ~n*eps, which exp(log weight - log_evidence)
+        # would carry.
         normalized_weights=np.exp(relative - log_mass),
         window=(math.exp(lo), math.exp(hi)),
-        data=data,
     )
-
-
-def posterior_expected_risk(
-    a,
-    grid: PosteriorGrid,
-    model: NewsvendorModel,
-    risk: Risk | None = None,
-):
-    """Posterior expectation of the risk, E_post[G(a, theta)], on the grid.
-
-    ``a`` may be one action or an array of actions; the result has its shape.
-    """
-    return expected_risk(a, grid.nodes, grid.normalized_weights, model, risk)
 
 
 @lru_cache(maxsize=16)
@@ -257,24 +218,3 @@ def bayes_decision(
         a, evaluations, BAYES_SCAN_POINTS, where,
     )
     return DecisionOutcome(a, value, Rule.BAYES, None, evaluations + BAYES_SCAN_POINTS)
-
-
-def calibrated_posterior_density(
-    a: float,
-    theta: float,
-    grid: PosteriorGrid,
-    model: NewsvendorModel,
-    risk: Risk | None = None,
-) -> float:
-    """Risk-tilted posterior density G(a, theta) pi(theta|X) / E_post[G(a, .)].
-
-    Defined for theta inside the grid window; reduces to the plain
-    posterior density whenever the risk is constant in theta.
-    """
-    lo, hi = grid.window
-    if not lo <= theta <= hi:
-        raise ValueError(f"theta={theta:.6g} outside the posterior window [{lo:.6g}, {hi:.6g}]")
-    risk = resolve_risk(risk, model)
-    log_post = log_posterior_unnormalized(theta, grid.data, model) - grid.log_evidence
-    normalizer = posterior_expected_risk(a, grid, model, risk)
-    return float(risk.value(a, theta)) * math.exp(log_post) / normalizer

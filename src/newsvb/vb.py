@@ -55,7 +55,8 @@ from .model import (
     Observations,
     Risk,
     expected_risk,
-    log_posterior_unnormalized,
+    log_likelihood,
+    log_prior,
     resolve_risk,
     validate_action,
 )
@@ -79,7 +80,6 @@ __all__ = [
     "calibrated_objective",
     "fit_lcvb",
     "kl_decomposition_check",
-    "variational_variance",
 ]
 
 logger = logging.getLogger(__name__)
@@ -104,32 +104,6 @@ class LogNormalVariational:
 
     def mean_theta(self) -> float:
         return math.exp(self.mu + 0.5 * self.sigma**2)
-
-    def mean_inverse_theta(self) -> float:
-        return math.exp(-self.mu + 0.5 * self.sigma**2)
-
-    def mean_log_theta(self) -> float:
-        return self.mu
-
-    def entropy(self) -> float:
-        return self.mu + 0.5 * (1.0 + _LOG_2PI) + math.log(self.sigma)
-
-    def log_density(self, theta):
-        theta_arr = np.asarray(theta, dtype=float)
-        log_theta = np.log(theta_arr)
-        out = (
-            -log_theta
-            - math.log(self.sigma)
-            - 0.5 * _LOG_2PI
-            - 0.5 * ((log_theta - self.mu) / self.sigma) ** 2
-        )
-        return float(out) if np.ndim(theta) == 0 else out
-
-
-def variational_variance(q: LogNormalVariational) -> float:
-    """Var_q[theta] = (exp(sigma^2) - 1) * exp(2*mu + sigma^2)."""
-    v = q.sigma**2
-    return math.expm1(v) * math.exp(2.0 * q.mu + v)
 
 
 @dataclass(frozen=True)
@@ -257,8 +231,9 @@ def fit_nvb(
     concave phi(x) = log x + log(x + |p|) - 1/(2x + |p|) - log(S*beta).
     Newton from the root x0 of x*(x + |p|) = S*beta (phi < 0 there) rises
     to it monotonically, stopping before the first rise of at most 4 ulps.
-    ``NumericalError`` where S*beta leaves the normal floats or the bound
-    at the member is not finite.
+    ``NumericalError`` where S*beta leaves the normal floats, x0 is 0 (p^2
+    overflows or S*beta/|p| underflows) or the bound at the member is not
+    finite.
     """
     if data.sum_s <= 0:
         raise ValueError("degenerate data: all observed demands are zero")
@@ -268,6 +243,11 @@ def fit_nvb(
         raise NumericalError(f"S*beta = {product:.3g} leaves the normal floats")
     log_product = math.log(total) + math.log(beta)
     x = product / (0.5 * gap + math.sqrt(0.25 * gap * gap + product))
+    if not x > 0:
+        raise NumericalError(
+            f"p = n - alpha = {p:.3g} and S*beta = {product:.3g} put the root's start at 0: "
+            "p^2 overflows or S*beta/|p| underflows"
+        )
     for steps in range(MAX_ITERATIONS):
         w = 2.0 * x + gap
         phi = math.log(x) + math.log(x + gap) - 1.0 / w - log_product
@@ -426,7 +406,7 @@ def kl_decomposition_check(
     log_theta = q.mu + q.sigma * z
     theta = np.exp(log_theta)
     log_q = -log_theta - math.log(q.sigma) - 0.5 * _LOG_2PI - 0.5 * z * z
-    log_joint = log_posterior_unnormalized(theta, data, model)
+    log_joint = log_likelihood(theta, data) + log_prior(theta, model)
     g_nodes = risk.value(a, theta)
     if np.any(g_nodes <= 0.0):
         raise NumericalError("risk must be strictly positive over the quadrature nodes")

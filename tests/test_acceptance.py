@@ -20,14 +20,11 @@ from newsvb import (
     fit_lcvb,
     fit_nvb,
     lcvb_decide,
-    loss,
     nvb_decide,
     optimality_gap,
     posterior_kl,
-    risk,
     sample_demand,
     true_optimal_action,
-    variational_variance,
 )
 from newsvb.cli import (
     check_elbo_gradient,
@@ -39,6 +36,7 @@ from newsvb.cli import (
 from newsvb.experiment import estimate_rate, read_results, reference_config
 from newsvb.model import log_likelihood, log_prior
 from newsvb.numerics import gauss_hermite_standard
+from reference import log_density, loss, risk, variational_variance
 
 REFERENCE_H_VALUES = tuple(round(0.001 * k, 3) for k in range(1, 10))
 FIGURE_SEED = 20250809
@@ -151,7 +149,7 @@ class TestCriterion06ElboCorrectness:
             integrand = (
                 log_likelihood(theta, data_n50)
                 + log_prior(theta, base_model)
-                - q.log_density(theta)
+                - log_density(q, theta)
             )
             assert abs(elbo(q, data_n50, base_model) - float(w @ integrand)) < 1e-8
         worst, _ = check_elbo_gradient()

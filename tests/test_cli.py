@@ -545,6 +545,27 @@ class TestExitCodes:
         assert err.startswith("numerical failure: ") and "psi's level" in err
         assert err.count("\n") == 1
 
+    # A prior shape of 1e300: p = n - alpha squares past the float range, so
+    # the posterior's mode and the plain fit's start are 0, which the grid and
+    # the plain fit refuse before dividing by the one or taking the other's log.
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["decide", "--rule", "nvb"], "p^2 overflows"),
+            (["decide", "--rule", "lcvb"], "p^2 overflows"),
+            (["decide", "--rule", "bayes"], "posterior mode 0 "),
+            (["fit"], "posterior mode 0 "),
+        ],
+        ids=["nvb", "lcvb", "bayes", "fit"],
+    )
+    def test_a_prior_shape_of_1e300_exits_3_in_one_line(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, *argv, "--values", "1", "--alpha", "1e300")
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     # One demand of 1e-300: the plain fit's q (mu ~ 346, sigma ~ 26) puts its
     # top Gauss-Hermite rate past the float range, which NVB, and LCVB at its
     # NVB start, refuse before any exp.

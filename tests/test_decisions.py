@@ -20,35 +20,39 @@ from newsvb import (
     Rule,
     bayes_decision,
     build_posterior,
-    expected_risk_under_q,
     fit_nvb,
     lcvb_decide,
     nvb_decide,
     optimality_gap,
-    posterior_expected_risk,
-    risk,
     sample_demand,
     true_optimal_action,
 )
 import newsvb.decisions as decisions
 import newsvb.vb as vb
-from newsvb.decisions import decide_across_h, decide_on_measure, decide_with_variational
+from newsvb.decisions import (
+    _gauss_hermite_measure,
+    decide_across_h,
+    decide_on_measure,
+    decide_with_variational,
+)
 from newsvb.model import _positive_measure, expected_risk
 from newsvb.numerics import NumericalError, minimize_on_grid_then_golden
 from newsvb.vb import _lcvb_objective, calibrated_objective, fit_lcvb
+from reference import risk
 
 
 class TestExpectedRiskUnderQ:
     def test_zero_action_lognormal_moment(self, base_model):
         q = LogNormalVariational(-0.4, 0.3)
         expected = base_model.b * math.exp(0.4 + 0.045)
-        assert expected_risk_under_q(0.0, q, base_model) == pytest.approx(expected, rel=1e-12)
+        value = expected_risk(0.0, *_gauss_hermite_measure(q), base_model)
+        assert value == pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_member_recovers_risk(self, base_model):
-        q = LogNormalVariational(math.log(base_model.theta0), 1e-6)
+        measure = _gauss_hermite_measure(LogNormalVariational(math.log(base_model.theta0), 1e-6))
         for a in (0.5, 4.0, 12.0):
             assert abs(
-                expected_risk_under_q(a, q, base_model) - risk(a, base_model.theta0, base_model)
+                expected_risk(a, *measure, base_model) - risk(a, base_model.theta0, base_model)
             ) < 1e-6
 
     def test_monte_carlo_oracle(self, base_model):
@@ -58,22 +62,23 @@ class TestExpectedRiskUnderQ:
         for a in (1.0, 5.0):
             samples = risk(a, thetas, base_model)
             se = samples.std(ddof=1) / math.sqrt(samples.size)
-            assert abs(expected_risk_under_q(a, q, base_model) - samples.mean()) <= 3 * se
+            value = expected_risk(a, *_gauss_hermite_measure(q), base_model)
+            assert abs(value - samples.mean()) <= 3 * se
 
     def test_action_array_matches_scalar_calls(self, base_model):
-        q = LogNormalVariational(-0.35, 0.25)
+        measure = _gauss_hermite_measure(LogNormalVariational(-0.35, 0.25))
         actions = np.linspace(0.0, 50.0, 101)
-        values = expected_risk_under_q(actions, q, base_model)
+        values = expected_risk(actions, *measure, base_model)
         assert values.shape == actions.shape
         for a, value in zip(actions, values):
-            assert value == expected_risk_under_q(float(a), q, base_model)
+            assert value == expected_risk(float(a), *measure, base_model)
 
     def test_rejects_action_outside_interval(self, base_model):
-        q = LogNormalVariational(0.0, 0.5)
+        measure = _gauss_hermite_measure(LogNormalVariational(0.0, 0.5))
         with pytest.raises(ValueError):
-            expected_risk_under_q(-1.0, q, base_model)
+            expected_risk(-1.0, *measure, base_model)
         with pytest.raises(ValueError):
-            expected_risk_under_q(51.0, q, base_model)
+            expected_risk(51.0, *measure, base_model)
 
 
 class TestNvbDecide:
@@ -81,7 +86,8 @@ class TestNvbDecide:
         outcome = nvb_decide(data_n50, base_model)
         q, _ = fit_nvb(data_n50, base_model)
         actions = np.linspace(0.0, 50.0, 100_001)
-        values = [expected_risk_under_q(float(a), q, base_model) for a in actions]
+        measure = _gauss_hermite_measure(q)
+        values = [expected_risk(float(a), *measure, base_model) for a in actions]
         brute = actions[int(np.argmin(values))]
         assert abs(outcome.action - brute) <= 5e-4
 
@@ -94,7 +100,8 @@ class TestNvbDecide:
         outcome = nvb_decide(data_n50, base_model)
         q, _ = fit_nvb(data_n50, base_model)
         assert outcome.rule is Rule.NVB
-        assert outcome.objective_value == expected_risk_under_q(outcome.action, q, base_model)
+        measure = _gauss_hermite_measure(q)
+        assert outcome.objective_value == expected_risk(outcome.action, *measure, base_model)
 
 
 @st.composite
@@ -217,7 +224,7 @@ class TestDecideOnMeasure:
         # refinement, which misses a minimizer by at most 1e-6.
         root = bayes_decision(grid_n50, base_model)
         scan, value, _ = minimize_on_grid_then_golden(
-            lambda a: posterior_expected_risk(a, grid_n50, base_model),
+            lambda a: expected_risk(a, grid_n50.nodes, grid_n50.normalized_weights, base_model),
             *base_model.action_interval,
             512,
             1e-8,

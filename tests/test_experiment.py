@@ -448,6 +448,27 @@ class TestRunExperiment:
                 assert point.failures == config.replications
                 assert point.replications + point.failures == config.replications
 
+    def test_a_prior_shape_of_1e300_fails_every_cell_and_the_run_completes(self):
+        # p = n - alpha squares past the float range: the grid and the plain
+        # fit refuse their zero mode and start, and each cell names its cause.
+        config = tiny_config(alpha=1e300, rules=(Rule.NVB, Rule.LCVB, Rule.BAYES), replications=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            records = simulate_path(config, 0)
+            curves = run_experiment(config, jobs=1)
+        assert len(records) == 3 * len(config.n_schedule)
+        for record in records:
+            assert record.failed
+            if record.rule is Rule.BAYES:
+                assert record.reason == "posterior grid"
+            else:
+                assert record.reason.startswith("NVB: p = n - alpha = -1e+300")
+                assert "p^2 overflows" in record.reason
+        for curve in curves:
+            for point in curve.points:
+                assert point.gap_action_q is None and point.gap_regret_q is None
+                assert (point.replications, point.failures) == (0, config.replications)
+
 
 class TestEstimateRate:
     def curve_from(self, pairs):

@@ -16,15 +16,13 @@ from newsvb import (
     NewsvendorModel,
     NewsvendorRisk,
     Observations,
-    fisher_information,
     log_likelihood,
     log_prior,
-    loss,
-    risk,
     sample_demand,
     true_optimal_action,
 )
 from newsvb.model import _positive_measure, newsvendor_expected_risk
+from reference import loss, risk
 
 
 def make_model(h, b, theta0=1.0, alpha=1.0, beta=1.0, interval=(0.0, 50.0)):
@@ -429,16 +427,6 @@ class TestSampleDemand:
             sample_demand(0.0, 5, rng)
         with pytest.raises(ValueError):
             sample_demand(1.0, 0, rng)
-
-
-class TestFisherInformation:
-    @pytest.mark.parametrize("theta,expected", [(1.0, 1.0), (0.68, 1.0 / 0.4624), (2.0, 0.25)])
-    def test_values(self, theta, expected):
-        assert fisher_information(theta) == pytest.approx(expected, rel=1e-10)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            fisher_information(0.0)
 
 
 class TestObservations:

@@ -20,18 +20,16 @@ from newsvb import (
     Observations,
     bayes_decision,
     build_posterior,
-    calibrated_posterior_density,
     log_likelihood,
     mle,
-    posterior_expected_risk,
-    risk,
     sample_demand,
     true_optimal_action,
 )
 from newsvb.decisions import Rule, decide_on_measure
 from newsvb.experiment import derive_path_seed, reference_config, simulate_path
-from newsvb.model import _positive_measure, expected_risk, log_posterior_unnormalized
+from newsvb.model import _positive_measure, expected_risk, log_prior
 from newsvb.numerics import NumericalError, gauss_legendre
+from reference import risk
 
 
 def sample_from_grid(grid, count, rng):
@@ -224,9 +222,12 @@ class TestBuildPosterior:
                 data = stream.prefix(n)
                 mean, variance = exact_moments(data, model)
                 grid = build_posterior(data, model)
+                w, nodes = grid.normalized_weights, grid.nodes
+                grid_mean = float(w @ nodes)
+                grid_variance = float(w @ (nodes - grid_mean) ** 2)
                 bound = 32 * np.finfo(float).eps
-                assert abs(grid.mean() - mean) <= bound * mean, (seed, n)
-                assert abs(grid.variance() - variance) <= bound * variance, (seed, n)
+                assert abs(grid_mean - mean) <= bound * mean, (seed, n)
+                assert abs(grid_variance - variance) <= bound * variance, (seed, n)
 
     @settings(deadline=None, max_examples=50, derandomize=True, database=None)
     @given(
@@ -247,10 +248,10 @@ class TestBuildPosterior:
         _, w = gauss_legendre(oracle.POSTERIOR_NODES)
         lo, hi = np.log(grid.window)
         u = np.log(grid.nodes)
-        reference = np.log(w * (0.5 * (hi - lo))) + u + log_posterior_unnormalized(
-            grid.nodes, data, model
-        )
-        assert np.all(np.abs(grid.log_weights - reference) <= 1e-12 * (1.0 + np.abs(reference)))
+        log_posterior = log_likelihood(grid.nodes, data) + log_prior(grid.nodes, model)
+        reference = np.log(w * (0.5 * (hi - lo))) + u + log_posterior
+        log_weights = np.log(grid.normalized_weights) + grid.log_evidence
+        assert np.all(np.abs(log_weights - reference) <= 1e-12 * (1.0 + np.abs(reference)))
 
     @settings(deadline=None, max_examples=40, derandomize=True, database=None)
     @given(cell=gig_cells())
@@ -291,9 +292,11 @@ class TestBuildPosterior:
     def test_posterior_concentrates_near_true_rate(self, base_model):
         data = sample_demand(base_model.theta0, 2000, np.random.default_rng(42))
         grid = build_posterior(data, base_model)
-        sd = math.sqrt(grid.variance())
-        assert abs(grid.mean() - 0.68) <= 3 * sd
-        assert grid.mean() == pytest.approx(mle(data), abs=3 * sd)
+        w, nodes = grid.normalized_weights, grid.nodes
+        mean = float(w @ nodes)
+        sd = math.sqrt(float(w @ (nodes - mean) ** 2))
+        assert abs(mean - 0.68) <= 3 * sd
+        assert mean == pytest.approx(mle(data), abs=3 * sd)
 
     @pytest.mark.parametrize("alpha,beta", [(1.0, 4.1), (0.3, 2.0), (2.5, 0.7)])
     def test_log_evidence_matches_scipy_logsumexp(self, alpha, beta):
@@ -302,7 +305,8 @@ class TestBuildPosterior:
             stream = sample_demand(model.theta0, 6400, np.random.default_rng(7000 + seed))
             for n in (1, 50, 1250, 6400):
                 grid = build_posterior(stream.prefix(n), model)
-                reference = float(logsumexp(grid.log_weights))
+                log_weights = np.log(grid.normalized_weights) + grid.log_evidence
+                reference = float(logsumexp(log_weights))
                 assert abs(grid.log_evidence - reference) <= 1e-15 * abs(reference)
 
     def test_tiny_sample_is_supported(self, base_model):
@@ -315,7 +319,8 @@ class TestBuildPosterior:
         for seed in range(40):
             data = sample_demand(base_model.theta0, 5000, np.random.default_rng(1000 + seed))
             grid = build_posterior(data, base_model)
-            if 1.0 - grid.mass_within(0.68, 0.1) < 1e-3:
+            inside = np.abs(grid.nodes - 0.68) <= 0.1
+            if 1.0 - float(grid.normalized_weights[inside].sum()) < 1e-3:
                 hits += 1
         assert hits >= 38  # 95% of seeds
 
@@ -338,12 +343,13 @@ class TestMle:
 
 class TestPosteriorExpectedRisk:
     def test_constant_risk_returns_constant(self, grid_n50, base_model):
-        value = posterior_expected_risk(3.0, grid_n50, base_model, risk=ConstantRisk(7.25))
+        nodes, weights = grid_n50.nodes, grid_n50.normalized_weights
+        value = expected_risk(3.0, nodes, weights, base_model, ConstantRisk(7.25))
         assert value == pytest.approx(7.25)
 
     def test_zero_action_is_posterior_moment(self, grid_n50, base_model):
         moment = float(grid_n50.normalized_weights @ (1.0 / grid_n50.nodes))
-        value = posterior_expected_risk(0.0, grid_n50, base_model)
+        value = expected_risk(0.0, grid_n50.nodes, grid_n50.normalized_weights, base_model)
         assert value == pytest.approx(base_model.b * moment, rel=1e-12)
 
     def test_monte_carlo_oracle(self, grid_n50, base_model):
@@ -353,12 +359,14 @@ class TestPosteriorExpectedRisk:
             samples = risk(a, thetas, base_model)
             se = samples.std(ddof=1) / math.sqrt(samples.size)
             # allow for the discretization bias of the grid sampler as well
-            assert abs(posterior_expected_risk(a, grid_n50, base_model) - samples.mean()) <= 3 * se + 1e-6
+            value = expected_risk(a, grid_n50.nodes, grid_n50.normalized_weights, base_model)
+            assert abs(value - samples.mean()) <= 3 * se + 1e-6
 
     def test_strictly_positive(self, grid_n50, base_model):
         rng = np.random.default_rng(22)
+        nodes, weights = grid_n50.nodes, grid_n50.normalized_weights
         for _ in range(50):
-            assert posterior_expected_risk(float(rng.uniform(0, 50)), grid_n50, base_model) > 0
+            assert expected_risk(float(rng.uniform(0, 50)), nodes, weights, base_model) > 0
 
     def test_matches_a_50_digit_sum(self, data_n2000, base_model):
         # The worst error here reads 2.66 eps, at a = 0 with h = 0.5, where
@@ -392,10 +400,11 @@ class TestPosteriorExpectedRisk:
 
     def test_action_array_matches_scalar_calls(self, grid_n50, base_model):
         actions = np.linspace(0.0, 50.0, 101)
-        values = posterior_expected_risk(actions, grid_n50, base_model)
+        nodes, weights = grid_n50.nodes, grid_n50.normalized_weights
+        values = expected_risk(actions, nodes, weights, base_model)
         assert values.shape == actions.shape
         for a, value in zip(actions, values):
-            assert value == posterior_expected_risk(float(a), grid_n50, base_model)
+            assert value == expected_risk(float(a), nodes, weights, base_model)
 
 
 class TestBayesDecision:
@@ -410,7 +419,9 @@ class TestBayesDecision:
         grid = build_posterior(Observations([2.0]), base_model)
         outcome = bayes_decision(grid, base_model)
         actions = np.linspace(0.0, 50.0, 100_001)
-        values = [posterior_expected_risk(a, grid, base_model) for a in actions]
+        values = [
+            expected_risk(a, grid.nodes, grid.normalized_weights, base_model) for a in actions
+        ]
         brute = actions[int(np.argmin(values))]
         assert abs(outcome.action - brute) <= 50.0 / 100_000
 
@@ -420,7 +431,7 @@ class TestBayesDecision:
         # root at a_hi, and every scan point ties the minimum.
         grid = build_posterior(Observations([1e300]), base_model)
         scan = np.linspace(0.0, 50.0, oracle.BAYES_SCAN_POINTS)
-        values = posterior_expected_risk(scan, grid, base_model)
+        values = expected_risk(scan, grid.nodes, grid.normalized_weights, base_model)
         assert np.argmin(values) == 0 and values.max() == values.min()
         outcome = bayes_decision(grid, base_model)
         assert outcome.action == base_model.action_hi
@@ -429,7 +440,8 @@ class TestBayesDecision:
     def test_beats_every_grid_probe(self, grid_n50, base_model):
         outcome = bayes_decision(grid_n50, base_model)
         probes = np.linspace(0.0, 50.0, 512)
-        values = [posterior_expected_risk(a, grid_n50, base_model) for a in probes]
+        nodes, weights = grid_n50.nodes, grid_n50.normalized_weights
+        values = [expected_risk(a, nodes, weights, base_model) for a in probes]
         assert outcome.objective_value <= min(values) + 1e-12
 
     def test_matches_the_exact_gig_root(self, base_model):
@@ -591,45 +603,3 @@ class TestBayesDecision:
         assert abs(plain.action - rescaled.action) < 1e-6
         assert rescaled.objective_value == pytest.approx(5.0 * plain.objective_value, rel=1e-9)
 
-
-class TestCalibratedPosteriorDensity:
-    def test_constant_risk_equals_posterior_density(self, grid_n50, base_model):
-        for theta in (0.4, 0.55, 0.7):
-            calibrated = calibrated_posterior_density(
-                1.0, theta, grid_n50, base_model, risk=ConstantRisk(2.5)
-            )
-            log_post = log_posterior_unnormalized(theta, grid_n50.data, base_model)
-            posterior = math.exp(log_post - grid_n50.log_evidence)
-            assert calibrated == pytest.approx(posterior, rel=1e-12)
-
-    def test_integrates_to_one(self, grid_n50, base_model):
-        # Pure quadrature weights = exp(log_weights - log posterior at node).
-        log_post = log_posterior_unnormalized(grid_n50.nodes, grid_n50.data, base_model)
-        quad_weights = np.exp(grid_n50.log_weights - log_post)
-        for a in (0.0, 2.0, 20.0):
-            density = np.array(
-                [
-                    calibrated_posterior_density(a, float(t), grid_n50, base_model)
-                    for t in grid_n50.nodes
-                ]
-            )
-            assert abs(float(quad_weights @ density) - 1.0) < 1e-8
-
-    def test_mean_shifts_toward_high_risk(self, grid_n50, base_model):
-        # At a=0 the risk b/theta grows as theta falls, so tilting the
-        # posterior by it must pull the mean down; brute-force comparison
-        # of the two quadrature means.
-        log_post = log_posterior_unnormalized(grid_n50.nodes, grid_n50.data, base_model)
-        quad_weights = np.exp(grid_n50.log_weights - log_post)
-        density = np.array(
-            [
-                calibrated_posterior_density(0.0, float(t), grid_n50, base_model)
-                for t in grid_n50.nodes
-            ]
-        )
-        calibrated_mean = float((quad_weights * density) @ grid_n50.nodes)
-        assert calibrated_mean < grid_n50.mean()
-
-    def test_rejects_theta_outside_window(self, grid_n50, base_model):
-        with pytest.raises(ValueError):
-            calibrated_posterior_density(1.0, grid_n50.window[1] * 10, grid_n50, base_model)
