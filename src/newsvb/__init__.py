@@ -8,7 +8,6 @@ experiment harness.
 __version__ = "0.1.0"
 
 from .model import (  # noqa: F401
-    ConstantRisk,
     NewsvendorModel,
     NewsvendorRisk,
     Observations,

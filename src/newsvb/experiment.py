@@ -49,7 +49,6 @@ __all__ = [
     "nearest_rank_quantile",
     "estimate_rate",
     "write_results",
-    "read_results",
 ]
 
 logger = logging.getLogger(__name__)
@@ -463,36 +462,3 @@ def write_results(
     except OSError as exc:
         raise OSError(f"failed to write results under {stem}: {exc}") from exc
     return csv_path, manifest_path
-
-
-def read_results(csv_path) -> list[QuantileCurve]:
-    """Parse a results CSV back into quantile curves (inverse of write)."""
-    text = Path(csv_path).read_text(encoding="utf-8")
-    lines = [line for line in text.split("\n") if line]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"unexpected results header in {csv_path}")
-    grouped: dict[tuple[Rule, float, float], list[CurvePoint]] = {}
-    order: list[tuple[Rule, float, float]] = []
-    for line in lines[1:]:
-        fields = line.split(",")
-        if len(fields) != 8:
-            raise ValueError(f"malformed results row: {line!r}")
-        rule = _parse_rule(fields[0])
-        h = float(fields[1])
-        level = float(fields[3])
-        point = CurvePoint(
-            n=int(fields[2]),
-            gap_action_q=float(fields[4]) if fields[4] else None,
-            gap_regret_q=float(fields[5]) if fields[5] else None,
-            replications=int(fields[6]),
-            failures=int(fields[7]),
-        )
-        key = (rule, h, level)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(point)
-    return [
-        QuantileCurve(rule=rule, h=h, quantile_level=level, points=tuple(grouped[(rule, h, level)]))
-        for rule, h, level in order
-    ]

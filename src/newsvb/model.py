@@ -29,7 +29,6 @@ __all__ = [
     "NewsvendorModel",
     "Risk",
     "NewsvendorRisk",
-    "ConstantRisk",
     "resolve_risk",
     "expected_risk",
     "newsvendor_expected_risk",
@@ -172,47 +171,38 @@ class NewsvendorRisk:
         out -= self.h / theta
         return out
 
-    def log_terms(self, a, u):
-        """The rows of l = log G on N = theta*G = h*(t - 1) + E, with t =
-        a*theta and E = (b+h)*exp(-t): N is at least h*log((b+h)/h) > 0, so
-        l = log N - u needs no floor. G depends on (a, u) through t = a*e^u
-        alone, so with D = h - E = dN/dt and P = theta^2*E/N: l_a =
-        theta*D/N, l_u = t*D/N - 1 = a*l_a - 1, l_aa = P - l_a^2, l_au =
-        a*P - l_a*l_u and l_uu = a*l_au (= t*D/N + t^2*E/N - (t*D/N)^2).
-        E/N takes its factors theta one at a time, so a zero E forms no
-        theta^2."""
+    def log_rows(self, a, u):
+        """One fresh (3, ...) array of l = log G, l_a and l_aa over broadcast
+        arrays of ``a`` and u = log theta, on N = theta*G = h*(t - 1) + E with
+        t = a*theta and E = (b+h)*exp(-t): N is at least h*log((b+h)/h) > 0,
+        so l = log N - u needs no floor. With D = h - E = dN/dt and P =
+        theta^2*E/N, l_a = theta*D/N and l_aa = P - l_a^2. E/N takes its
+        factors theta one at a time, so a zero E forms no theta^2."""
         h, theta = self.h, np.exp(u)
         t = a * theta
         tail = np.exp(math.log(self.b + h) - t)  # E
         d = h - tail  # D
         n = t * h - d  # N
-        out = np.empty((6, *n.shape))
-        log_g, l_u, l_uu, l_a, l_au, l_aa = out
-        np.subtract(np.log(n), u, out=log_g)
-        np.multiply(theta, d / n, out=l_a)
-        np.subtract(l_a * a, 1.0, out=l_u)
+        out = np.empty((3, *n.shape))
+        log_g, l_a, l_aa = out
+        np.log(n, out=log_g)
+        log_g -= u
+        np.divide(d, n, out=l_a)
+        l_a *= theta
         tail /= n
         tail *= theta
         tail *= theta  # P
-        np.subtract(tail, l_a * l_a, out=l_aa)
-        np.subtract(tail * a, l_a * l_u, out=l_au)
-        np.multiply(l_au, a, out=l_uu)
+        np.multiply(l_a, l_a, out=l_aa)
+        np.subtract(tail, l_aa, out=l_aa)
         return out
-
-
-@dataclass(frozen=True)
-class ConstantRisk:
-    """G(a, theta) = level for every action and rate."""
-
-    level: float
-
-    def value(self, a, theta):
-        return np.full(np.broadcast_shapes(np.shape(a), np.shape(theta)), float(self.level))
 
     def log_terms(self, a, u):
-        out = np.zeros((6, *np.broadcast_shapes(np.shape(a), np.shape(u))))
-        out[0] = math.log(self.level)  # every derivative is zero
-        return out
+        """The six ``Risk`` rows from ``log_rows``: G depends on (a, u)
+        through t = a*e^u and the factor e^-u alone, so l_u = a*l_a - 1,
+        l_au = a*l_aa + l_a and l_uu = a*l_au."""
+        log_g, l_a, l_aa = self.log_rows(a, u)
+        l_au = a * l_aa + l_a
+        return np.array([log_g, a * l_a - 1.0, a * l_au, l_a, l_au, l_aa])
 
 
 def resolve_risk(risk: Risk | None, model: NewsvendorModel) -> Risk:

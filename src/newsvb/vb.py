@@ -33,8 +33,13 @@ negative definite everywhere (its determinant is 2v(A+B)^2 + 4v^2*AB > 0).
 The calibrated fit adds the Gauss-Hermite Hessian of E_q[log G], which
 needs log G's second derivative in log theta (``Risk.log_terms``);
 where that sum is not negative definite, the step uses the bound's Hessian
-alone. Newton steps take the likelihood curvature in mu, which grows like
-n, in their stride.
+alone. The newsvendor's G(a, theta) = N(a*theta)/theta is a function of
+t = a*theta times 1/theta, so with u = log theta its rows obey the
+scale-form identities l_u = a*l_a - 1, l_au = a*l_aa + l_a and
+l_uu = a*l_au: its kernel pass sums only l, l_a and l_aa
+(``NewsvendorRisk.log_rows``) and forms the other three sums from them.
+Newton steps take the likelihood curvature in mu, which grows like n, in
+their stride.
 
 The risk G enters through a ``Risk`` object (``model.Risk``); passing
 ``risk=None`` selects the model's own newsvendor risk.
@@ -52,6 +57,7 @@ import numpy as np
 
 from .model import (
     NewsvendorModel,
+    NewsvendorRisk,
     Observations,
     Risk,
     expected_risk,
@@ -267,11 +273,12 @@ def fit_nvb(
 
 @lru_cache(maxsize=None)
 def _moment_basis(node_count: int):
-    """Standard Gauss-Hermite nodes z and the (k, 3) columns [w, w*z, w*z^2]."""
+    """Standard Gauss-Hermite nodes z, the (k, 3) columns [w, w*z, w*z^2]
+    and the column sums sum_i w_i and sum_i w_i*z_i."""
     z, w = gauss_hermite_standard(node_count)
     basis = np.column_stack([w, w * z, w * z * z])
     basis.setflags(write=False)
-    return z, basis
+    return z, basis, tuple((np.ones(node_count) @ basis)[:2].tolist())
 
 
 def _log_risk_term(a: float, mu: float, rho: float, risk: Risk, node_count: int = NODE_COUNT):
@@ -279,18 +286,30 @@ def _log_risk_term(a: float, mu: float, rho: float, risk: Risk, node_count: int 
 
     Returns (value, gradient, hessian, action), the derivatives as nested
     pairs of floats and ``action`` (F_a, F_a_mu, F_a_rho, F_aa): one product
-    of ``log_terms`` at u = mu + sigma*z against w, w*z and w*z^2. Rows past
-    the float range (the newsvendor's l_aa ~ theta^2*h/b at a = 0 and theta
-    ~ 1e200) become non-finite sums without a warning: ``ascend`` then steps
+    of the risk's rows at u = mu + sigma*z against w, w*z and w*z^2. The
+    newsvendor risk hands over only l, l_a and l_aa (``log_rows``): G
+    depends on (a, u) through t = a*e^u and the factor e^-u alone, so
+    l_u = a*l_a - 1, l_au = a*l_aa + l_a and l_uu = a*l_au hold at every
+    node and for the rows' sums, whose "- 1" sums are the basis's own column
+    sums. Any other risk hands over its six ``log_terms`` rows. Rows past the
+    float range (the newsvendor's l_aa ~ theta^2*h/b at a = 0 and theta ~
+    1e200) become non-finite sums without a warning: ``ascend`` then steps
     with the bound's Hessian alone, and the saddle solve refuses them. An
     E_q[log G] that is not finite (G not positive and finite at a node) is
     a ``NumericalError``."""
-    z, basis = _moment_basis(node_count)
+    z, basis, (w_sum, wz_sum) = _moment_basis(node_count)
     sigma = math.exp(rho)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sums = (risk.log_terms(a, mu + sigma * z) @ basis).tolist()
-    (value, _, _), (g_mu, g_rho, _), (h_mu, h_mu_rho, h_rho), (f_a, _, _) = sums[:4]
-    (f_a_mu, f_a_rho, _), (f_aa, _, _) = sums[4:]
+        if isinstance(risk, NewsvendorRisk):
+            sums = (risk.log_rows(a, mu + sigma * z) @ basis).tolist()
+            (value, _, _), (f_a, s_a, s_a2), (f_aa, s_aa, s_aa2) = sums
+            f_a_mu, f_a_rho = a * f_aa + f_a, a * s_aa + s_a
+            g_mu, g_rho = a * f_a - w_sum, a * s_a - wz_sum
+            h_mu, h_mu_rho, h_rho = a * f_a_mu, a * f_a_rho, a * (a * s_aa2 + s_a2)
+        else:
+            sums = (risk.log_terms(a, mu + sigma * z) @ basis).tolist()
+            (value, _, _), (g_mu, g_rho, _), (h_mu, h_mu_rho, h_rho), (f_a, _, _) = sums[:4]
+            (f_a_mu, f_a_rho, _), (f_aa, _, _) = sums[4:]
     if not math.isfinite(value):
         raise NumericalError(
             f"E_q[log G] is {value}: the risk is not positive and finite at some node (a={a:.6g})"

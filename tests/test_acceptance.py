@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from newsvb import (
-    ConstantRisk,
     NewsvendorModel,
     bayes_decision,
     build_posterior,
@@ -33,10 +32,10 @@ from newsvb.cli import (
     main,
     probe_members,
 )
-from newsvb.experiment import estimate_rate, read_results, reference_config
+from newsvb.experiment import estimate_rate, reference_config
 from newsvb.model import log_likelihood, log_prior
 from newsvb.numerics import gauss_hermite_standard
-from reference import log_density, loss, risk, variational_variance
+from reference import ConstantRisk, log_density, loss, read_results, risk, variational_variance
 
 REFERENCE_H_VALUES = tuple(round(0.001 * k, 3) for k in range(1, 10))
 FIGURE_SEED = 20250809

@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from newsvb import (
-    ConstantRisk,
     DecisionOutcome,
     LogNormalVariational,
     NewsvendorModel,
@@ -35,10 +34,11 @@ from newsvb.decisions import (
     decide_on_measure,
     decide_with_variational,
 )
+from newsvb.experiment import reference_config, simulate_path
 from newsvb.model import _positive_measure, expected_risk
 from newsvb.numerics import NumericalError, minimize_on_grid_then_golden
 from newsvb.vb import _lcvb_objective, calibrated_objective, fit_lcvb
-from reference import risk
+from reference import ConstantRisk, risk
 
 
 class TestExpectedRiskUnderQ:
@@ -1000,6 +1000,28 @@ class TestLcvbDecide:
             assert 1 <= steps == kernel_passes - 1 == outcome.inner_fit.iterations
         else:
             assert len(fits) >= 33 and steps == 0
+
+    def test_reference_study_slice_takes_pinned_newton_steps_and_kernel_passes(
+        self, monkeypatch, caplog
+    ):
+        # The first 10 paths of the reference study (seed 424242): 360 decides,
+        # 959 Newton steps and 1,319 kernel passes (3.664 per decide). A change
+        # to the kernel's rounding that adds Newton steps moves these counts.
+        passes = []
+
+        def counted_pass(*args):
+            passes.append(args[0])
+            return log_risk_term(*args)
+
+        log_risk_term = vb._log_risk_term
+        monkeypatch.setattr(vb, "_log_risk_term", counted_pass)
+        config = reference_config()
+        with caplog.at_level(logging.DEBUG, logger="newsvb.decisions"):
+            records = [record for path in range(10) for record in simulate_path(config, path)]
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("LCVB action")]
+        assert len(lines) == 360 and not any(record.failed for record in records)
+        steps = sum(int(line.split()[4]) for line in lines)  # "LCVB action a after N Newton steps"
+        assert (steps, len(passes)) == (959, 1319)
 
     def test_non_finite_slope_falls_back_to_the_scan(self, data_n50, base_model):
         outcome = lcvb_decide(data_n50, base_model, risk=NaNSlope(base_model))

@@ -26,12 +26,12 @@ from newsvb.experiment import (
     derive_path_seed,
     estimate_rate,
     nearest_rank_quantile,
-    read_results,
     reference_config,
     run_experiment,
     simulate_path,
     write_results,
 )
+from reference import read_results
 
 
 def tiny_config(**overrides):

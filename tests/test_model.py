@@ -12,7 +12,6 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from newsvb import (
-    ConstantRisk,
     NewsvendorModel,
     NewsvendorRisk,
     Observations,
@@ -22,7 +21,7 @@ from newsvb import (
     true_optimal_action,
 )
 from newsvb.model import _positive_measure, newsvendor_expected_risk
-from reference import loss, risk
+from reference import ConstantRisk, loss, risk
 
 
 def make_model(h, b, theta0=1.0, alpha=1.0, beta=1.0, interval=(0.0, 50.0)):

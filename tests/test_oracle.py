@@ -15,7 +15,6 @@ import newsvb.decisions
 import newsvb.model
 import newsvb.oracle as oracle
 from newsvb import (
-    ConstantRisk,
     NewsvendorModel,
     Observations,
     bayes_decision,
@@ -29,7 +28,7 @@ from newsvb.decisions import Rule, decide_on_measure
 from newsvb.experiment import derive_path_seed, reference_config, simulate_path
 from newsvb.model import _positive_measure, expected_risk, log_prior
 from newsvb.numerics import NumericalError, gauss_legendre
-from reference import risk
+from reference import ConstantRisk, risk
 
 
 def sample_from_grid(grid, count, rng):

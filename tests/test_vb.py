@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import newsvb.vb as vb
 from newsvb import (
-    ConstantRisk,
     LogNormalVariational,
     NewsvendorModel,
     Observations,
@@ -39,7 +38,7 @@ from newsvb.vb import (
     _log_risk_term,
     posterior_kl,
 )
-from reference import log_density, variational_variance
+from reference import ConstantRisk, log_density, variational_variance
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -428,6 +427,96 @@ class TestLogRiskTerm:
                 value, gradient, hessian, action = _log_risk_term(0.0, mu, rho, risk)
                 assert all(map(math.isfinite, (value, *gradient, action[0])))
                 assert all(map(math.isfinite, (*hessian[0], *action[1:]))) == finite
+
+
+class PassThrough:
+    """The newsvendor risk as any other ``Risk``: ``_log_risk_term`` then sums
+    its six ``log_terms`` rows, not its three ``log_rows``."""
+
+    def __init__(self, risk):
+        self.risk = risk
+
+    def value(self, a, theta):
+        return self.risk.value(a, theta)
+
+    def log_terms(self, a, u):
+        return self.risk.log_terms(a, u)
+
+
+def flat_kernel(a, mu, rho, risk):
+    """``_log_risk_term``'s ten numbers: value, gradient, the Hessian's three
+    entries and (F_a, F_a_mu, F_a_rho, F_aa)."""
+    value, gradient, ((h_mu, h_mu_rho), (_, h_rho)), action = _log_risk_term(a, mu, rho, risk)
+    return np.array([value, *gradient, h_mu, h_mu_rho, h_rho, *action])
+
+
+def kernel_scale(a, mu, rho, risk):
+    """Each of ``flat_kernel``'s numbers as the scale-form identities build
+    it from the rows l, l_a and l_aa, with every row, weight and z taken
+    absolute: the size of the terms its sums round."""
+    z, w = gauss_hermite_standard(NODE_COUNT)
+    sigma = math.exp(rho)
+    columns = np.column_stack([w, w * np.abs(z), w * z * z])
+    rows = np.abs(risk.log_rows(a, mu + sigma * z)) @ columns
+    (l0, _, _), (a0, a1, a2), (aa0, aa1, aa2) = rows.tolist()
+    g_rho = sigma * (a * a1 + float(columns[:, 1].sum()))
+    return np.array(
+        [
+            l0,
+            a * a0 + float(w.sum()),
+            g_rho,
+            a * (a * aa0 + a0),
+            sigma * a * (a * aa1 + a1),
+            sigma * sigma * a * (a * aa2 + a2) + g_rho,
+            a0,
+            a * aa0 + a0,
+            sigma * (a * aa1 + a1),
+            aa0,
+        ]
+    )
+
+
+class TestThreeRowKernel:
+    """``_log_risk_term`` on the newsvendor sums l, l_a and l_aa and forms
+    the l_u, l_au and l_uu sums by l_u = a*l_a - 1, l_au = a*l_aa + l_a and
+    l_uu = a*l_au; behind ``PassThrough`` it sums the six rows."""
+
+    @settings(deadline=None, max_examples=200, derandomize=True, database=None)
+    @example(a=0.0, mu=math.log(0.68), sigma=0.1, h=0.005, b=0.1)
+    @example(a=50.0, mu=math.log(5.0), sigma=1.0, h=0.5, b=0.01)
+    @given(
+        a=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+        mu=st.floats(math.log(1e-3), math.log(5.0)),
+        sigma=st.floats(0.01, 1.0),
+        h=st.floats(1e-3, 0.5),
+        b=st.floats(1e-2, 10.0),
+    )
+    def test_three_rows_match_the_six_row_sums(self, a, mu, sigma, h, b):
+        risk, rho = NewsvendorRisk(h, b), math.log(sigma)
+        three, six = flat_kernel(a, mu, rho, risk), flat_kernel(a, mu, rho, PassThrough(risk))
+        # Four ulps of the terms, and the smallest normal float, under which
+        # (a ~ 5e-324) a product rounds to the subnormal spacing.
+        tolerance = 4 * np.finfo(float).eps * kernel_scale(a, mu, rho, risk) + np.finfo(float).tiny
+        assert np.all(np.abs(three - six) <= tolerance)
+
+    @settings(deadline=None, max_examples=100, derandomize=True, database=None)
+    @example(a=0.0, sigma=0.5, h=0.005, b=0.1)
+    @given(
+        a=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+        sigma=st.floats(0.01, 1.0),
+        h=st.floats(1e-3, 0.5),
+        b=st.floats(1e-2, 10.0),
+    )
+    def test_rows_past_the_float_range_leave_the_same_sums_non_finite(self, a, sigma, h, b):
+        risk, rho = NewsvendorRisk(h, b), math.log(sigma)
+        top = gauss_hermite_standard(NODE_COUNT)[0][-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rate in (1e150, 1e200):
+                mu = math.log(rate) - sigma * top
+                three = flat_kernel(a, mu, rho, risk)
+                six = flat_kernel(a, mu, rho, PassThrough(risk))
+                assert np.array_equal(np.isfinite(three), np.isfinite(six))
 
 
 class TestCalibratedObjective:
